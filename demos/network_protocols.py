@@ -23,6 +23,10 @@ from dickesim.protocols import (
 )
 
 
+def _qber(run) -> str:
+    return "n/a (no round kept)" if run.qber is None else f"{run.qber:.4f}"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=20000)
@@ -49,11 +53,11 @@ def main():
     ideal = qss_run(dicke(6, 3), rounds=args.rounds, seed=args.seed)
     print(f"secret sharing, ideal state: {ideal.sifted_bits} sifted bits "
           f"(rate {ideal.sift_rate:.4f}, expected {ideal.expected_sift_rate:.4f}), "
-          f"QBER = {ideal.qber:.4f}")
+          f"QBER = {_qber(ideal)}")
 
     noisy = werner(6, 0.5, base=dicke(6, 3))
     run = qss_run(noisy, rounds=args.rounds, seed=args.seed, reference=dicke(6, 3))
-    print(f"secret sharing, half-visibility noise: QBER = {run.qber:.4f} "
+    print(f"secret sharing, half-visibility noise: QBER = {_qber(run)} "
           f"(white noise predicts 0.25)")
 
 

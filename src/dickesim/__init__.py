@@ -70,14 +70,11 @@ _EXPORTS = {
     "reference_lms_table": "lms",
     # fock
     "FockKet": "fock",
-    "FockMixture": "fock",
     "SpdcConfig": "fock",
     "LossConfig": "fock",
     "spdc_state": "fock",
     "splitter_network": "fock",
     "propagate": "fock",
-    "apply_loss": "fock",
-    "postselect": "fock",
     "threshold_counts": "fock",
     "simulate_experiment": "fock",
     "calibrate": "fock",

@@ -7,7 +7,8 @@ report embedding the config hash and package version, and emits
 plot-ready CSV files where applicable.  Outputs are deterministic for
 fixed seeds; floats are printed with 12 significant digits.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure.
+Exit codes: 0 ok, 2 config error, 3 numerical failure; any other
+exception propagates with its traceback.
 
 Heavy numerical imports happen after argument parsing so that --threads
 can cap the linear-algebra thread pools via environment variables.
@@ -44,6 +45,8 @@ def _number(lo=None, hi=None, hi_exclusive=False):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         v = float(value)
+        if not math.isfinite(v):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         if lo is not None and v < lo:
             raise ConfigError(f"{path}: {v} is below the minimum {lo}")
         if hi is not None and (v >= hi if hi_exclusive else v > hi):
@@ -225,7 +228,7 @@ def config_digest(config: dict) -> str:
 
 def write_report(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(_round_floats(payload), fh, sort_keys=True, indent=1)
+        json.dump(_round_floats(payload), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
 
 
@@ -694,7 +697,10 @@ def cmd_compare(config: dict, ctx: Context) -> dict:
                 report = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        extracted = _extract_computed(report)
+        try:
+            extracted = _extract_computed(report)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: not a dickesim report: {type(exc).__name__}: {exc}") from exc
         if extracted:
             used.append(os.path.basename(path))
             computed.update(extracted)
@@ -799,6 +805,17 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
+def _numerical_errors() -> tuple:
+    """Exceptions reported as numerical failures (exit 3).  Imported on
+    demand so that --threads is set before numpy loads."""
+    import numpy as np
+
+    from .fock import NoSixfoldEventsError
+
+    # ValueError covers states.ImpossibleOutcomeError
+    return (NoSixfoldEventsError, ValueError, ArithmeticError, np.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is not None:
@@ -824,7 +841,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # numerical failures surface with context
+    except _numerical_errors() as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     from . import __version__

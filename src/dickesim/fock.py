@@ -5,9 +5,11 @@ index 2*j + p with p = 0 for H and p = 1 for V.  Occupation vectors are
 packed into a single integer, 4 bits per mode, so per-mode occupancy must
 stay below 16; dictionaries map packed occupations to complex amplitudes.
 
-Pipeline: spdc_state -> propagate (symmetric splitter) -> apply_loss ->
-postselect (exact one photon per spatial mode) or threshold_counts
-(threshold detectors, one click per mode).
+Pipeline: spdc_state -> propagate (symmetric splitter) -> restricted
+sixfold selection: per-polarization loss enumerated only over the
+patterns that leave exactly one photon per spatial mode, together with
+the z-basis threshold-detector event probability.  threshold_counts
+gives the per-basis threshold-detector distribution of a ket.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -80,33 +81,19 @@ class FockKet:
         self.photon_cap = int(photon_cap)
 
     @classmethod
-    def _from_packed(cls, packed: dict, photon_cap: int, normalize=False) -> "FockKet":
+    def _from_packed(cls, packed: dict, photon_cap: int) -> "FockKet":
         obj = cls.__new__(cls)
-        if normalize:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in packed.values()))
-            packed = {k: a / norm for k, a in packed.items()}
         obj._packed = packed
         obj.photon_cap = photon_cap
         return obj
-
-    @classmethod
-    def vacuum(cls) -> "FockKet":
-        return cls({(0,) * N_MODES: 1.0})
 
     def items(self):
         """Iterate (occupation tuple, amplitude)."""
         for key, amp in self._packed.items():
             yield unpack_occupation(key), amp
 
-    def amplitude(self, occ) -> complex:
-        return self._packed.get(pack_occupation(occ), 0.0)
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self._packed.values()))
-
-    def pruned(self, tol: float = PRUNE_TOL) -> "FockKet":
-        kept = {k: a for k, a in self._packed.items() if abs(a) > tol}
-        return FockKet._from_packed(kept, self.photon_cap)
 
     @property
     def support_size(self) -> int:
@@ -114,32 +101,6 @@ class FockKet:
 
     def __repr__(self):
         return f"<FockKet support={self.support_size} cap={self.photon_cap}>"
-
-
-@dataclass(frozen=True)
-class FockMixture:
-    """Statistical mixture of Fock kets; weights sum to one."""
-
-    components: tuple
-
-    def __post_init__(self):
-        total = sum(w for w, _ in self.components)
-        if any(w < -1e-12 for w, _ in self.components):
-            raise ValueError("negative mixture weight")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights sum to {total}, not 1")
-
-    @classmethod
-    def pure(cls, ket: FockKet) -> "FockMixture":
-        return cls(((1.0, ket),))
-
-
-def _as_mixture(state) -> FockMixture:
-    if isinstance(state, FockKet):
-        return FockMixture.pure(state)
-    if isinstance(state, FockMixture):
-        return state
-    raise TypeError(f"expected FockKet or FockMixture, got {type(state)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +131,6 @@ class LossConfig:
 
     def flat(self) -> tuple[float, ...]:
         return (self.eta_h, self.eta_v) * N_SPATIAL
-
-
-def pure_pair_emission(pairs: int) -> FockKet:
-    """|n, n> in the H and V polarizations of the source spatial mode."""
-    occ = [0] * N_MODES
-    occ[0] = occ[1] = pairs
-    return FockKet({tuple(occ): 1.0}, photon_cap=max(2 * pairs, 1))
 
 
 def spdc_state(config: SpdcConfig) -> FockKet:
@@ -310,105 +264,7 @@ def propagate(ket: FockKet, network: np.ndarray) -> FockKet:
 
 
 # ---------------------------------------------------------------------------
-# Loss and detection
-
-
-def _loss_options(count: int, eta: float):
-    """[(lost, kraus factor)] for one mode holding ``count`` photons."""
-    if eta >= 1.0:
-        return [(0, 1.0)]
-    return [
-        (k, math.sqrt(comb(count, k) * eta ** (count - k) * (1.0 - eta) ** k))
-        for k in range(count + 1)
-    ]
-
-
-def apply_loss(ket: FockKet, loss: LossConfig) -> FockMixture:
-    """Independent binomial photon loss on every mode.
-
-    Each Kraus branch is labeled by the pattern of lost photons; branches
-    are returned as (weight, normalized ket) pairs sorted by pattern.
-    """
-    eta = loss.flat()
-    branches: dict[int, dict[int, complex]] = {}
-    option_cache: dict[tuple[int, int], list] = {}
-    for key, amp in ket._packed.items():
-        occ = unpack_occupation(key)
-        combos = [(0, amp)]
-        for mode, count in enumerate(occ):
-            if count == 0:
-                continue
-            cache_key = (mode, count)
-            options = option_cache.get(cache_key)
-            if options is None:
-                options = [
-                    (k << (MODE_BITS * mode), f)
-                    for k, f in _loss_options(count, eta[mode])
-                    if f != 0.0
-                ]
-                option_cache[cache_key] = options
-            combos = [
-                (pattern | shifted, factor * f)
-                for pattern, factor in combos
-                for shifted, f in options
-            ]
-        for pattern, value in combos:
-            branch = branches.get(pattern)
-            if branch is None:
-                branch = branches[pattern] = {}
-            surviving = key - pattern
-            branch[surviving] = branch.get(surviving, 0.0) + value
-    components = []
-    for pattern in sorted(branches):
-        vec = {k: v for k, v in branches[pattern].items() if abs(v) > PRUNE_TOL}
-        if not vec:
-            continue
-        weight = sum(abs(v) ** 2 for v in vec.values())
-        components.append((weight, FockKet._from_packed(vec, ket.photon_cap, normalize=True)))
-    total = sum(w for w, _ in components)
-    if abs(total - 1.0) > 1e-9:
-        raise AssertionError(f"loss branches lost probability: {total}")
-    # renormalize away the float dust so FockMixture validation stays tight
-    components = [(w / total, k) for w, k in components]
-    return FockMixture(tuple(components))
-
-
-def _one_per_mode_index(occ) -> int | None:
-    """Computational-basis index if exactly one photon sits in every
-    spatial mode, else None.  H maps to bit 0, mode 0 is the MSB."""
-    index = 0
-    for j in range(N_SPATIAL):
-        n_h, n_v = occ[2 * j], occ[2 * j + 1]
-        if n_h + n_v != 1:
-            return None
-        index |= n_v << (N_SPATIAL - 1 - j)
-    return index
-
-
-def postselect(state) -> tuple[QubitDensity, float]:
-    """Exact number-resolved selection of one photon per spatial mode.
-
-    Returns the normalized six-qubit density matrix and the probability of
-    the selection.  Zero kept probability raises
-    :class:`NoSixfoldEventsError`.
-    """
-    mixture = _as_mixture(state)
-    dim = 2**N_SPATIAL
-    rho = np.zeros((dim, dim), dtype=complex)
-    p_keep = 0.0
-    for weight, ket in mixture.components:
-        vec = np.zeros(dim, dtype=complex)
-        for occ, amp in ket.items():
-            index = _one_per_mode_index(occ)
-            if index is not None:
-                vec[index] = amp
-        w2 = float(np.vdot(vec, vec).real)
-        if w2 > 0.0:
-            rho += weight * np.outer(vec, vec.conj())
-            p_keep += weight * w2
-    if p_keep < 1e-30:
-        raise NoSixfoldEventsError("post-selection kept zero probability")
-    return QubitDensity(N_SPATIAL, rho / p_keep), p_keep
+# Detection
 
 
 def _rotation_substitution(setting: MeasurementSetting) -> dict:
@@ -420,7 +276,7 @@ def _rotation_substitution(setting: MeasurementSetting) -> dict:
     return subs
 
 
-def threshold_counts(state, setting: MeasurementSetting) -> tuple[np.ndarray, float]:
+def threshold_counts(ket: FockKet, setting: MeasurementSetting) -> tuple[np.ndarray, float]:
     """Threshold-detector outcome distribution in a measurement basis.
 
     Each spatial mode feeds two threshold detectors through a polarization
@@ -432,37 +288,32 @@ def threshold_counts(state, setting: MeasurementSetting) -> tuple[np.ndarray, fl
     """
     if setting.num_qubits != N_SPATIAL:
         raise ValueError("setting must cover the six spatial modes")
-    mixture = _as_mixture(state)
-    subs = _rotation_substitution(setting)
     dim = 2**N_SPATIAL
     probs = np.zeros(dim)
     p_event = 0.0
-    for weight, ket in mixture.components:
-        # a valid event needs a photon in every spatial mode, and the
-        # per-mode totals are invariant under the polarization rotation
-        filtered: dict[int, complex] = {}
-        for key, amp in ket._packed.items():
-            occ = unpack_occupation(key)
-            if all(occ[2 * j] + occ[2 * j + 1] >= 1 for j in range(N_SPATIAL)):
-                filtered[key] = amp
-        if not filtered:
-            continue
-        rotated = _substitute(
-            FockKet._from_packed(filtered, ket.photon_cap), subs
-        )
-        for occ, amp in rotated.items():
-            index = 0
-            valid = True
-            for j in range(N_SPATIAL):
-                plus, minus = occ[2 * j] > 0, occ[2 * j + 1] > 0
-                if plus == minus:
-                    valid = False
-                    break
-                index |= int(minus) << (N_SPATIAL - 1 - j)
-            if valid:
-                value = weight * abs(amp) ** 2
-                probs[index] += value
-                p_event += value
+    # a valid event needs a photon in every spatial mode, and the per-mode
+    # totals are invariant under the polarization rotation
+    filtered: dict[int, complex] = {}
+    for key, amp in ket._packed.items():
+        occ = unpack_occupation(key)
+        if all(occ[2 * j] + occ[2 * j + 1] >= 1 for j in range(N_SPATIAL)):
+            filtered[key] = amp
+    rotated = _substitute(
+        FockKet._from_packed(filtered, ket.photon_cap), _rotation_substitution(setting)
+    )
+    for occ, amp in rotated.items():
+        index = 0
+        valid = True
+        for j in range(N_SPATIAL):
+            plus, minus = occ[2 * j] > 0, occ[2 * j + 1] > 0
+            if plus == minus:
+                valid = False
+                break
+            index |= int(minus) << (N_SPATIAL - 1 - j)
+        if valid:
+            value = abs(amp) ** 2
+            probs[index] += value
+            p_event += value
     if p_event <= 0.0:
         return np.zeros(dim), 0.0
     return probs / p_event, float(p_event)
@@ -505,34 +356,24 @@ def simulate_experiment(
     5/324 regardless of lambda); ``p_exact_per_pulse`` is the same event
     probability per source pulse, and ``p_event`` is the per-pulse
     threshold-detector sixfold probability monitored in the H/V basis.
+    Zero kept probability raises :class:`NoSixfoldEventsError`.
     """
     loss = loss or LossConfig()
     net = splitter_network() if network is None else network
-    psi = propagate(spdc_state(spdc), net)
-    mixture = apply_loss(psi, loss)
-    rho, p_raw = postselect(mixture)
-    weight3 = order_weight(spdc, 3)
-    if weight3 == 0.0:
-        raise ValueError("p_exact undefined: the source has no three-pair component")
-    _, p_event = threshold_counts(mixture, MeasurementSetting.uniform("z", N_SPATIAL))
-    return SimulationResult(
-        rho_sim=rho,
-        fidelity_vs_d63=fidelity(rho, dicke(6, 3)),
-        p_exact=p_raw / weight3,
-        p_exact_per_pulse=p_raw,
-        p_event=p_event,
-        spdc=spdc,
-        loss=loss,
-    )
+    return _sixfold_stats(propagate(spdc_state(spdc), net), spdc, loss)
 
 
-def _sixfold_stats(psi: FockKet, loss: LossConfig):
-    """Restricted equivalent of postselect(apply_loss(psi)) plus the
-    z-basis threshold event probability.
+def _sixfold_stats(psi: FockKet, spdc: SpdcConfig, loss: LossConfig) -> SimulationResult:
+    """Loss and exact one-photon-per-mode selection of the propagated
+    source ``psi``, plus the z-basis threshold event probability.
 
-    Only loss patterns that can still leave one photon per spatial mode
-    are enumerated, which keeps calibration sweeps fast; equivalence with
-    the full composition is asserted in the test suite.
+    Each amplitude keeps one photon per spatial mode in every way its
+    occupation allows, and loses the rest; loss patterns that cannot
+    leave one photon per mode are never enumerated.  Every amplitude
+    with a photon in each spatial mode contributes its per-mode
+    factorized threshold click probability.  The test
+    ``test_simulation_matches_loss_branch_oracle`` checks the result
+    against post-selection of the full loss-branch mixture.
     """
     eta = loss.flat()
     dim = 2**N_SPATIAL
@@ -588,7 +429,18 @@ def _sixfold_stats(psi: FockKet, loss: LossConfig):
     for vec in branches.values():
         rho += np.outer(vec, vec.conj())
         p_raw += float(np.vdot(vec, vec).real)
-    return rho, p_raw, p_event
+    if p_raw < 1e-30:
+        raise NoSixfoldEventsError("post-selection kept zero probability")
+    rho_sim = QubitDensity(N_SPATIAL, rho / p_raw)
+    return SimulationResult(
+        rho_sim=rho_sim,
+        fidelity_vs_d63=fidelity(rho_sim, dicke(6, 3)),
+        p_exact=p_raw / order_weight(spdc, 3),
+        p_exact_per_pulse=p_raw,
+        p_event=p_event,
+        spdc=spdc,
+        loss=loss,
+    )
 
 
 def calibrate(
@@ -602,27 +454,25 @@ def calibrate(
     """
     net = splitter_network() if network is None else network
     records = []
-    target = dicke(6, 3)
     for lam in lambdas:
         spdc = SpdcConfig(lam=float(lam), max_order=max_order)
         psi = propagate(spdc_state(spdc), net)
-        weight3 = order_weight(spdc, 3)
         for eta in etas:
             loss = LossConfig(eta_h=float(eta), eta_v=float(eta))
-            rho_raw, p_raw, p_event = _sixfold_stats(psi, loss)
-            if p_raw < 1e-30:
+            try:
+                result = _sixfold_stats(psi, spdc, loss)
+            except NoSixfoldEventsError:
                 continue
-            rho = QubitDensity(N_SPATIAL, rho_raw / p_raw)
             records.append(
                 {
                     "lambda": float(lam),
                     "eta_H": float(eta),
                     "eta_V": float(eta),
                     "max_order": max_order,
-                    "fidelity": fidelity(rho, target),
-                    "p_exact": p_raw / weight3 if weight3 else float("nan"),
-                    "p_exact_per_pulse": p_raw,
-                    "p_event": p_event,
+                    "fidelity": result.fidelity_vs_d63,
+                    "p_exact": result.p_exact,
+                    "p_exact_per_pulse": result.p_exact_per_pulse,
+                    "p_event": result.p_event,
                 }
             )
     return records

@@ -308,7 +308,7 @@ class QssResult:
     sifted_bits: int
     sift_rate: float
     expected_sift_rate: float
-    qber: float
+    qber: float | None  # None when no round is kept
     errors: int
     per_basis: dict
 
@@ -365,7 +365,7 @@ def qss_run(state, rounds: int, seed: int = 0, reference=None) -> QssResult:
         sifted_bits=sifted,
         sift_rate=sifted / rounds,
         expected_sift_rate=2.0 ** (1 - n),
-        qber=errors / sifted if sifted else float("nan"),
+        qber=errors / sifted if sifted else None,
         errors=errors,
         per_basis=per_basis,
     )

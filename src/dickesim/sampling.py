@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockKet, FockMixture, threshold_counts
+from .fock import FockKet, threshold_counts
 from .lms import CountTable
 from .states import (
     MeasurementSetting,
@@ -106,7 +106,7 @@ def outcome_probabilities(source, setting: MeasurementSetting) -> np.ndarray:
     """
     if isinstance(source, (QubitPureState, QubitDensity)):
         return outcome_distribution(source, setting)
-    if isinstance(source, (FockKet, FockMixture)):
+    if isinstance(source, FockKet):
         probs, p_event = threshold_counts(source, setting)
         if p_event <= 0.0:
             raise ValueError("the optical source produces no valid events")

@@ -229,6 +229,16 @@ def test_compare_missing_explicit_report(tmp_path, capsys):
     assert "does not exist" in err
 
 
+@pytest.mark.parametrize(
+    "report", [{"command": "simulate", "results": {}}, [1, 2], {"command": "qss"}]
+)
+def test_compare_malformed_report_is_config_error(tmp_path, capsys, report):
+    path = write_config(tmp_path, report, "simulate.json")
+    config = write_config(tmp_path, {"reports": [path]})
+    assert run_cli(["compare", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "not a dickesim report" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     config = write_config(tmp_path, {"staet": "dicke_6_3"})
     assert run_cli(["witness", "--config", config, "--out", str(tmp_path / "o")]) == 2
@@ -259,6 +269,43 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "NoSixfoldEventsError" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_qss_without_kept_rounds_writes_strict_json(tmp_path, capsys):
+    config = write_config(tmp_path, {"rounds": 1})
+    out = tmp_path / "o"
+    assert run_cli(["qss", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "qss.json") as fh:
+        results = json.load(fh, parse_constant=_reject_constant)["results"]
+    assert results["sifted_bits"] == 0
+    assert results["qber"] is None
+    assert results["qber_error"] is None
+
+
+@pytest.mark.parametrize(
+    "command, key", [("witness", "alpha"), ("simulate", "lambda")]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_config_number_exits_two(tmp_path, capsys, command, key, value):
+    config = write_config(tmp_path, {key: value})
+    assert run_cli([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert f"config.{key}" in capsys.readouterr().err
+
+
+def test_unexpected_exception_propagates(tmp_path, monkeypatch):
+    from dickesim import cli
+
+    def broken(config, ctx):
+        raise TypeError("handler bug")
+
+    monkeypatch.setitem(cli.HANDLERS, "witness", broken)
+    with pytest.raises(TypeError, match="handler bug"):
+        run_cli(["witness", "--out", str(tmp_path / "o")])
 
 
 def test_installed_entry_point(tmp_path):

@@ -1,13 +1,18 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke
 from dickesim.fock import (
+    FockKet,
     LossConfig,
     NoSixfoldEventsError,
     SpdcConfig,
     calibrate,
+    order_weight,
     pack_occupation,
     pick_calibration,
     propagate,
@@ -130,3 +135,86 @@ def test_calibrate_grid_and_pick():
     assert abs(picked["fidelity"] - 0.61) == min(
         abs(f - 0.61) for f in fids
     )
+
+
+def _loss_branches(psi, loss):
+    """Every Kraus branch of independent binomial loss on every mode.
+
+    Returns {lost photons per mode: {surviving occupation: amplitude}};
+    the branches are unnormalized, so their squared norms are the branch
+    weights.
+    """
+    branches = {}
+    for occ, amp in psi.items():
+        options = []
+        for n, eta in zip(occ, loss.flat()):
+            kraus = [
+                (lost, math.sqrt(math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost))
+                for lost in range(n + 1)
+            ]
+            options.append([(lost, f) for lost, f in kraus if f != 0.0])
+        for choice in itertools.product(*options):
+            factor = amp * math.prod(f for _, f in choice)
+            lost = tuple(k for k, _ in choice)
+            branch = branches.setdefault(lost, {})
+            survivor = tuple(n - k for n, k in zip(occ, lost))
+            branch[survivor] = branch.get(survivor, 0.0) + factor
+    return branches
+
+
+def _one_per_mode_index(occ):
+    """Qubit basis index of one photon in every spatial mode (H = 0,
+    mode 0 the most significant bit), or None."""
+    index = 0
+    for j in range(6):
+        if occ[2 * j] + occ[2 * j + 1] != 1:
+            return None
+        index = 2 * index + occ[2 * j + 1]
+    return index
+
+
+def _mixture_oracle(spdc, loss):
+    """The full loss-branch mixture, post-selected branch by branch.
+
+    Returns the normalized post-selected state, its probability per
+    pulse and the z-basis threshold event probability, the last one as
+    the weighted sum of threshold_counts over the branches.
+    """
+    psi = propagate(spdc_state(spdc), splitter_network())
+    z_basis = MeasurementSetting.uniform("z", 6)
+    rho = np.zeros((64, 64), dtype=complex)
+    p_event = 0.0
+    for branch in _loss_branches(psi, loss).values():
+        vec = np.zeros(64, dtype=complex)
+        for occ, amp in branch.items():
+            index = _one_per_mode_index(occ)
+            if index is not None:
+                vec[index] = amp
+        rho += np.outer(vec, vec.conj())
+        weight = sum(abs(a) ** 2 for a in branch.values())
+        ket = FockKet(branch, photon_cap=psi.photon_cap, normalize=True)
+        p_event += weight * threshold_counts(ket, z_basis)[1]
+    p_raw = float(np.trace(rho).real)
+    return rho / p_raw, p_raw, p_event
+
+
+@pytest.mark.parametrize(
+    "lam, max_order, eta_h, eta_v",
+    [
+        (0.85, 3, 0.3, 0.3),
+        (0.6, 3, 0.3, 0.7),
+        (0.5, 3, 1e-3, 0.999),
+        (0.7, 3, 1.0, 1.0),
+        (0.7, 4, 1.0, 1.0),
+        (0.85, 4, 1.0, 0.3),
+    ],
+)
+def test_simulation_matches_loss_branch_oracle(lam, max_order, eta_h, eta_v):
+    spdc = SpdcConfig(lam=lam, max_order=max_order)
+    loss = LossConfig(eta_h=eta_h, eta_v=eta_v)
+    result = simulate_experiment(spdc, loss)
+    rho, p_raw, p_event = _mixture_oracle(spdc, loss)
+    assert_allclose(result.rho_sim.matrix, rho, rtol=0, atol=1e-12)
+    assert_allclose(result.p_exact_per_pulse, p_raw, rtol=1e-9, atol=0)
+    assert_allclose(result.p_exact, p_raw / order_weight(spdc, 3), rtol=1e-9, atol=0)
+    assert_allclose(result.p_event, p_event, rtol=1e-9, atol=0)
