@@ -159,7 +159,8 @@ SCHEMAS = {
         "alpha": (_number(), 0.0),
     },
     "bound": {
-        "num_qubits": (_integer(2, 7), 6),
+        # states.MAX_QUBITS, written out so the schemas load before numpy
+        "num_qubits": (_integer(2, 10), 6),
         "alpha": (_number(), 0.0),
         "alphas": (_list_of(_number()), None),
         "restarts": (_integer(1, 500), 50),
@@ -173,13 +174,13 @@ SCHEMAS = {
     },
     "lms": {
         "state": (_string(), "dicke_6_3"),
-        "strategy": (_string({"greedy", "ghz_special"}), "greedy"),
+        "strategy": (_string({"greedy", "symmetric", "ghz_special"}), "greedy"),
     },
     "sample": {
         "state": (_string(), "dicke_4_2"),
         "simulate": (_nested(SIMULATE_SCHEMA), None),
         "target": (_string(), None),
-        "strategy": (_string({"greedy", "ghz_special"}), "greedy"),
+        "strategy": (_string({"greedy", "symmetric", "ghz_special"}), "greedy"),
         "events": (_integer(1, 10**9), 100000),
     },
     "protocols": {
@@ -424,6 +425,7 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
             "+".join(map(str, part)): value
             for part, value in estimate.per_bipartition.items()
         },
+        "classes": [asdict(cls) for cls in estimate.classes],
     }
     if state is not None:
         value = witness_value(state, config["alpha"])

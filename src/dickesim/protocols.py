@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dicke_states import dicke, ghz
 from .states import (
@@ -90,6 +89,10 @@ def maximal_singlet_fraction(
     maximally entangled pair and never below 1/4; the value is clamped
     to [1/4, 1].
     """
+    # scipy.optimize costs about half a second to import; only this
+    # function needs it
+    from scipy.optimize import minimize
+
     rho = _as_density_matrix(state)
     if rho.shape != (4, 4):
         raise ValueError("maximal singlet fraction is defined for two qubits")

@@ -100,6 +100,39 @@ def test_bound_with_curve_artifact(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_bound_reports_are_deterministic(tmp_path, capsys):
+    config = write_config(tmp_path, {"alpha": -3.0, "restarts": 5, "alphas": [0.0]})
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    for out in (out_a, out_b):
+        assert run_cli(
+            ["bound", "--config", config, "--seed", "3", "--out", str(out)]
+        ) == 0
+    capsys.readouterr()
+    assert (out_a / "bound.json").read_bytes() == (out_b / "bound.json").read_bytes()
+    results = load_report(out_a, "bound")["results"]
+    classes = results["classes"]
+    assert [c["size"] for c in classes] == [1, 2, 3]
+    assert [c["bipartitions"] for c in classes] == [6, 15, 10]
+    assert sum(c["bipartitions"] for c in classes) == len(results["per_bipartition"])
+    assert results["bound"] == max(c["value"] for c in classes)
+    assert all(c["sectors_searched"] >= 1 for c in classes)
+
+
+def test_bound_ten_qubits_closed_form(tmp_path, capsys):
+    # for alpha >= 1 the all-up product state is optimal: j(j+1) + (alpha-1) j^2
+    config = write_config(tmp_path, {"num_qubits": 10, "alpha": 3.0})
+    out = tmp_path / "out"
+    assert run_cli(["bound", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = load_report(out, "bound")["results"]
+    assert abs(results["bound"] - 80.0) < 1e-9
+    assert len(results["per_bipartition"]) == 2**9 - 1
+    too_big = write_config(tmp_path, {"num_qubits": 11}, name="big.json")
+    assert run_cli(["bound", "--config", too_big, "--out", str(tmp_path / "o")]) == 2
+    assert "config.num_qubits" in capsys.readouterr().err
+
+
 def test_scan_closed_form_artifact(tmp_path, capsys):
     config = write_config(tmp_path, {"points": 50})
     out = tmp_path / "out"
@@ -146,6 +179,28 @@ def test_lms_greedy_four_qubit(tmp_path, capsys):
     # every nonidentity string lands in exactly one setting; the identity
     # term enters the estimate analytically
     assert sum(results["strings_per_setting"]) == results["term_count"] - 1
+
+
+def test_lms_symmetric_plan(tmp_path, capsys):
+    config = write_config(tmp_path, {"state": "dicke_6_3", "strategy": "symmetric"})
+    out = tmp_path / "out"
+    assert run_cli(["lms", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = load_report(out, "lms")["results"]
+    assert results["strategy"] == "symmetric"
+    assert results["num_settings"] == 22
+
+
+def test_sample_symmetric_plan(tmp_path, capsys):
+    config = write_config(
+        tmp_path, {"state": "dicke_4_2", "strategy": "symmetric", "events": 20000}
+    )
+    out = tmp_path / "out"
+    assert run_cli(["sample", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = load_report(out, "sample")["results"]
+    assert results["strategy"] == "symmetric"
+    assert abs(results["estimate"] - results["direct_fidelity"]) <= 4 * results["std_error"]
 
 
 def test_sample_estimates_fidelity(tmp_path, capsys):

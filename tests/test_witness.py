@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz
 from dickesim.states import QubitPureState, apply_local, fidelity
 from dickesim.witness import (
     SeeSawOptions,
+    _seesaw_once,
     biseparable_bound,
     bipartitions,
     bound_curve,
@@ -19,6 +21,31 @@ from dickesim.witness import (
     witness_operator,
     witness_value,
 )
+
+
+def dense_class_maxima(n, alpha, restarts, seed=0):
+    """Oracle: see-saw on the dense 2^n witness for every bipartition.
+
+    Returns {k: [per-bipartition maxima]} keyed by the smaller side's size
+    k = min(|A|, n - |A|).
+    """
+    tensor = witness_operator(n, float(alpha)).reshape([2] * (2 * n))
+    out = {}
+    for part_index, part_a in enumerate(bipartitions(n)):
+        part_b = tuple(q for q in range(n) if q not in part_a)
+        perm = list(part_a) + list(part_b)
+        d_a, d_b = 2 ** len(part_a), 2 ** len(part_b)
+        w4 = tensor.transpose(perm + [n + p for p in perm]).reshape(d_a, d_b, d_a, d_b)
+        best = max(
+            _seesaw_once(
+                w4, d_a, d_b,
+                np.random.default_rng(np.random.SeedSequence((seed, part_index, r))),
+                500, 1e-10,
+            )[0]
+            for r in range(restarts)
+        )
+        out.setdefault(min(len(part_a), n - len(part_a)), []).append(best)
+    return out
 
 
 def test_collective_spin_operator_is_hermitian():
@@ -81,6 +108,35 @@ def test_biseparable_bound_small_case_converges():
     assert est.restarts == 6
     assert 5.15 <= est.value <= 5.232051 + 1e-6
     assert len(est.per_bipartition) == 7
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_biseparable_bound_matches_dense_oracle(n):
+    # both sides are see-saw maxima stopped at a 1e-10 increment; the slow
+    # N=4, alpha=-3, |A|=2 search stops up to ~3e-7 short of its limit 4
+    for alpha in (-10.0, -3.0, -1.0, 0.0, 0.5, 3.0):
+        oracle = dense_class_maxima(n, alpha, restarts=3)
+        est = biseparable_bound(n, alpha, SeeSawOptions(restarts=3, seed=0))
+        assert [c.size for c in est.classes] == sorted(oracle)
+        for cls in est.classes:
+            assert abs(cls.value - max(oracle[cls.size])) < 1e-6, (n, alpha, cls.size)
+            assert cls.bipartitions == len(oracle[cls.size])
+        assert set(est.per_bipartition) == set(bipartitions(n))
+        for part, value in est.per_bipartition.items():
+            assert value == est.classes[min(len(part), n - len(part)) - 1].value
+        assert est.value == max(c.value for c in est.classes)
+        assert est.bipartition == tuple(range(len(est.bipartition)))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_biseparable_bound_closed_form_for_large_alpha(n):
+    # for alpha >= 1 the all-up product state is optimal:
+    # j(j+1) + (alpha - 1) j^2 with j = N/2
+    j = n / 2.0
+    for alpha in (1.0, 1.5, 3.0):
+        est = biseparable_bound(n, alpha, SeeSawOptions(restarts=3, seed=0))
+        assert abs(est.value - (j * (j + 1) + (alpha - 1) * j * j)) < 1e-9
+        assert all(c.converged for c in est.classes)
 
 
 def test_bound_curve_returns_alpha_value_pairs():
