@@ -185,6 +185,7 @@ SCHEMAS = {
     },
     "protocols": {
         "num_qubits": (_integer(4, 8), 6),
+        # inert: the singlet fraction has a closed form and needs no search
         "restarts": (_integer(1, 500), 32),
         "simulate": (_nested(SIMULATE_SCHEMA), None),
     },
@@ -580,7 +581,7 @@ def cmd_protocols(config: dict, ctx: Context) -> dict:
     else:
         state = dicke(n, n // 2)
         source_desc = {"state": f"dicke_{n}_{n // 2}"}
-    telecloning = telecloning_report(state, restarts=config["restarts"], seed=ctx.seed)
+    telecloning = telecloning_report(state)
     odt = odt_report(state)
     pair = pair_channel(state, 0, 1)
     rows = [
@@ -611,8 +612,6 @@ def cmd_protocols(config: dict, ctx: Context) -> dict:
 
 
 def cmd_qss(config: dict, ctx: Context) -> dict:
-    import math as _math
-
     from .protocols import qss_run, werner
 
     state = _parse_state_label(config["state"])
@@ -623,7 +622,7 @@ def cmd_qss(config: dict, ctx: Context) -> dict:
         source = state
     run = qss_run(source, config["rounds"], seed=ctx.seed, reference=reference)
     qber_error = (
-        _math.sqrt(max(run.qber * (1.0 - run.qber), 0.0) / run.sifted_bits)
+        math.sqrt(max(run.qber * (1.0 - run.qber), 0.0) / run.sifted_bits)
         if run.sifted_bits
         else None
     )

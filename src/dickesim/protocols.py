@@ -1,9 +1,11 @@
 """Communication protocols driven by symmetric multiphoton states.
 
 Covers the two-party channel obtained by tracing a multiqubit state down
-to a pair, teleportation figures of merit, open-destination pair
-distillation by measuring the other parties, and a parity-based
-secret-sharing round trip.
+to a pair, teleportation figures of merit (the maximal singlet fraction
+in closed form), open-destination pair distillation by measuring the
+other parties, and a parity-based secret-sharing round trip whose kept
+rounds and errors are drawn as binomial counts.  Everything here runs on
+numpy alone.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 from .dicke_states import dicke, ghz
 from .states import (
+    _POPCOUNT,
+    PAULI,
     MeasurementSetting,
     QubitDensity,
     QubitPureState,
@@ -57,83 +61,39 @@ def teleport_fidelity_max(singlet_fraction: float) -> float:
     return (2.0 * singlet_fraction + 1.0) / 3.0
 
 
-def _zyz(angles) -> np.ndarray:
-    a, b, g = angles
-    rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
-    ry = np.array(
-        [
-            [math.cos(b / 2.0), -math.sin(b / 2.0)],
-            [math.sin(b / 2.0), math.cos(b / 2.0)],
-        ]
-    )
-    rz2 = np.diag([np.exp(-0.5j * g), np.exp(0.5j * g)])
-    return rz1 @ ry @ rz2
-
-
 @dataclass(frozen=True)
 class MsfResult:
     value: float
-    angles: tuple
-    restarts: int
-    converged: bool
 
 
-def maximal_singlet_fraction(
-    state, restarts: int = 32, seed: int = 0, xatol: float = 1e-9
-) -> MsfResult:
-    """Maximize the singlet overlap over local unitaries on both sides.
+def maximal_singlet_fraction(state, restarts=None, seed=None) -> MsfResult:
+    """Largest singlet overlap reachable by local unitaries on both qubits.
 
-    Each side carries a ZYZ rotation (six angles in total); the landscape
-    is optimized with Nelder-Mead from one identity start plus random
-    restarts.  The optimum is at least the unrotated overlap with any
-    maximally entangled pair and never below 1/4; the value is clamped
-    to [1/4, 1].
+    The singlet (I - XX - YY - ZZ)/4 has no local terms, so the overlap
+    depends only on the correlation matrix T_ij = tr(rho sigma_i sigma_j),
+    on which local unitaries act as rotations O_A T O_B^T.  Maximizing
+    over both rotations gives the closed form
+    (1 + s1 + s2 - sgn(det T) s3) / 4 with s1 >= s2 >= s3 the singular
+    values of T (Horodecki et al., PRA 60, 1888 (1999)).  The value needs
+    no search and no randomness: ``restarts`` and ``seed`` are accepted
+    and ignored.
     """
-    # scipy.optimize costs about half a second to import; only this
-    # function needs it
-    from scipy.optimize import minimize
-
     rho = _as_density_matrix(state)
     if rho.shape != (4, 4):
         raise ValueError("maximal singlet fraction is defined for two qubits")
-    bell = PSI_MINUS.amplitudes
-
-    def negative_overlap(angles):
-        u = np.kron(_zyz(angles[:3]), _zyz(angles[3:]))
-        vec = u.conj().T @ bell
-        return -float(np.real(vec.conj() @ rho @ vec))
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    best_value = -np.inf
-    best_angles = (0.0,) * 6
-    any_converged = False
-    for trial in range(restarts):
-        x0 = np.zeros(6) if trial == 0 else rng.uniform(0.0, 2.0 * np.pi, 6)
-        res = minimize(
-            negative_overlap,
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": 1e-12, "maxiter": 2000},
-        )
-        any_converged = any_converged or bool(res.success)
-        if -res.fun > best_value:
-            best_value = -res.fun
-            best_angles = tuple(float(v) for v in res.x)
-    if best_value < 0.25 - 1e-6:
-        raise AssertionError(f"singlet-fraction optimum {best_value} below the 1/4 floor")
-    return MsfResult(
-        value=float(min(max(best_value, 0.25), 1.0)),
-        angles=best_angles,
-        restarts=restarts,
-        converged=any_converged,
+    t = np.array(
+        [[np.trace(rho @ np.kron(PAULI[a], PAULI[b])).real for b in "XYZ"] for a in "XYZ"]
     )
+    s1, s2, s3 = np.linalg.svd(t, compute_uv=False)
+    value = (1.0 + s1 + s2 - np.sign(np.linalg.det(t)) * s3) / 4.0
+    return MsfResult(value=float(min(max(value, 0.25), 1.0)))
 
 
-def pair_channel_report(num_qubits: int, restarts: int = 32, seed: int = 0) -> dict:
+def pair_channel_report(num_qubits: int) -> dict:
     """Summary of the traced-down ideal pair as a teleportation resource."""
     rho = pair_state(num_qubits)
     fraction = psi_plus_fraction(rho)
-    msf = maximal_singlet_fraction(rho, restarts=restarts, seed=seed)
+    msf = maximal_singlet_fraction(rho)
     return {
         "num_qubits": num_qubits,
         "psi_plus_fraction": fraction,
@@ -155,42 +115,31 @@ class TelecloningReport:
         return all(v > self.classical_threshold for v in self.pair_fidelity.values())
 
 
-def telecloning_report(
-    state, restarts: int = 32, seed: int = 0, symmetry_tol: float = 1e-12
-) -> TelecloningReport:
+def telecloning_report(state, symmetry_tol: float = 1e-12) -> TelecloningReport:
     """Teleportation fidelity bound for every qubit pair used as channel.
 
-    When all pair marginals coincide (permutation-symmetric input) the
-    six-angle optimization runs once and the value is shared.
+    ``symmetric`` records whether all pair marginals coincide to
+    ``symmetry_tol`` (as for a permutation-symmetric input).
     """
     n = state.num_qubits
     if n < 4:
         raise ValueError("telecloning needs at least four qubits")
-    pairs = list(itertools.combinations(range(n), 2))
-    marginals = {pair: pair_channel(state, *pair) for pair in pairs}
-    first = marginals[pairs[0]]
-    symmetric = all(
-        np.abs(rho.matrix - first.matrix).max() <= symmetry_tol
-        for rho in marginals.values()
-    )
-    fidelities = {}
-    if symmetric:
-        value = teleport_fidelity_max(
-            maximal_singlet_fraction(first, restarts=restarts, seed=seed).value
-        )
-        fidelities = {pair: value for pair in pairs}
-    else:
-        for pair in pairs:
-            msf = maximal_singlet_fraction(
-                marginals[pair], restarts=restarts, seed=seed
-            )
-            fidelities[pair] = teleport_fidelity_max(msf.value)
+    marginals = {
+        pair: pair_channel(state, *pair) for pair in itertools.combinations(range(n), 2)
+    }
+    first = next(iter(marginals.values()))
     return TelecloningReport(
         num_qubits=n,
-        pair_fidelity=fidelities,
+        pair_fidelity={
+            pair: teleport_fidelity_max(maximal_singlet_fraction(rho).value)
+            for pair, rho in marginals.items()
+        },
         ideal_threshold=11.0 / 15.0,
         classical_threshold=2.0 / 3.0,
-        symmetric=symmetric,
+        symmetric=all(
+            np.abs(rho.matrix - first.matrix).max() <= symmetry_tol
+            for rho in marginals.values()
+        ),
     )
 
 
@@ -316,17 +265,11 @@ class QssResult:
     per_basis: dict
 
 
-def _parity_reference(reference, num_qubits: int) -> dict:
-    refs = {}
-    for axis in "xy":
-        setting = MeasurementSetting.uniform(axis, num_qubits)
-        probs = outcome_distribution(reference, setting)
-        signs = np.array(
-            [1.0 if bin(i).count("1") % 2 == 0 else -1.0 for i in range(len(probs))]
-        )
-        correlator = float(probs @ signs)
-        refs[axis] = 0 if correlator >= 0.0 else 1
-    return refs
+def _odd_parity_mass(state, axis: str) -> float:
+    """Probability that all parties measuring along ``axis`` get an odd
+    number of -1 outcomes."""
+    probs = outcome_distribution(state, MeasurementSetting.uniform(axis, state.num_qubits))
+    return float(probs[_POPCOUNT[: len(probs)] % 2 == 1].sum())
 
 
 def qss_run(state, rounds: int, seed: int = 0, reference=None) -> QssResult:
@@ -335,34 +278,29 @@ def qss_run(state, rounds: int, seed: int = 0, reference=None) -> QssResult:
     Every party measures in x or y chosen uniformly; only rounds where
     all parties picked the same basis are kept (rate 2**(1-N)).  Outcomes
     map +1 to bit 0, and a kept round errs when the parity of all bits
-    differs from the reference state's parity in that basis.  The ideal
-    reference defaults to the state itself.
+    differs from the reference state's more likely parity in that basis.
+    The ideal reference defaults to the state itself.
+
+    Rounds are independent, so the counts are drawn directly: the kept
+    rounds from B(rounds, 2**(1-N)), the x-basis share of them from
+    B(kept, 1/2), and each basis's errors from B(basis kept, p_err) with
+    p_err the basis's wrong-parity mass.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
     n = state.num_qubits
     reference = state if reference is None else reference
-    expected = _parity_reference(reference, n)
-    distributions = {
-        axis: outcome_distribution(state, MeasurementSetting.uniform(axis, n))
-        for axis in "xy"
-    }
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    sifted = 0
-    errors = 0
-    per_basis = {"x": {"kept": 0, "errors": 0}, "y": {"kept": 0, "errors": 0}}
-    for _ in range(rounds):
-        choices = rng.integers(0, 2, size=n)
-        if not np.all(choices == choices[0]):
-            continue
-        axis = "xy"[choices[0]]
-        outcome = int(rng.choice(len(distributions[axis]), p=distributions[axis]))
-        parity = bin(outcome).count("1") % 2
-        sifted += 1
-        per_basis[axis]["kept"] += 1
-        if parity != expected[axis]:
-            errors += 1
-            per_basis[axis]["errors"] += 1
+    sifted = int(rng.binomial(rounds, 2.0 ** (1 - n)))
+    kept_x = int(rng.binomial(sifted, 0.5))
+    per_basis = {}
+    for axis, kept in (("x", kept_x), ("y", sifted - kept_x)):
+        odd = _odd_parity_mass(state, axis)
+        p_err = odd if _odd_parity_mass(reference, axis) <= 0.5 else 1.0 - odd
+        # rounding can leave the mass a few ulps outside [0, 1]
+        p_err = min(max(p_err, 0.0), 1.0)
+        per_basis[axis] = {"kept": kept, "errors": int(rng.binomial(kept, p_err))}
+    errors = per_basis["x"]["errors"] + per_basis["y"]["errors"]
     return QssResult(
         rounds=rounds,
         sifted_bits=sifted,

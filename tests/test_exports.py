@@ -9,6 +9,11 @@ import importlib, pkgutil, sys
 import dickesim
 for module in pkgutil.iter_modules(dickesim.__path__):
     importlib.import_module("dickesim." + module.name)
+from dickesim.dicke_states import dicke
+from dickesim.protocols import maximal_singlet_fraction, pair_state, qss_run, telecloning_report
+maximal_singlet_fraction(pair_state(6))
+telecloning_report(dicke(6, 3))
+qss_run(dicke(6, 3), 1000)
 print(",".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
@@ -19,8 +24,8 @@ def test_every_public_name_resolves():
 
 
 def test_importing_every_module_leaves_scipy_out():
-    # scipy.optimize takes about half a second to import; only the
-    # singlet-fraction optimizer imports it, when it is called
+    # the package runs on numpy alone: neither importing its modules nor
+    # computing singlet fractions or secret-sharing rounds loads scipy
     src = os.path.dirname(os.path.dirname(dickesim.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
