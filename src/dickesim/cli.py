@@ -329,6 +329,28 @@ def _parse_state_label(label: str, path: str = "config.state"):
     )
 
 
+def _simulate(sim: dict):
+    """Run the source model on a validated ``SIMULATE_SCHEMA`` config."""
+    from .fock import LossConfig, SpdcConfig, simulate_experiment
+
+    return simulate_experiment(
+        SpdcConfig(lam=sim["lambda"], max_order=sim["max_order"]),
+        LossConfig(eta_h=sim["eta_H"], eta_v=sim["eta_V"]),
+    )
+
+
+def _plan(decomp, strategy: str):
+    """plan_settings, with the greedy planner's size limit as a config error."""
+    from .lms import MAX_GREEDY_QUBITS, plan_settings
+
+    if strategy == "greedy" and decomp.num_qubits > MAX_GREEDY_QUBITS:
+        raise ConfigError(
+            f"config.strategy: greedy supports at most {MAX_GREEDY_QUBITS} qubits; "
+            "use symmetric"
+        )
+    return plan_settings(decomp, strategy=strategy)
+
+
 # ---------------------------------------------------------------------------
 # Command handlers: each returns a results dict
 
@@ -370,13 +392,9 @@ def cmd_state(config: dict, ctx: Context) -> dict:
 
 
 def cmd_simulate(config: dict, ctx: Context) -> dict:
-    from .fock import LossConfig, SpdcConfig, simulate_experiment
     from .states import save_state
 
-    outcome = simulate_experiment(
-        SpdcConfig(lam=config["lambda"], max_order=config["max_order"]),
-        LossConfig(eta_h=config["eta_H"], eta_v=config["eta_V"]),
-    )
+    outcome = _simulate(config)
     save_state(outcome.rho_sim, os.path.join(ctx.out_dir, "rho_sim.json"))
     results = outcome.report()
     results["rep_rate"] = config["rep_rate"]
@@ -475,13 +493,10 @@ def cmd_scan(config: dict, ctx: Context) -> dict:
 
 
 def cmd_lms(config: dict, ctx: Context) -> dict:
-    from .lms import decompose, plan_settings, reference_lms_table
+    from .lms import decompose, reference_lms_table
 
-    target = _parse_state_label(config["state"])
-    if target.num_qubits > 8:
-        raise ConfigError("config.state: decomposition supports at most 8 qubits")
-    decomp = decompose(target)
-    plan = plan_settings(decomp, strategy=config["strategy"])
+    decomp = decompose(_parse_state_label(config["state"]))
+    plan = _plan(decomp, config["strategy"])
     return {
         "target": config["state"],
         "strategy": config["strategy"],
@@ -496,19 +511,13 @@ def cmd_lms(config: dict, ctx: Context) -> dict:
 
 
 def cmd_sample(config: dict, ctx: Context) -> dict:
-    from .fock import LossConfig, SpdcConfig, simulate_experiment
-    from .lms import decompose, fidelity_from_counts, plan_settings
+    from .lms import decompose, fidelity_from_counts
     from .sampling import ExperimentPlan, histograms_to_table, run_plan
     from .states import fidelity
 
     if config["simulate"] is not None:
-        sim = config["simulate"]
-        outcome = simulate_experiment(
-            SpdcConfig(lam=sim["lambda"], max_order=sim["max_order"]),
-            LossConfig(eta_h=sim["eta_H"], eta_v=sim["eta_V"]),
-        )
-        source = outcome.rho_sim
-        source_desc = {"simulate": sim}
+        source = _simulate(config["simulate"]).rho_sim
+        source_desc = {"simulate": config["simulate"]}
         target_label = config["target"] or "dicke_6_3"
     else:
         source = _parse_state_label(config["state"])
@@ -521,7 +530,7 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
             f"the source has {source.num_qubits}"
         )
     decomp = decompose(target)
-    plan = plan_settings(decomp, strategy=config["strategy"])
+    plan = _plan(decomp, config["strategy"])
     experiment = ExperimentPlan(
         settings=tuple(plan.settings()),
         events_per_setting=config["events"],
@@ -566,18 +575,12 @@ def cmd_protocols(config: dict, ctx: Context) -> dict:
     if n % 2:
         raise ConfigError("config.num_qubits: protocols need an even qubit count")
     if config["simulate"] is not None:
-        from .fock import LossConfig, SpdcConfig, simulate_experiment
-
-        sim = config["simulate"]
         if n != 6:
             raise ConfigError(
                 "config.num_qubits: the source simulation emits six qubits"
             )
-        state = simulate_experiment(
-            SpdcConfig(lam=sim["lambda"], max_order=sim["max_order"]),
-            LossConfig(eta_h=sim["eta_H"], eta_v=sim["eta_V"]),
-        ).rho_sim
-        source_desc = {"simulate": sim}
+        state = _simulate(config["simulate"]).rho_sim
+        source_desc = {"simulate": config["simulate"]}
     else:
         state = dicke(n, n // 2)
         source_desc = {"state": f"dicke_{n}_{n // 2}"}

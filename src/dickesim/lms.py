@@ -1,22 +1,25 @@
 """Projector decompositions and local measurement setting plans.
 
 A target projector |psi><psi| expands as sum_P c_P P over Pauli strings
-with c_P = <psi|P|psi> / 2^N.  Two ways of reading the strings out:
+with c_P = <psi|P|psi> / 2^N; all 4^N coefficients come from one
+Walsh-Hadamard transform per X-mask, for up to ``states.MAX_QUBITS``
+qubits.  Two ways of reading the strings out:
 
-* exact matching (``greedy``): a string is evaluated from one product
-  measurement whose axes equal its non-identity letters, and grouping
-  strings into few settings is a set cover solved greedily.  Every
-  full-support string pins its own setting, so this needs at least as
-  many settings as there are such strings (183 for the six-qubit Dicke
-  state);
-* uniform directions (``symmetric``, and ``ghz_special`` as a special
-  case): every qubit is measured along the same direction n_k, and the
-  symmetric m-body correlators e_m of the outcomes carry weights w_km
-  solved so that sum_k w_km n_x^a n_y^b n_z^c equals the coefficient of
-  each string with a X, b Y and c Z letters.  This works for targets
-  whose coefficients are permutation-invariant and needs a number of
-  settings that grows quadratically in N (G. Toth et al., PRL 105,
-  250403 (2010)).
+* exact matching (``greedy``, up to ``MAX_GREEDY_QUBITS`` qubits): a
+  string is evaluated from one product measurement whose axes equal its
+  non-identity letters, and grouping strings into few settings is a set
+  cover solved greedily.  Every full-support string pins its own
+  setting, so this needs at least as many settings as there are such
+  strings (183 for the six-qubit Dicke state);
+* uniform directions (``symmetric`` and ``ghz_special``): every qubit is
+  measured along the same direction n_k, and the symmetric m-body
+  correlators e_m of the outcomes carry weights w_km solved so that
+  sum_k w_km n_x^a n_y^b n_z^c equals the coefficient of each string
+  with a X, b Y and c Z letters.  This works for targets whose
+  coefficients are permutation-invariant (G. Toth et al., PRL 105,
+  250403 (2010)).  ``symmetric`` solves ring designs whose size grows
+  quadratically in N; ``ghz_special`` solves one fixed design, the z
+  axis plus N equatorial directions, which spans GHZ targets only.
 """
 
 from __future__ import annotations
@@ -28,18 +31,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import (
-    _POPCOUNT,
-    PAULI,
-    MeasurementSetting,
-    QubitPureState,
-    check_pauli_string,
-    expectation,
-)
+from .states import _POPCOUNT, PAULI, MeasurementSetting, QubitPureState
 
 COEFF_TOL = 1e-12
-MAX_DECOMPOSE_QUBITS = 8
-# largest weight residual a symmetric plan may leave before it is refused
+# the greedy cover scans up to 3^N candidate settings for every setting it picks
+MAX_GREEDY_QUBITS = 8
+# largest weight residual a uniform-direction plan may leave before it is refused
 SYMMETRIC_RESIDUAL_TOL = 1e-10
 
 
@@ -90,23 +87,44 @@ class PauliDecomposition:
         return out
 
 
-def decompose(target: QubitPureState, tol: float = COEFF_TOL) -> PauliDecomposition:
-    """Exhaustive Pauli expansion of |target><target|.
+def _hadamard(bits: int) -> np.ndarray:
+    """Sylvester Hadamard matrix, entry (z, j) = (-1)^popcount(z & j)."""
+    idx = np.arange(2**bits)
+    return 1.0 - 2.0 * (_POPCOUNT[idx[:, None] & idx] & 1)
 
-    Enumerates all 4^N strings and keeps coefficients above ``tol``; the
-    identity term (coefficient 2^-N) is always present.
+
+def decompose(target: QubitPureState, tol: float = COEFF_TOL) -> PauliDecomposition:
+    """Exhaustive Pauli expansion of |target><target|, up to ``states.MAX_QUBITS``.
+
+    For each X-mask x, <X^x Z^z> for every Z-mask z is the Walsh-Hadamard
+    transform of conj(psi_{j ^ x}) psi_j; a Y letter is i X Z, so the
+    string with X-mask x and Z-mask z is i^popcount(x & z) X^x Z^z.
+    Coefficients above ``tol`` are kept in itertools.product("IXYZ")
+    order; the identity term (coefficient 2^-N) is always present.
     """
     n = target.num_qubits
-    if n > MAX_DECOMPOSE_QUBITS:
-        raise ValueError(f"decomposition supports at most {MAX_DECOMPOSE_QUBITS} qubits")
-    scale = 1.0 / 2**n
-    terms = []
-    for letters in itertools.product("IXYZ", repeat=n):
-        string = "".join(letters)
-        coeff = expectation(target, string) * scale
-        if abs(coeff) > tol:
-            terms.append((coeff, string))
-    return PauliDecomposition(n, tuple(terms), target_label=target.label)
+    dim = 2**n
+    psi = target.amplitudes
+    masks = np.arange(dim)
+    # the 2^N transform is H_high (x) H_low: two small products per X-mask
+    high, low = _hadamard(n // 2), _hadamard(n - n // 2)
+    # base-4 digit of each qubit in product order: I 0, X 1, Y 2, Z 3
+    spread = sum(((masks >> q) & 1) << (2 * q) for q in range(n))
+    phases = np.array([1, 1j, -1, -1j])
+    keys, coeffs = [], []
+    for x in range(dim):
+        product = (psi[masks ^ x].conj() * psi).reshape(len(high), len(low))
+        transform = (high @ product @ low).reshape(-1)
+        values = (phases[_POPCOUNT[masks & x] % 4] * transform).real / dim
+        kept = np.flatnonzero(np.abs(values) > tol)
+        keys.append(2 * spread[kept] + spread[kept ^ x])
+        coeffs.append(values[kept])
+    keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
+    order = np.argsort(keys)
+    digits = (keys[order, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+    strings = np.frombuffer(b"IXYZ", dtype=np.uint8)[digits].view(f"S{n}").ravel()
+    terms = tuple(zip(coeffs[order].tolist(), strings.astype(str).tolist()))
+    return PauliDecomposition(n, terms, target_label=target.label)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +222,8 @@ def check_plan_covers(plan: SettingPlan, decomp: PauliDecomposition) -> None:
 
 def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
     n = decomp.num_qubits
+    if n > MAX_GREEDY_QUBITS:
+        raise ValueError(f"greedy supports at most {MAX_GREEDY_QUBITS} qubits, got {n}")
     strings = decomp.nonidentity_strings()
     # enumerate, per string, every axis assignment that can read it out;
     # identity positions are free and range over all three axes
@@ -235,43 +255,6 @@ def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
         num_qubits=n,
         target_label=decomp.target_label,
         assignments=tuple(assignments),
-    )
-
-
-def _ghz_special_plan(decomp: PauliDecomposition) -> SettingPlan:
-    n = decomp.num_qubits
-    z_sector = []
-    xy_sector = []
-    for string in decomp.nonidentity_strings():
-        if set(string) <= {"I", "Z"}:
-            z_sector.append(string)
-        elif set(string) <= {"X", "Y"}:
-            xy_sector.append(string)
-        else:
-            raise ValueError(
-                "ghz_special needs a GHZ-type target whose strings are all "
-                f"diagonal or all-equatorial; found {string}"
-            )
-    assignments = [
-        SettingAssignment(MeasurementSetting.uniform("z", n), tuple(z_sector))
-    ]
-    # N settings along cos(k pi / N) x + sin(k pi / N) y jointly estimate
-    # the off-diagonal block via the alternating full-product parity sum,
-    # which is the order-N symmetric correlator
-    for k in range(n):
-        assignments.append(
-            SettingAssignment(
-                MeasurementSetting.in_plane("xy", k * math.pi / n, n),
-                (),
-                collective_weights=(0.0,) * n + ((-1.0) ** k / (2.0 * n),),
-            )
-        )
-    return SettingPlan(
-        method="ghz_special",
-        num_qubits=n,
-        target_label=decomp.target_label,
-        assignments=tuple(assignments),
-        collective_strings=tuple(xy_sector),
     )
 
 
@@ -338,32 +321,38 @@ def _symmetric_weights(classes: dict, settings: list) -> tuple[np.ndarray, float
     return weights, residual
 
 
-def _symmetric_plan(decomp: PauliDecomposition) -> SettingPlan:
-    n = decomp.num_qubits
+def _ghz_special_settings(n: int) -> list[MeasurementSetting]:
+    """The z axis plus N equatorial directions at k pi / N."""
+    return [MeasurementSetting.uniform("z", n)] + [
+        MeasurementSetting.in_plane("xy", k * math.pi / n, n) for k in range(n)
+    ]
+
+
+def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPlan:
+    """Weights for the first design (a list of uniform-direction settings)
+    whose residual is within ``SYMMETRIC_RESIDUAL_TOL``."""
     classes = _class_coefficients(decomp)
     if classes is None:
         raise ValueError(
-            "symmetric needs a permutation-invariant target: each coefficient "
+            f"{method} needs a permutation-invariant target: each coefficient "
             "must depend only on the counts of X, Y and Z, and every permutation "
             "of a kept string must be kept"
         )
-    first = math.ceil(n / 2)
-    for rings in (first, first + 1):
-        settings = _symmetric_settings(n, rings)
+    for settings in designs:
         weights, residual = _symmetric_weights(classes, settings)
         if residual <= SYMMETRIC_RESIDUAL_TOL:
             break
     else:
         raise ValueError(
-            f"symmetric settings do not span the target: weight residual {residual:.2e}"
+            f"{method} settings do not span the target: weight residual {residual:.2e}"
         )
     assignments = tuple(
         SettingAssignment(setting, (), collective_weights=tuple(float(w) for w in row))
         for setting, row in zip(settings, weights)
     )
     return SettingPlan(
-        method="symmetric",
-        num_qubits=n,
+        method=method,
+        num_qubits=decomp.num_qubits,
         target_label=decomp.target_label,
         assignments=assignments,
         collective_strings=tuple(decomp.nonidentity_strings()),
@@ -380,12 +369,15 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     permutation-invariant decomposition and raises ValueError otherwise,
     or when the weights leave a residual above ``SYMMETRIC_RESIDUAL_TOL``.
     The six-qubit Dicke state takes 22 settings (21 published).
+    ``ghz_special``: the same weight solve on one fixed design, the z
+    axis plus N equatorial directions at k pi / N (N + 1 settings); it
+    spans GHZ targets and refuses others by the same residual test.
     ``greedy``: exact matching; repeatedly pick the axis assignment
     evaluating the most uncovered strings (ties broken toward the
     lexicographically smallest axis string), assigning each string to
-    exactly one setting.  The six-qubit Dicke state takes 207.
-    ``ghz_special``: the N+1-setting construction for GHZ targets, one
-    diagonal setting plus N equatorial ones.
+    exactly one setting.  The six-qubit Dicke state takes 207.  Raises
+    ValueError above ``MAX_GREEDY_QUBITS`` qubits: each pick scans up to
+    3^N candidate settings (the eight-qubit Dicke state takes 2,012).
     With no strategy, permutation-invariant decompositions get
     ``symmetric`` and all others ``greedy``.
     """
@@ -393,12 +385,16 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
         raise ValueError("cannot plan settings for an empty decomposition")
     if strategy is None:
         strategy = "greedy" if _class_coefficients(decomp) is None else "symmetric"
+    n = decomp.num_qubits
     if strategy == "symmetric":
-        return _symmetric_plan(decomp)
+        first = math.ceil(n / 2)
+        return _uniform_plan(
+            decomp, strategy, (_symmetric_settings(n, rings) for rings in (first, first + 1))
+        )
+    if strategy == "ghz_special":
+        return _uniform_plan(decomp, strategy, [_ghz_special_settings(n)])
     if strategy == "greedy":
         return _greedy_plan(decomp)
-    if strategy == "ghz_special":
-        return _ghz_special_plan(decomp)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -39,7 +39,6 @@ from .states import (
 )
 
 DEGENERACY_TOL = 1e-12
-PATH_AGREEMENT_TOL = 1e-9
 
 
 def _embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -76,33 +75,14 @@ def witness_operator(num_qubits: int, alpha: float) -> np.ndarray:
 
 
 def collective_spin_sq(state: State, axis: str) -> float:
-    """<J_axis^2>, computed two ways and cross-checked.
-
-    Path one contracts the dense operator; path two uses
-    (N + sum_{j!=k} <sigma_j sigma_k>) / 4 from two-qubit correlators.
-    """
-    n = state.num_qubits
-    rho = _as_density_matrix(state)
-    j = collective_spin_operator(n, axis)
-    dense = float(np.trace(j @ j @ rho).real)
-
-    letter = axis.upper()
-    corr = 0.0
-    for a, b in itertools.permutations(range(n), 2):
-        letters = "".join(letter if q in (a, b) else "I" for q in range(n))
-        corr += expectation(state, letters)
-    pairwise = (n + corr) / 4.0
-    if abs(dense - pairwise) > PATH_AGREEMENT_TOL:
-        raise AssertionError(
-            f"collective spin paths disagree: {dense} vs {pairwise}"
-        )
-    return dense
+    """<J_axis^2> = (sum_jk <sigma_j sigma_k>) / 4 from two-qubit correlators."""
+    return float(pairwise_corr_matrix(state, axis).sum() / 4.0)
 
 
 def witness_value(state: State, alpha: float) -> float:
     """<W(alpha)> on a state, from <J_a^2> = (sum_jk <sigma_a^j sigma_a^k>) / 4
     without building the 2^N operator."""
-    jx2, jy2, jz2 = (pairwise_corr_matrix(state, axis).sum() / 4.0 for axis in "xyz")
+    jx2, jy2, jz2 = (collective_spin_sq(state, axis) for axis in "xyz")
     return float(jx2 + jy2 + alpha * jz2)
 
 

@@ -203,6 +203,25 @@ def test_sample_symmetric_plan(tmp_path, capsys):
     assert abs(results["estimate"] - results["direct_fidelity"]) <= 4 * results["std_error"]
 
 
+def test_sample_symmetric_plan_on_nine_qubits(tmp_path, capsys):
+    config = write_config(
+        tmp_path, {"state": "dicke_9_4", "strategy": "symmetric", "events": 20000}
+    )
+    out = tmp_path / "out"
+    assert run_cli(["sample", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = load_report(out, "sample")["results"]
+    assert results["num_qubits"] == 9
+    assert abs(results["estimate"] - results["direct_fidelity"]) <= 4 * results["std_error"]
+
+
+@pytest.mark.parametrize("command", ["lms", "sample"])
+def test_greedy_on_nine_qubits_exits_two(command, tmp_path, capsys):
+    config = write_config(tmp_path, {"state": "dicke_9_4", "strategy": "greedy"})
+    assert run_cli([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "greedy" in capsys.readouterr().err
+
+
 def test_sample_estimates_fidelity(tmp_path, capsys):
     config = write_config(tmp_path, {"state": "dicke_4_2", "events": 20000})
     out = tmp_path / "out"

@@ -1,10 +1,12 @@
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dickesim.dicke_states import dicke, ghz
+from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.lms import (
     CountTable,
     CoverageError,
@@ -18,9 +20,11 @@ from dickesim.lms import (
     support_mask,
 )
 from dickesim.states import (
+    _POPCOUNT,
     MeasurementSetting,
     QubitDensity,
     QubitPureState,
+    expectation,
     outcome_distribution,
 )
 
@@ -64,11 +68,48 @@ def test_known_coefficient_value():
     assert_allclose(decomp.coefficient("ZZIIII"), -0.2 / 64.0, atol=1e-12)
 
 
-def test_decompose_rejects_large_registers():
+def per_string_terms(state, tol=1e-12):
+    """Pauli expansion from one expectation value per string, in
+    itertools.product("IXYZ") order: the reference for the transform."""
+    n = state.num_qubits
+    terms = []
+    for letters in itertools.product("IXYZ", repeat=n):
+        string = "".join(letters)
+        coeff = expectation(state, string) / 2**n
+        if abs(coeff) > tol:
+            terms.append((coeff, string))
+    return terms
+
+
+def random_pure_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return QubitPureState(n, amps / np.linalg.norm(amps), label=f"random_{n}")
+
+
+@pytest.mark.parametrize(
+    "state",
+    [dicke(6, 3), ghz(4), dicke(4, 1), w_state(5)] + [random_pure_state(n, 40 + n) for n in range(1, 7)],
+    ids=lambda s: s.label,
+)
+def test_decompose_matches_per_string_expectations(state):
+    expected = per_string_terms(state)
+    decomp = decompose(state)
+    assert [s for _, s in decomp.terms] == [s for _, s in expected]
+    assert_allclose([c for c, _ in decomp.terms], [c for c, _ in expected], rtol=0, atol=1e-15)
+
+
+def test_greedy_plan_rejects_large_registers():
     amps = np.zeros(2**9)
     amps[0] = 1.0
-    with pytest.raises(ValueError):
-        decompose(QubitPureState(9, amps))
+    decomp = decompose(QubitPureState(9, amps))
+    with pytest.raises(ValueError, match="greedy"):
+        plan_settings(decomp, strategy="greedy")
+
+
+def test_decompose_reaches_ten_qubits():
+    assert len(decompose(ghz(10))) == 1024
+    assert len(decompose(dicke(9, 4))) == 65792
 
 
 def test_support_mask_marks_nonidentity_positions():
@@ -138,6 +179,49 @@ def test_ghz_special_rejects_other_targets():
         plan_settings(decompose(dicke(4, 2)), strategy="ghz_special")
     with pytest.raises(ValueError):
         plan_settings(decompose(dicke(4, 2)), strategy="magic")
+
+
+def outcome_weights(decomp, assignment):
+    """What one setting adds to the estimate, per outcome: its covered
+    strings' eigenvalues plus its weighted symmetric correlators, each
+    e_m read off prod_q (1 + t s_q) for the outcome's +-1 values s_q."""
+    n = decomp.num_qubits
+    outcomes = np.arange(2**n)
+    out = np.zeros(2**n)
+    for string in assignment.covered:
+        out += decomp.coefficient(string) * (-1.0) ** _POPCOUNT[outcomes & support_mask(string, n)]
+    if assignment.collective_weights:
+        for o in outcomes:
+            poly = np.ones(1)
+            for q in range(n):
+                poly = np.convolve(poly, [1.0, -1.0 if o >> q & 1 else 1.0])
+            out[o] += np.dot(assignment.collective_weights, poly)
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ghz_special_weights_match_the_order_n_construction(n):
+    # the z setting reads out every diagonal string, and the N equatorial
+    # settings at k pi / N carry (-1)^k / (2N) on the order-N correlator only
+    decomp = decompose(ghz(n))
+    plan = plan_settings(decomp, strategy="ghz_special")
+    z_setting, *equatorial = plan.assignments
+    assert z_setting.setting.label() == ",".join("z" * n)
+    outcomes = np.arange(2**n)
+    diagonal = sum(
+        decomp.coefficient(s) * (-1.0) ** _POPCOUNT[outcomes & support_mask(s, n)]
+        for s in decomp.nonidentity_strings()
+        if set(s) <= {"I", "Z"}
+    )
+    assert_allclose(outcome_weights(decomp, z_setting), diagonal, rtol=0, atol=1e-12)
+    assert len(equatorial) == n
+    for k, assignment in enumerate(equatorial):
+        expected = MeasurementSetting.in_plane("xy", k * math.pi / n, n)
+        assert assignment.setting.label() == expected.label()
+        assert assignment.covered == ()
+        assert_allclose(
+            assignment.collective_weights, [0.0] * n + [(-1.0) ** k / (2.0 * n)], rtol=0, atol=1e-12
+        )
 
 
 def test_check_plan_covers_flags_missing_strings():
