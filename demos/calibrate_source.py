@@ -1,12 +1,12 @@
 """Calibrate the photon-source model and record the operating point.
 
-The source model propagates a truncated down-conversion state through
-the six-arm splitter, applies per-photon loss, and post-selects on one
-photon per arm.  Lossless third-order truncation reproduces the exact
-selection probability 5/324 and a perfect six-photon state; with
-fourth-order terms and loss the fidelity degrades, and a grid sweep
-locates the (pump, efficiency) pair whose fidelity is closest to the
-0.61 reference.  The chosen record and the full grid go to
+The source model takes a truncated down-conversion source split over
+six arms, applies per-photon loss, and post-selects on one photon per
+arm, all in closed form.  Lossless third-order truncation reproduces
+the exact selection probability 5/324 and a perfect six-photon state;
+with fourth-order terms and loss the fidelity degrades, and a grid
+sweep locates the (pump, efficiency) pair whose fidelity is closest to
+the 0.61 reference.  The chosen record and the full grid go to
 data/calibration.json.
 """
 

@@ -3,7 +3,7 @@
 Covers dense qubit-register primitives, Dicke-state construction and
 measurement navigation, collective-spin entanglement witnesses with
 see-saw biseparable bounds, Pauli decompositions with measurement-
-setting planning and fidelity estimation, a Fock-space model of the
+setting planning and fidelity estimation, a closed-form model of the
 down-conversion source, networking protocols, deterministic count
 sampling, and published reference values.
 
@@ -69,12 +69,9 @@ _EXPORTS = {
     "CountTable": "lms",
     "reference_lms_table": "lms",
     # fock
-    "FockKet": "fock",
     "SpdcConfig": "fock",
     "LossConfig": "fock",
-    "spdc_state": "fock",
     "splitter_network": "fock",
-    "propagate": "fock",
     "threshold_counts": "fock",
     "simulate_experiment": "fock",
     "calibrate": "fock",

@@ -1,15 +1,23 @@
-"""Fock-space model of the collinear down-conversion source.
+"""Closed-form model of the collinear down-conversion source.
 
-Twelve bosonic modes: six spatial modes times two polarizations, flat
-index 2*j + p with p = 0 for H and p = 1 for V.  Occupation vectors are
-packed into a single integer, 4 bits per mode, so per-mode occupancy must
-stay below 16; dictionaries map packed occupations to complex amplitudes.
+The source emits n photon pairs, one H and one V photon each, into a
+single input mode with probability proportional to lam^(2n), up to
+``max_order`` pairs.  A 6x6 unitary network spreads that mode over six
+arms; only input mode 0 is pumped, so only the network's first column u
+matters.  Written out, the n-pair term is
 
-Pipeline: spdc_state -> propagate (symmetric splitter) -> restricted
-sixfold selection: per-polarization loss enumerated only over the
-patterns that leave exactly one photon per spatial mode, together with
-the z-basis threshold-detector event probability.  threshold_counts
-gives the per-basis threshold-detector distribution of a ket.
+    (lam^n / norm) n! sum_{h, v} prod_j u_j^(h_j + v_j) / sqrt(h_j! v_j!) |h, v>
+
+over H and V arm occupations h, v with sum h = sum v = n.  Nothing
+stores these amplitudes: each quantity the detectors read is a sum over
+them in closed form.
+
+- ``simulate_experiment`` and ``calibrate``: per-polarization loss with
+  exact one-photon-per-arm selection, whose selected state is a mixture
+  of six-qubit Dicke states, and the sixfold threshold-detector event
+  probability in the H/V basis.
+- ``threshold_counts``: the per-basis threshold-detector outcome
+  distribution of the lossless source behind the splitter.
 """
 
 from __future__ import annotations
@@ -25,82 +33,11 @@ from .dicke_states import dicke
 from .states import MeasurementSetting, QubitDensity, fidelity
 
 N_SPATIAL = 6
-N_MODES = 2 * N_SPATIAL
-MODE_BITS = 4
-MODE_MASK = (1 << MODE_BITS) - 1
-MAX_PER_MODE = MODE_MASK
-PRUNE_TOL = 1e-14
 UNITARY_TOL = 1e-10
-
-_SQRT_FACT = [math.sqrt(factorial(k)) for k in range(MAX_PER_MODE + 1)]
 
 
 class NoSixfoldEventsError(RuntimeError):
     """Raised when post-selection keeps zero probability."""
-
-
-def pack_occupation(occ) -> int:
-    key = 0
-    for mode, count in enumerate(occ):
-        if count < 0 or count > MAX_PER_MODE:
-            raise ValueError(f"mode occupancy {count} outside [0, {MAX_PER_MODE}]")
-        key |= int(count) << (MODE_BITS * mode)
-    return key
-
-
-def unpack_occupation(key: int) -> tuple[int, ...]:
-    return tuple((key >> (MODE_BITS * mode)) & MODE_MASK for mode in range(N_MODES))
-
-
-def _total_photons(key: int) -> int:
-    total = 0
-    while key:
-        total += key & MODE_MASK
-        key >>= MODE_BITS
-    return total
-
-
-class FockKet:
-    """Sparse pure state over the 12 optical modes."""
-
-    def __init__(self, amplitudes, photon_cap: int = MAX_PER_MODE, normalize: bool = False):
-        packed: dict[int, complex] = {}
-        for occ, amp in dict(amplitudes).items():
-            key = occ if isinstance(occ, int) else pack_occupation(occ)
-            if _total_photons(key) > photon_cap:
-                raise ValueError(f"occupation {unpack_occupation(key)} exceeds photon cap {photon_cap}")
-            packed[key] = packed.get(key, 0.0) + complex(amp)
-        norm = math.sqrt(sum(abs(a) ** 2 for a in packed.values()))
-        if normalize:
-            if norm == 0.0:
-                raise ValueError("cannot normalize the zero vector")
-            packed = {k: a / norm for k, a in packed.items()}
-        elif abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"ket norm {norm} deviates from 1 beyond 1e-9")
-        self._packed = packed
-        self.photon_cap = int(photon_cap)
-
-    @classmethod
-    def _from_packed(cls, packed: dict, photon_cap: int) -> "FockKet":
-        obj = cls.__new__(cls)
-        obj._packed = packed
-        obj.photon_cap = photon_cap
-        return obj
-
-    def items(self):
-        """Iterate (occupation tuple, amplitude)."""
-        for key, amp in self._packed.items():
-            yield unpack_occupation(key), amp
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self._packed.values()))
-
-    @property
-    def support_size(self) -> int:
-        return len(self._packed)
-
-    def __repr__(self):
-        return f"<FockKet support={self.support_size} cap={self.photon_cap}>"
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +65,6 @@ class LossConfig:
         for name, eta in (("eta_H", self.eta_h), ("eta_V", self.eta_v)):
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {eta}")
-
-    def flat(self) -> tuple[float, ...]:
-        return (self.eta_h, self.eta_v) * N_SPATIAL
-
-
-def spdc_state(config: SpdcConfig) -> FockKet:
-    """Truncated collinear two-mode squeezed state sum_n lam^n |n, n>."""
-    amps = {}
-    for n in range(config.max_order + 1):
-        occ = [0] * N_MODES
-        occ[0] = occ[1] = n
-        amps[tuple(occ)] = config.lam**n
-    return FockKet(amps, photon_cap=2 * config.max_order, normalize=True)
 
 
 def order_weight(config: SpdcConfig, pairs: int) -> float:
@@ -185,138 +109,85 @@ def _check_network_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _power_expansion(targets, count: int):
-    """Expand (sum_t c_t b_t^dag)^count into packed monomials.
-
-    Returns [(packed_delta, coefficient)] with multinomial weights; the
-    bosonic sqrt(n!) factors are applied by the caller.
-    """
-    out = []
-    indices = range(len(targets))
-    for multiset in itertools.combinations_with_replacement(indices, count):
-        mult: dict[int, int] = {}
-        for i in multiset:
-            mult[i] = mult.get(i, 0) + 1
-        coeff = float(factorial(count))
-        delta = 0
-        value = 1.0 + 0.0j
-        for i, k in mult.items():
-            coeff /= factorial(k)
-            mode, c = targets[i]
-            value *= c**k
-            delta |= k << (MODE_BITS * mode)
-        out.append((delta, coeff * value))
-    return out
+def _arm_amplitudes(network: np.ndarray | None) -> np.ndarray:
+    """First column u of the network (the splitter when None): u_j is the
+    amplitude for a photon of the pumped input mode to enter arm j."""
+    net = splitter_network() if network is None else _check_network_unitary(network)
+    return net[:, 0]
 
 
-def _substitute(ket: FockKet, subs) -> FockKet:
-    """Rewrite each creation operator b_m^dag as sum_t subs[m] terms.
-
-    ``subs`` maps every flat mode to a list of (target mode, coefficient);
-    the substitution must be unitary for norms to be preserved (checked by
-    the callers, not here).
-    """
-    out: dict[int, complex] = {}
-    expansions: dict[tuple[int, int], list] = {}
-    for key, amp in ket._packed.items():
-        occ = unpack_occupation(key)
-        coeff = amp
-        for count in occ:
-            coeff /= _SQRT_FACT[count]
-        poly = {0: coeff}
-        for mode, count in enumerate(occ):
-            if count == 0:
-                continue
-            cache_key = (mode, count)
-            expansion = expansions.get(cache_key)
-            if expansion is None:
-                targets = [(t, c) for t, c in subs[mode] if abs(c) > 1e-15]
-                expansion = _power_expansion(targets, count)
-                expansions[cache_key] = expansion
-            new: dict[int, complex] = {}
-            for base, base_coeff in poly.items():
-                for delta, delta_coeff in expansion:
-                    k2 = base + delta
-                    new[k2] = new.get(k2, 0.0) + base_coeff * delta_coeff
-            poly = new
-        for k2, c2 in poly.items():
-            value = c2
-            rem = k2
-            while rem:
-                value *= _SQRT_FACT[rem & MODE_MASK]
-                rem >>= MODE_BITS
-            out[k2] = out.get(k2, 0.0) + value
-    kept = {k: v for k, v in out.items() if abs(v) > PRUNE_TOL}
-    return FockKet._from_packed(kept, ket.photon_cap)
-
-
-def propagate(ket: FockKet, network: np.ndarray) -> FockKet:
-    """Scatter spatial modes through the network, polarization preserved."""
-    u = _check_network_unitary(network)
-    subs = {}
-    for j in range(N_SPATIAL):
-        for p in (0, 1):
-            subs[2 * j + p] = [(2 * i + p, u[i, j]) for i in range(N_SPATIAL)]
-    out = _substitute(ket, subs)
-    if abs(out.norm() - ket.norm()) > 1e-9:
-        raise AssertionError("propagation changed the norm")
-    return out
+def _pair_weights(spdc: SpdcConfig) -> list[float]:
+    """W_n = (lam^n n! / norm)^2, the squared prefactor of the n-pair term."""
+    return [order_weight(spdc, n) * factorial(n) ** 2 for n in range(spdc.max_order + 1)]
 
 
 # ---------------------------------------------------------------------------
 # Detection
 
 
-def _rotation_substitution(setting: MeasurementSetting) -> dict:
-    subs = {}
-    for j in range(N_SPATIAL):
-        u = setting.rotation(j)
-        for p in (0, 1):
-            subs[2 * j + p] = [(2 * j + s, u[s, p]) for s in (0, 1)]
-    return subs
+def _compositions(total: int, parts: int):
+    """Every ordered way to write ``total`` as ``parts`` positive integers."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield [b - a for a, b in zip((0, *cuts), (*cuts, total))]
 
 
-def threshold_counts(ket: FockKet, setting: MeasurementSetting) -> tuple[np.ndarray, float]:
-    """Threshold-detector outcome distribution in a measurement basis.
+def _poly_product(poly: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Row-wise product of polynomials stored as coefficient rows."""
+    out = np.zeros((len(poly), poly.shape[1] + factor.shape[1] - 1), dtype=complex)
+    for r in range(factor.shape[1]):
+        out[:, r : r + poly.shape[1]] += factor[:, r, None] * poly
+    return out
 
-    Each spatial mode feeds two threshold detectors through a polarization
+
+def threshold_counts(spdc: SpdcConfig, setting: MeasurementSetting) -> tuple[np.ndarray, float]:
+    """Threshold-detector outcome distribution of the lossless source
+    behind the splitter, in a measurement basis.
+
+    Each arm feeds two threshold detectors through a polarization
     rotation into the setting's basis.  A valid sixfold event has exactly
-    one of the two detectors click in every mode; multi-photon bunches on
+    one of the two detectors click in every arm; multi-photon bunches on
     one detector still give a single click.  Returns the distribution over
     the 64 outcomes conditioned on a valid event together with the valid
     event probability (all zeros and 0.0 when no event can occur).
+
+    The event where arm j sends all of its k_j photons to detector s_j
+    (k a composition of 2n into six positive parts) has amplitude
+
+        (lam^n / norm) n! / prod_j sqrt(k_j!) [x^n] prod_j (alpha_j x + beta_j)^k_j
+
+    with alpha_j = u_j R_j[s_j, 0], beta_j = u_j R_j[s_j, 1] and R_j the
+    setting's rotation of arm j; the power of x counts H photons.
+    Distinct (s, n, k) are orthogonal detector events, so their
+    probabilities add.
     """
     if setting.num_qubits != N_SPATIAL:
         raise ValueError("setting must cover the six spatial modes")
-    dim = 2**N_SPATIAL
-    probs = np.zeros(dim)
-    p_event = 0.0
-    # a valid event needs a photon in every spatial mode, and the per-mode
-    # totals are invariant under the polarization rotation
-    filtered: dict[int, complex] = {}
-    for key, amp in ket._packed.items():
-        occ = unpack_occupation(key)
-        if all(occ[2 * j] + occ[2 * j + 1] >= 1 for j in range(N_SPATIAL)):
-            filtered[key] = amp
-    rotated = _substitute(
-        FockKet._from_packed(filtered, ket.photon_cap), _rotation_substitution(setting)
-    )
-    for occ, amp in rotated.items():
-        index = 0
-        valid = True
-        for j in range(N_SPATIAL):
-            plus, minus = occ[2 * j] > 0, occ[2 * j + 1] > 0
-            if plus == minus:
-                valid = False
-                break
-            index |= int(minus) << (N_SPATIAL - 1 - j)
-        if valid:
-            value = abs(amp) ** 2
-            probs[index] += value
-            p_event += value
+    u = splitter_network()[:, 0]
+    patterns = np.array(list(itertools.product((0, 1), repeat=N_SPATIAL)))
+    rotations = np.array([setting.rotation(j) for j in range(N_SPATIAL)])
+    # coeff[s, j, p]: amplitude for a p-polarized photon of the pumped mode
+    # to reach the detector that outcome s names in arm j
+    coeff = u[:, None] * rotations[np.arange(N_SPATIAL), patterns]
+    # arm_poly[j, k][s]: coefficients of (alpha_j x + beta_j)^k / sqrt(k!)
+    most = 2 * spdc.max_order - (N_SPATIAL - 1)
+    arm_poly = {}
+    for j in range(N_SPATIAL):
+        alpha, beta = coeff[:, j, 0, None], coeff[:, j, 1, None]
+        for k in range(1, most + 1):
+            r = np.arange(k + 1)
+            binom = np.array([comb(k, i) for i in r]) / math.sqrt(factorial(k))
+            arm_poly[j, k] = binom * alpha**r * beta ** (k - r)
+    probs = np.zeros(2**N_SPATIAL)
+    for n, weight in enumerate(_pair_weights(spdc)):
+        for k in _compositions(2 * n, N_SPATIAL):
+            poly = arm_poly[0, k[0]]
+            for j in range(1, N_SPATIAL):
+                poly = _poly_product(poly, arm_poly[j, k[j]])
+            probs += weight * np.abs(poly[:, n]) ** 2
+    p_event = float(probs.sum())
     if p_event <= 0.0:
-        return np.zeros(dim), 0.0
-    return probs / p_event, float(p_event)
+        return np.zeros(2**N_SPATIAL), 0.0
+    return probs / p_event, p_event
 
 
 # ---------------------------------------------------------------------------
@@ -358,79 +229,75 @@ def simulate_experiment(
     threshold-detector sixfold probability monitored in the H/V basis.
     Zero kept probability raises :class:`NoSixfoldEventsError`.
     """
-    loss = loss or LossConfig()
-    net = splitter_network() if network is None else network
-    return _sixfold_stats(propagate(spdc_state(spdc), net), spdc, loss)
+    return _sixfold_stats(spdc, loss or LossConfig(), _arm_amplitudes(network))
 
 
-def _sixfold_stats(psi: FockKet, spdc: SpdcConfig, loss: LossConfig) -> SimulationResult:
-    """Loss and exact one-photon-per-mode selection of the propagated
-    source ``psi``, plus the z-basis threshold event probability.
+def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> SimulationResult:
+    """Loss, exact one-photon-per-arm selection and the z-basis threshold
+    event probability of the source behind a network with first column u.
 
-    Each amplitude keeps one photon per spatial mode in every way its
-    occupation allows, and loses the rest; loss patterns that cannot
-    leave one photon per mode are never enumerated.  Every amplitude
-    with a photon in each spatial mode contributes its per-mode
-    factorized threshold click probability.  The test
-    ``test_simulation_matches_loss_branch_oracle`` checks the result
-    against post-selection of the full loss-branch mixture.
+    Selection.  A loss branch is fixed by the photons lost from each arm,
+    l_j^H and l_j^V.  Keeping one photon per arm, H or V as bit b_j of
+    the outcome says, the source amplitude times the loss amplitudes
+    sqrt(C(k, lost) eta^kept (1 - eta)^lost) reduces to
+
+        (lam^n n! / norm) prod_j u_j^(l_j^H + l_j^V + 1) / sqrt(l_j^H! l_j^V!)
+            * sqrt((1 - eta_H)^a (1 - eta_V)^b) * prod_j sqrt(eta_(b_j)),
+
+    with a = sum_j l_j^H and b = sum_j l_j^V, on every outcome with
+    w = n - b V photons.  Each branch is therefore the Dicke state
+    D(6, w) for any network, and the multinomial theorem over the lost
+    photons (sum_j |u_j|^2 = 1) gives the branches with w V photons the
+    total weight
+
+        P_w = prod_j |u_j|^2 C(6, w) eta_H^(6 - w) eta_V^w
+              sum_n W_n (1 - eta_H)^a (1 - eta_V)^b / (a! b!),
+
+    with a = n - 6 + w, b = n - w and W_n from ``_pair_weights``.
+
+    Threshold events.  An arm holding h H and v V photons clicks on
+    exactly one detector with probability
+    f(h, v) = (1 - (1 - eta_H)^h) (1 - eta_V)^v + (1 - eta_H)^h (1 - (1 - eta_V)^v),
+    so with c_j = |u_j|^2
+
+        p_event = sum_n W_n [x^n y^n] prod_j sum_{h, v} c_j^(h + v) f(h, v) x^h y^v / (h! v!),
+
+    a product of series with positive coefficients.  The test
+    ``test_simulation_matches_loss_branch_oracle`` checks both against
+    post-selection of the full loss-branch mixture of the Fock-space state.
     """
-    eta = loss.flat()
-    dim = 2**N_SPATIAL
-    branches: dict[int, np.ndarray] = {}
-    p_event = 0.0
-    eta_h, eta_v = loss.eta_h, loss.eta_v
-    for key, amp in psi._packed.items():
-        occ = unpack_occupation(key)
-        options = []
-        feasible = True
-        for j in range(N_SPATIAL):
-            slots = []
-            if occ[2 * j] >= 1:
-                slots.append(0)
-            if occ[2 * j + 1] >= 1:
-                slots.append(1)
-            if not slots:
-                feasible = False
-                break
-            options.append(slots)
-        if feasible:
-            for bits in itertools.product(*options):
-                pattern = 0
-                factor = amp
-                index = 0
-                for j, bit in enumerate(bits):
-                    index |= bit << (N_SPATIAL - 1 - j)
-                    for p in (0, 1):
-                        mode = 2 * j + p
-                        kept = 1 if p == bit else 0
-                        lost = occ[mode] - kept
-                        if lost:
-                            pattern |= lost << (MODE_BITS * mode)
-                        factor *= math.sqrt(
-                            comb(occ[mode], lost)
-                            * eta[mode] ** kept
-                            * (1.0 - eta[mode]) ** lost
-                        )
-                if factor != 0.0:
-                    vec = branches.get(pattern)
-                    if vec is None:
-                        vec = branches[pattern] = np.zeros(dim, dtype=complex)
-                    vec[index] += factor
-            # threshold z-basis event probability factorizes per mode
-            p_mode = abs(amp) ** 2
-            for j in range(N_SPATIAL):
-                miss_h = (1.0 - eta_h) ** occ[2 * j]
-                miss_v = (1.0 - eta_v) ** occ[2 * j + 1]
-                p_mode *= (1.0 - miss_h) * miss_v + miss_h * (1.0 - miss_v)
-            p_event += p_mode
-    rho = np.zeros((dim, dim), dtype=complex)
+    order = spdc.max_order
+    weights = _pair_weights(spdc)
+    c = np.abs(u) ** 2
+    one_per_arm = float(np.prod(c))
+    miss_h, miss_v = 1.0 - loss.eta_h, 1.0 - loss.eta_v
+    rho = np.zeros((2**N_SPATIAL, 2**N_SPATIAL))
     p_raw = 0.0
-    for vec in branches.values():
-        rho += np.outer(vec, vec.conj())
-        p_raw += float(np.vdot(vec, vec).real)
+    for w in range(N_SPATIAL + 1):
+        lost = sum(
+            weights[n] * miss_h ** (n - N_SPATIAL + w) * miss_v ** (n - w)
+            / (factorial(n - N_SPATIAL + w) * factorial(n - w))
+            for n in range(max(w, N_SPATIAL - w), order + 1)
+        )
+        p_w = one_per_arm * comb(N_SPATIAL, w) * loss.eta_h ** (N_SPATIAL - w) * loss.eta_v**w * lost
+        d = dicke(N_SPATIAL, w).amplitudes.real
+        rho += p_w * np.outer(d, d)
+        p_raw += p_w
     if p_raw < 1e-30:
         raise NoSixfoldEventsError("post-selection kept zero probability")
+    photons = np.arange(order + 1)
+    h, v = photons[:, None], photons[None, :]
+    one_click = (1.0 - miss_h**h) * miss_v**v + miss_h**h * (1.0 - miss_v**v)
+    inv_fact = 1.0 / np.array([factorial(k) for k in photons], dtype=float)
+    series = np.zeros((order + 1, order + 1))
+    series[0, 0] = 1.0
+    for c_j in c:
+        arm = c_j ** (h + v) * one_click * np.outer(inv_fact, inv_fact)
+        grown = np.zeros_like(series)
+        for i, j in np.ndindex(arm.shape):
+            grown[i:, j:] += arm[i, j] * series[: order + 1 - i, : order + 1 - j]
+        series = grown
+    p_event = float(sum(weights[n] * series[n, n] for n in photons))
     rho_sim = QubitDensity(N_SPATIAL, rho / p_raw)
     return SimulationResult(
         rho_sim=rho_sim,
@@ -452,15 +319,14 @@ def calibrate(
     plain dicts ready for JSON; nothing is cached or hardcoded, rerunning
     the sweep regenerates every value.
     """
-    net = splitter_network() if network is None else network
+    u = _arm_amplitudes(network)
     records = []
     for lam in lambdas:
         spdc = SpdcConfig(lam=float(lam), max_order=max_order)
-        psi = propagate(spdc_state(spdc), net)
         for eta in etas:
             loss = LossConfig(eta_h=float(eta), eta_v=float(eta))
             try:
-                result = _sixfold_stats(psi, spdc, loss)
+                result = _sixfold_stats(spdc, loss, u)
             except NoSixfoldEventsError:
                 continue
             records.append(

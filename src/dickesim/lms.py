@@ -177,21 +177,6 @@ class SettingPlan:
     def num_settings(self) -> int:
         return len(self.assignments)
 
-    def coverage(self) -> dict:
-        """Map each evaluated string to the indices of its settings."""
-        cov: dict[str, list] = {}
-        for idx, assignment in enumerate(self.assignments):
-            for string in assignment.covered:
-                cov.setdefault(string, []).append(idx)
-        collective = [
-            idx
-            for idx, assignment in enumerate(self.assignments)
-            if assignment.collective_weights
-        ]
-        for string in self.collective_strings:
-            cov.setdefault(string, []).extend(collective)
-        return {s: tuple(v) for s, v in cov.items()}
-
     def settings(self) -> list[MeasurementSetting]:
         return [a.setting for a in self.assignments]
 
@@ -201,9 +186,10 @@ class CoverageError(ValueError):
 
 
 def check_plan_covers(plan: SettingPlan, decomp: PauliDecomposition) -> None:
-    required = set(decomp.nonidentity_strings())
-    provided = set(plan.coverage())
-    missing = required - provided
+    provided = {string for assignment in plan.assignments for string in assignment.covered}
+    if any(assignment.collective_weights for assignment in plan.assignments):
+        provided.update(plan.collective_strings)
+    missing = set(decomp.nonidentity_strings()) - provided
     if missing:
         raise CoverageError(f"plan misses {len(missing)} strings, e.g. {sorted(missing)[:3]}")
     for idx, assignment in enumerate(plan.assignments):

@@ -1,10 +1,11 @@
 """Deterministic coincidence-count sampling.
 
 Histograms emulate the experiment's count-level data: multinomial draws
-from a state's outcome distribution (or from the optical threshold
-model), with Poissonian uncertainties.  Randomness comes from numpy's
-PCG64 generator seeded through SeedSequence((seed, setting_index)), so
-identical inputs give byte-identical histograms on any platform.
+from a state's outcome distribution (or from the threshold-detector
+model of the down-conversion source), with Poissonian uncertainties.
+Randomness comes from numpy's PCG64 generator seeded through
+SeedSequence((seed, setting_index)), so identical inputs give
+byte-identical histograms on any platform.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockKet, threshold_counts
+from .fock import SpdcConfig, threshold_counts
 from .lms import CountTable
 from .states import (
     MeasurementSetting,
@@ -99,14 +100,16 @@ class ExperimentPlan:
 
 
 def outcome_probabilities(source, setting: MeasurementSetting) -> np.ndarray:
-    """Outcome distribution for either a qubit state or an optical state.
+    """Outcome distribution for either a qubit state or an optical source.
 
-    Optical sources go through the threshold-detector model and return
-    the distribution conditioned on a valid sixfold event.
+    An optical source is an :class:`SpdcConfig`, the down-conversion
+    source behind the six-arm splitter; it goes through the
+    threshold-detector model and returns the distribution conditioned on
+    a valid sixfold event.
     """
     if isinstance(source, (QubitPureState, QubitDensity)):
         return outcome_distribution(source, setting)
-    if isinstance(source, FockKet):
+    if isinstance(source, SpdcConfig):
         probs, p_event = threshold_counts(source, setting)
         if p_event <= 0.0:
             raise ValueError("the optical source produces no valid events")

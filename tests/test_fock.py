@@ -1,5 +1,8 @@
+import functools
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,29 +10,208 @@ from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke
 from dickesim.fock import (
-    FockKet,
     LossConfig,
     NoSixfoldEventsError,
     SpdcConfig,
     calibrate,
     order_weight,
-    pack_occupation,
     pick_calibration,
-    propagate,
     simulate_experiment,
-    spdc_state,
     splitter_network,
     threshold_counts,
-    unpack_occupation,
 )
 from dickesim.states import MeasurementSetting, fidelity
 
+CALIBRATION_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "calibration.json")
 
-def test_occupation_packing_round_trip():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        occ = tuple(int(v) for v in rng.integers(0, 7, size=12))
-        assert unpack_occupation(pack_occupation(occ)) == occ
+# ---------------------------------------------------------------------------
+# Oracle: a general bosonic substitution engine over the twelve optical
+# modes (six arms times two polarizations, flat index 2*j + p with p = 0
+# for H).  A ket maps packed occupations, 4 bits per mode, to amplitudes;
+# it shares no code with the closed forms it checks.
+
+N_MODES = 12
+MODE_BITS = 4
+MODE_MASK = (1 << MODE_BITS) - 1
+PRUNE_TOL = 1e-14
+SQRT_FACT = [math.sqrt(math.factorial(n)) for n in range(MODE_MASK + 1)]
+
+
+def _pack(occ):
+    return sum(int(count) << (MODE_BITS * mode) for mode, count in enumerate(occ))
+
+
+def _unpack(key):
+    return tuple((key >> (MODE_BITS * mode)) & MODE_MASK for mode in range(N_MODES))
+
+
+def _power_expansion(targets, count):
+    """Expand (sum_t c_t b_t^dag)^count into packed monomials with their
+    multinomial weights; the bosonic sqrt(n!) factors are left out."""
+    out = []
+    for multiset in itertools.combinations_with_replacement(range(len(targets)), count):
+        mult = {}
+        for i in multiset:
+            mult[i] = mult.get(i, 0) + 1
+        coeff = complex(math.factorial(count))
+        delta = 0
+        for i, k in mult.items():
+            mode, c = targets[i]
+            coeff *= c**k / math.factorial(k)
+            delta |= k << (MODE_BITS * mode)
+        out.append((delta, coeff))
+    return out
+
+
+def _substitute(ket, subs):
+    """Rewrite each creation operator b_m^dag as sum_t c_t b_t^dag, with
+    ``subs[m]`` the list of (target mode t, coefficient c_t)."""
+    out = {}
+    expansions = {}
+    for key, amp in ket.items():
+        occ = _unpack(key)
+        poly = {0: amp / math.prod(SQRT_FACT[n] for n in occ)}
+        for mode, count in enumerate(occ):
+            if count == 0:
+                continue
+            if (mode, count) not in expansions:
+                targets = [(t, c) for t, c in subs[mode] if abs(c) > 1e-15]
+                expansions[mode, count] = _power_expansion(targets, count)
+            new = {}
+            for base, base_coeff in poly.items():
+                for delta, delta_coeff in expansions[mode, count]:
+                    k2 = base + delta
+                    new[k2] = new.get(k2, 0.0) + base_coeff * delta_coeff
+            poly = new
+        for k2, value in poly.items():
+            rem = k2
+            while rem:
+                value *= SQRT_FACT[rem & MODE_MASK]
+                rem >>= MODE_BITS
+            out[k2] = out.get(k2, 0.0) + value
+    return {k: v for k, v in out.items() if abs(v) > PRUNE_TOL}
+
+
+def _norm(ket):
+    return math.sqrt(sum(abs(a) ** 2 for a in ket.values()))
+
+
+@functools.lru_cache(maxsize=None)
+def _propagated(lam, max_order, network_seed=None):
+    """sum_n lam^n |n_H, n_V> in input mode 0, normalized and scattered
+    through the splitter (or a seeded random network), polarization kept."""
+    norm = math.sqrt(sum(lam ** (2 * n) for n in range(max_order + 1)))
+    source = {_pack((n, n) + (0,) * (N_MODES - 2)): lam**n / norm for n in range(max_order + 1)}
+    u = splitter_network() if network_seed is None else _random_unitary(network_seed)
+    subs = {2 * j + p: [(2 * i + p, u[i, j]) for i in range(6)] for j in range(6) for p in (0, 1)}
+    out = _substitute(source, subs)
+    assert abs(_norm(out) - 1.0) < 1e-9
+    return out
+
+
+def _random_unitary(seed):
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _threshold_oracle(spdc, setting):
+    """Rotate every arm's polarization into the setting's basis and read
+    one click per arm off the rotated occupations."""
+    psi = _propagated(spdc.lam, spdc.max_order)
+    occupied = {
+        key: amp
+        for key, amp in psi.items()
+        if all(_unpack(key)[2 * j] + _unpack(key)[2 * j + 1] for j in range(6))
+    }
+    subs = {}
+    for j in range(6):
+        rot = setting.rotation(j)
+        for p in (0, 1):
+            subs[2 * j + p] = [(2 * j + s, rot[s, p]) for s in (0, 1)]
+    probs = np.zeros(64)
+    for key, amp in _substitute(occupied, subs).items():
+        occ = _unpack(key)
+        if all((occ[2 * j] > 0) != (occ[2 * j + 1] > 0) for j in range(6)):
+            index = sum(int(occ[2 * j + 1] > 0) << (5 - j) for j in range(6))
+            probs[index] += abs(amp) ** 2
+    p_event = probs.sum()
+    return (probs / p_event if p_event > 0 else probs), p_event
+
+
+def _loss_branches(psi, loss):
+    """Every Kraus branch of independent binomial loss on every mode.
+
+    Returns {lost photons per mode: {surviving occupation: amplitude}};
+    the branches are unnormalized, so their squared norms are the branch
+    weights.
+    """
+    etas = (loss.eta_h, loss.eta_v) * 6
+    branches = {}
+    for key, amp in psi.items():
+        occ = _unpack(key)
+        options = []
+        for n, eta in zip(occ, etas):
+            kraus = [
+                (lost, math.sqrt(math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost))
+                for lost in range(n + 1)
+            ]
+            options.append([(lost, f) for lost, f in kraus if f != 0.0])
+        for choice in itertools.product(*options):
+            factor = amp * math.prod(f for _, f in choice)
+            lost = tuple(k for k, _ in choice)
+            branch = branches.setdefault(lost, {})
+            survivor = tuple(n - k for n, k in zip(occ, lost))
+            branch[survivor] = branch.get(survivor, 0.0) + factor
+    return branches
+
+
+def _one_per_mode_index(occ):
+    """Qubit basis index of one photon in every spatial mode (H = 0,
+    mode 0 the most significant bit), or None."""
+    index = 0
+    for j in range(6):
+        if occ[2 * j] + occ[2 * j + 1] != 1:
+            return None
+        index = 2 * index + occ[2 * j + 1]
+    return index
+
+
+def _mixture_oracle(spdc, loss, network_seed=None):
+    """The full loss-branch mixture, post-selected branch by branch.
+
+    Returns the normalized post-selected state, its probability per
+    pulse and the z-basis threshold event probability.  The z rotation
+    is the identity, so a branch occupation gives a valid event when
+    exactly one polarization of every arm holds photons.
+    """
+    psi = _propagated(spdc.lam, spdc.max_order, network_seed)
+    rho = np.zeros((64, 64), dtype=complex)
+    p_event = 0.0
+    for branch in _loss_branches(psi, loss).values():
+        vec = np.zeros(64, dtype=complex)
+        for occ, amp in branch.items():
+            index = _one_per_mode_index(occ)
+            if index is not None:
+                vec[index] = amp
+            if all((occ[2 * j] > 0) != (occ[2 * j + 1] > 0) for j in range(6)):
+                p_event += abs(amp) ** 2
+        rho += np.outer(vec, vec.conj())
+    p_raw = float(np.trace(rho).real)
+    return rho / p_raw, p_raw, p_event
+
+
+def _check_against_mixture_oracle(spdc, loss, network_seed=None):
+    network = None if network_seed is None else _random_unitary(network_seed)
+    result = simulate_experiment(spdc, loss, network=network)
+    rho, p_raw, p_event = _mixture_oracle(spdc, loss, network_seed)
+    assert_allclose(result.rho_sim.matrix, rho, rtol=0, atol=1e-12)
+    assert_allclose(result.p_exact_per_pulse, p_raw, rtol=1e-9, atol=0)
+    assert_allclose(result.p_exact, p_raw / order_weight(spdc, 3), rtol=1e-9, atol=0)
+    assert_allclose(result.p_event, p_event, rtol=1e-9, atol=0)
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_spdc_config_validation():
@@ -79,16 +261,31 @@ def test_no_sixfold_events_raises():
 
 
 def test_threshold_counts_distribution_is_normalized():
-    # the raw emission occupies two spatial modes only; sixfold events
-    # appear once the state is distributed over the splitter network
-    psi = spdc_state(SpdcConfig(lam=0.5, max_order=3))
-    _, p_raw = threshold_counts(psi, MeasurementSetting.uniform("z", 6))
-    assert p_raw == 0.0
-    spread = propagate(psi, splitter_network())
-    probs, p_event = threshold_counts(spread, MeasurementSetting.uniform("z", 6))
+    # two pairs carry four photons, too few for a sixfold coincidence
+    probs, p_raw = threshold_counts(SpdcConfig(lam=0.5, max_order=2), MeasurementSetting.uniform("z", 6))
+    assert p_raw == 0.0 and not probs.any()
+    probs, p_event = threshold_counts(SpdcConfig(lam=0.5, max_order=3), MeasurementSetting.uniform("z", 6))
     assert probs.shape == (64,)
     assert_allclose(probs.sum(), 1.0, atol=1e-10)
     assert p_event > 0.0
+
+
+@pytest.mark.parametrize("max_order", [3, 4, 5])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        MeasurementSetting.uniform("z", 6),
+        MeasurementSetting.direction(0.7, 1.3, 6),
+        MeasurementSetting(tuple("xyzxyz")),
+    ],
+    ids=["z", "tilted", "xyzxyz"],
+)
+def test_threshold_counts_matches_substitution_oracle(setting, max_order):
+    spdc = SpdcConfig(lam=0.7, max_order=max_order)
+    probs, p_event = threshold_counts(spdc, setting)
+    expected, expected_event = _threshold_oracle(spdc, setting)
+    assert_allclose(probs, expected, rtol=0, atol=1e-12)
+    assert_allclose(p_event, expected_event, rtol=1e-9, atol=0)
 
 
 def test_simulation_report_keys(noisy_simulation):
@@ -137,65 +334,38 @@ def test_calibrate_grid_and_pick():
     )
 
 
-def _loss_branches(psi, loss):
-    """Every Kraus branch of independent binomial loss on every mode.
-
-    Returns {lost photons per mode: {surviving occupation: amplitude}};
-    the branches are unnormalized, so their squared norms are the branch
-    weights.
-    """
-    branches = {}
-    for occ, amp in psi.items():
-        options = []
-        for n, eta in zip(occ, loss.flat()):
-            kraus = [
-                (lost, math.sqrt(math.comb(n, lost) * eta ** (n - lost) * (1.0 - eta) ** lost))
-                for lost in range(n + 1)
-            ]
-            options.append([(lost, f) for lost, f in kraus if f != 0.0])
-        for choice in itertools.product(*options):
-            factor = amp * math.prod(f for _, f in choice)
-            lost = tuple(k for k, _ in choice)
-            branch = branches.setdefault(lost, {})
-            survivor = tuple(n - k for n, k in zip(occ, lost))
-            branch[survivor] = branch.get(survivor, 0.0) + factor
-    return branches
+def test_calibrate_reproduces_calibration_file():
+    with open(CALIBRATION_PATH) as fh:
+        stored = json.load(fh)
+    lambdas = list(dict.fromkeys(rec["lambda"] for rec in stored["grid"]))
+    etas = list(dict.fromkeys(rec["eta_H"] for rec in stored["grid"]))
+    assert (len(lambdas), len(etas)) == (7, 6)
+    grid = calibrate(lambdas, etas, max_order=4)
+    assert len(grid) == len(stored["grid"])
+    for record, expected in zip(grid, stored["grid"]):
+        assert record.keys() == expected.keys()
+        for key, value in expected.items():
+            assert_allclose(record[key], value, rtol=1e-9, atol=0, err_msg=key)
+    picked = pick_calibration(grid, stored["target_fidelity"])
+    assert (picked["lambda"], picked["eta_H"]) == (
+        stored["picked"]["lambda"], stored["picked"]["eta_H"]
+    )
 
 
-def _one_per_mode_index(occ):
-    """Qubit basis index of one photon in every spatial mode (H = 0,
-    mode 0 the most significant bit), or None."""
-    index = 0
-    for j in range(6):
-        if occ[2 * j] + occ[2 * j + 1] != 1:
-            return None
-        index = 2 * index + occ[2 * j + 1]
-    return index
+def _permute_qubits(matrix, order):
+    """Density matrix whose qubit k is qubit order[k] of ``matrix``."""
+    axes = list(order) + [6 + k for k in order]
+    return matrix.reshape((2,) * 12).transpose(axes).reshape(64, 64)
 
 
-def _mixture_oracle(spdc, loss):
-    """The full loss-branch mixture, post-selected branch by branch.
-
-    Returns the normalized post-selected state, its probability per
-    pulse and the z-basis threshold event probability, the last one as
-    the weighted sum of threshold_counts over the branches.
-    """
-    psi = propagate(spdc_state(spdc), splitter_network())
-    z_basis = MeasurementSetting.uniform("z", 6)
-    rho = np.zeros((64, 64), dtype=complex)
-    p_event = 0.0
-    for branch in _loss_branches(psi, loss).values():
-        vec = np.zeros(64, dtype=complex)
-        for occ, amp in branch.items():
-            index = _one_per_mode_index(occ)
-            if index is not None:
-                vec[index] = amp
-        rho += np.outer(vec, vec.conj())
-        weight = sum(abs(a) ** 2 for a in branch.values())
-        ket = FockKet(branch, photon_cap=psi.photon_cap, normalize=True)
-        p_event += weight * threshold_counts(ket, z_basis)[1]
-    p_raw = float(np.trace(rho).real)
-    return rho / p_raw, p_raw, p_event
+def test_splitter_state_is_permutation_invariant():
+    result = simulate_experiment(
+        SpdcConfig(lam=0.85, max_order=4), LossConfig(eta_h=0.3, eta_v=0.6)
+    )
+    rho = result.rho_sim.matrix
+    assert result.fidelity_vs_d63 < 0.99
+    for order in ([3, 1, 2, 0, 4, 5], [1, 2, 3, 4, 5, 0]):
+        assert_allclose(_permute_qubits(rho, order), rho, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -210,11 +380,12 @@ def _mixture_oracle(spdc, loss):
     ],
 )
 def test_simulation_matches_loss_branch_oracle(lam, max_order, eta_h, eta_v):
-    spdc = SpdcConfig(lam=lam, max_order=max_order)
-    loss = LossConfig(eta_h=eta_h, eta_v=eta_v)
-    result = simulate_experiment(spdc, loss)
-    rho, p_raw, p_event = _mixture_oracle(spdc, loss)
-    assert_allclose(result.rho_sim.matrix, rho, rtol=0, atol=1e-12)
-    assert_allclose(result.p_exact_per_pulse, p_raw, rtol=1e-9, atol=0)
-    assert_allclose(result.p_exact, p_raw / order_weight(spdc, 3), rtol=1e-9, atol=0)
-    assert_allclose(result.p_event, p_event, rtol=1e-9, atol=0)
+    _check_against_mixture_oracle(
+        SpdcConfig(lam=lam, max_order=max_order), LossConfig(eta_h=eta_h, eta_v=eta_v)
+    )
+
+
+def test_simulation_matches_loss_branch_oracle_on_random_network():
+    _check_against_mixture_oracle(
+        SpdcConfig(lam=0.7, max_order=3), LossConfig(eta_h=0.4, eta_v=0.8), network_seed=11
+    )

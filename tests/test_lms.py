@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -316,6 +317,33 @@ def test_check_plan_covers_flags_collective_weights_on_mixed_axes():
     )
     with pytest.raises(CoverageError, match="one direction"):
         check_plan_covers(plan, decomp)
+
+
+def test_check_plan_covers_needs_a_collective_setting_for_collective_strings():
+    decomp = decompose(dicke(3, 1))
+    plan = SettingPlan(
+        method="symmetric",
+        num_qubits=3,
+        target_label=None,
+        assignments=(SettingAssignment(MeasurementSetting.pauli("zzz"), ("ZZZ",)),),
+        collective_strings=tuple(decomp.nonidentity_strings()),
+    )
+    with pytest.raises(CoverageError, match="misses"):
+        check_plan_covers(plan, decomp)
+
+
+def test_check_plan_covers_memory_stays_flat_on_ten_qubits():
+    # 131,584 strings over 56 settings: one set of strings, not one tuple
+    # of setting indices per string
+    decomp = decompose(dicke(10, 5))
+    plan = plan_settings(decomp, strategy="symmetric")
+    tracemalloc.start()
+    try:
+        check_plan_covers(plan, decomp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_estimator_recovers_unit_fidelity_from_exact_counts():

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke
-from dickesim.fock import SpdcConfig, propagate, spdc_state, splitter_network
+from dickesim.fock import SpdcConfig
 from dickesim.sampling import (
     CoincidenceHistogram,
     ExperimentPlan,
@@ -34,14 +34,13 @@ def test_stream_generator_is_reproducible_and_independent():
 def test_outcome_probabilities_dispatch():
     probs = outcome_probabilities(dicke(4, 2), zbasis(4))
     assert_allclose(probs, outcome_distribution(dicke(4, 2), zbasis(4)), atol=1e-12)
-    fock = propagate(spdc_state(SpdcConfig(lam=0.5, max_order=3)), splitter_network())
-    probs = outcome_probabilities(fock, zbasis(6))
+    probs = outcome_probabilities(SpdcConfig(lam=0.5, max_order=3), zbasis(6))
     assert_allclose(probs.sum(), 1.0, atol=1e-10)
     with pytest.raises(TypeError):
         outcome_probabilities(np.eye(4), zbasis(2))
-    # undistributed emission cannot trigger sixfold coincidences
+    # two pairs carry too few photons for a sixfold coincidence
     with pytest.raises(ValueError):
-        outcome_probabilities(spdc_state(SpdcConfig(lam=0.5, max_order=3)), zbasis(6))
+        outcome_probabilities(SpdcConfig(lam=0.5, max_order=2), zbasis(6))
 
 
 def test_sample_matches_distribution():
