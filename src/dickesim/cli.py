@@ -420,7 +420,7 @@ def cmd_witness(config: dict, ctx: Context) -> dict:
 
 
 def cmd_bound(config: dict, ctx: Context) -> dict:
-    from .witness import SeeSawOptions, biseparable_bound, witness_value
+    from .witness import SeeSawOptions, biseparable_bound, bound_curve, witness_value
 
     n = config["num_qubits"]
     options = SeeSawOptions(restarts=config["restarts"], seed=ctx.seed)
@@ -452,9 +452,8 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
         results["gap"] = estimate.value - value
     if config["alphas"]:
         rows = []
-        for alpha in config["alphas"]:
-            est = biseparable_bound(n, alpha=alpha, options=options)
-            row = {"alpha": alpha, "bound": est.value}
+        for alpha, bound in bound_curve(n, config["alphas"], options):
+            row = {"alpha": alpha, "bound": bound}
             if state is not None:
                 row["state_value"] = witness_value(state, alpha)
             rows.append(row)

@@ -30,7 +30,7 @@ from math import comb, factorial
 import numpy as np
 
 from .dicke_states import dicke
-from .states import MeasurementSetting, QubitDensity, fidelity
+from .states import MeasurementSetting, QubitDensity
 
 N_SPATIAL = 6
 UNITARY_TOL = 1e-10
@@ -272,7 +272,7 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> Simulat
     one_per_arm = float(np.prod(c))
     miss_h, miss_v = 1.0 - loss.eta_h, 1.0 - loss.eta_v
     rho = np.zeros((2**N_SPATIAL, 2**N_SPATIAL))
-    p_raw = 0.0
+    dicke_weights = []
     for w in range(N_SPATIAL + 1):
         lost = sum(
             weights[n] * miss_h ** (n - N_SPATIAL + w) * miss_v ** (n - w)
@@ -282,7 +282,8 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> Simulat
         p_w = one_per_arm * comb(N_SPATIAL, w) * loss.eta_h ** (N_SPATIAL - w) * loss.eta_v**w * lost
         d = dicke(N_SPATIAL, w).amplitudes.real
         rho += p_w * np.outer(d, d)
-        p_raw += p_w
+        dicke_weights.append(p_w)
+    p_raw = sum(dicke_weights)
     if p_raw < 1e-30:
         raise NoSixfoldEventsError("post-selection kept zero probability")
     photons = np.arange(order + 1)
@@ -301,7 +302,8 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> Simulat
     rho_sim = QubitDensity(N_SPATIAL, rho / p_raw)
     return SimulationResult(
         rho_sim=rho_sim,
-        fidelity_vs_d63=fidelity(rho_sim, dicke(6, 3)),
+        # the Dicke states are orthonormal, so the overlap with D(6, 3) is P_3
+        fidelity_vs_d63=dicke_weights[3] / p_raw,
         p_exact=p_raw / order_weight(spdc, 3),
         p_exact_per_pulse=p_raw,
         p_event=p_event,

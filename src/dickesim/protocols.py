@@ -19,11 +19,11 @@ import numpy as np
 from .dicke_states import dicke, ghz
 from .states import (
     _POPCOUNT,
-    PAULI,
     MeasurementSetting,
     QubitDensity,
     QubitPureState,
     _as_density_matrix,
+    expectation,
     fidelity,
     outcome_distribution,
     partial_trace,
@@ -70,7 +70,7 @@ def maximal_singlet_fraction(state, restarts=None, seed=None) -> MsfResult:
     """Largest singlet overlap reachable by local unitaries on both qubits.
 
     The singlet (I - XX - YY - ZZ)/4 has no local terms, so the overlap
-    depends only on the correlation matrix T_ij = tr(rho sigma_i sigma_j),
+    depends only on the correlation matrix T_ij = <sigma_i sigma_j>,
     on which local unitaries act as rotations O_A T O_B^T.  Maximizing
     over both rotations gives the closed form
     (1 + s1 + s2 - sgn(det T) s3) / 4 with s1 >= s2 >= s3 the singular
@@ -78,12 +78,9 @@ def maximal_singlet_fraction(state, restarts=None, seed=None) -> MsfResult:
     no search and no randomness: ``restarts`` and ``seed`` are accepted
     and ignored.
     """
-    rho = _as_density_matrix(state)
-    if rho.shape != (4, 4):
+    if state.num_qubits != 2:
         raise ValueError("maximal singlet fraction is defined for two qubits")
-    t = np.array(
-        [[np.trace(rho @ np.kron(PAULI[a], PAULI[b])).real for b in "XYZ"] for a in "XYZ"]
-    )
+    t = np.array([[expectation(state, a + b) for b in "XYZ"] for a in "XYZ"])
     s1, s2, s3 = np.linalg.svd(t, compute_uv=False)
     value = (1.0 + s1 + s2 - np.sign(np.linalg.det(t)) * s3) / 4.0
     return MsfResult(value=float(min(max(value, 0.25), 1.0)))
@@ -171,20 +168,19 @@ class OdtResult:
         return [p for p in self.patterns if p.success]
 
 
-def _pattern_block_indices(num_qubits: int, keep, pattern_bits) -> np.ndarray:
-    """Computational-basis indices with the measured qubits fixed to the
-    pattern, ordered by the kept pair's (first, second) bit values."""
-    measured = [q for q in range(num_qubits) if q not in keep]
-    base = 0
-    for q, bit in zip(measured, pattern_bits):
-        base |= bit << (num_qubits - 1 - q)
-    i, j = keep
-    return np.array(
-        [
-            base | (a << (num_qubits - 1 - i)) | (b << (num_qubits - 1 - j))
-            for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
-        ]
-    )
+def _pair_blocks(state, keep) -> np.ndarray:
+    """Unnormalized kept-pair blocks, one per H/V pattern of the measured
+    qubits: shape (2^(N-2), 4, 4), patterns in ``itertools.product`` order
+    and the pair basis ordered by the (first, second) bit values."""
+    n = state.num_qubits
+    order = [q for q in range(n) if q not in keep] + list(keep)
+    count = 2 ** (n - 2)
+    if isinstance(state, QubitPureState):
+        amps = state.amplitudes.reshape([2] * n).transpose(order).reshape(count, 4)
+        return amps[:, :, None] * amps.conj()[:, None, :]
+    tensor = state.matrix.reshape([2] * (2 * n))
+    tensor = tensor.transpose(order + [n + q for q in order]).reshape(count, 4, count, 4)
+    return np.moveaxis(np.diagonal(tensor, axis1=0, axis2=2), -1, 0)
 
 
 def odt_report(state, keep: tuple[int, int] = (0, 1)) -> OdtResult:
@@ -195,7 +191,8 @@ def odt_report(state, keep: tuple[int, int] = (0, 1)) -> OdtResult:
     measured qubits); for the half-excited Dicke state each one projects
     the kept pair exactly onto (HV + VH)/sqrt(2).  The probability-
     weighted fidelity over all patterns reproduces the pair marginal's
-    Bell fraction, reported as channel_consistency.
+    Bell fraction, reported as channel_consistency.  Pure and mixed
+    inputs share one grading path over the stack of pair blocks.
     """
     n = state.num_qubits
     if n < 3:
@@ -203,50 +200,27 @@ def odt_report(state, keep: tuple[int, int] = (0, 1)) -> OdtResult:
     i, j = keep
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid kept pair {keep} for {n} qubits")
-    pure = isinstance(state, QubitPureState)
-    mat = None if pure else _as_density_matrix(state)
-    patterns = []
-    p_success = 0.0
-    heralded_mass = 0.0
-    consistency = 0.0
-    for bits in itertools.product((0, 1), repeat=n - 2):
-        label = "".join("HV"[b] for b in bits)
-        idx = _pattern_block_indices(n, keep, bits)
-        if pure:
-            block = state.amplitudes[idx]
-            prob = float(np.real(block.conj() @ block))
-            conditional = block / math.sqrt(prob) if prob > ZERO_PATTERN_TOL else None
-            overlap = (
-                0.0
-                if conditional is None
-                else abs(np.vdot(PSI_PLUS.amplitudes, conditional)) ** 2
-            )
-        else:
-            block = mat[np.ix_(idx, idx)]
-            prob = float(np.trace(block).real)
-            overlap = (
-                0.0
-                if prob <= ZERO_PATTERN_TOL
-                else float(
-                    np.real(
-                        PSI_PLUS.amplitudes.conj() @ block @ PSI_PLUS.amplitudes
-                    )
-                )
-                / prob
-            )
-        overlap = min(max(overlap, 0.0), 1.0)
-        patterns.append(OdtPattern(label, prob, overlap))
-        consistency += prob * overlap
-        if label.count("H") == label.count("V"):
-            p_success += prob
-            heralded_mass += prob * overlap
+    blocks = _pair_blocks(state, (i, j))
+    bell = PSI_PLUS.amplitudes
+    probs = np.einsum("paa->p", blocks).real
+    bell_mass = np.einsum("a,pab,b->p", bell.conj(), blocks, bell).real
+    live = probs > ZERO_PATTERN_TOL
+    overlaps = np.zeros_like(probs)
+    overlaps[live] = np.clip(bell_mass[live] / probs[live], 0.0, 1.0)
+    balanced = 2 * _POPCOUNT[: probs.size] == n - 2
+    p_success = float(probs[balanced].sum())
+    heralded_mass = float((probs * overlaps)[balanced].sum())
+    labels = ("".join(bits) for bits in itertools.product("HV", repeat=n - 2))
     return OdtResult(
         num_qubits=n,
         keep=(i, j),
-        patterns=tuple(patterns),
+        patterns=tuple(
+            OdtPattern(label, float(p), float(f))
+            for label, p, f in zip(labels, probs, overlaps)
+        ),
         p_success=p_success,
         mean_heralded_fidelity=heralded_mass / p_success if p_success else 0.0,
-        channel_consistency=consistency,
+        channel_consistency=float(probs @ overlaps),
     )
 
 

@@ -114,10 +114,6 @@ class QubitDensity:
         self.matrix = mat
         self.label = label
 
-    @classmethod
-    def from_pure(cls, state: QubitPureState) -> "QubitDensity":
-        return state.density()
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -173,7 +169,11 @@ def _pauli_masks(letters: str, n: int):
 
 
 def expectation(state: State, letters: str) -> float:
-    """Real expectation value <P> of a Pauli string on a state."""
+    """Real expectation value <P> = tr(rho P) of a Pauli string on a state.
+
+    This is the one place that contracts a Pauli product with a state;
+    correlator scans and two-qubit correlation matrices are built on it.
+    """
     n = state.num_qubits
     letters = check_pauli_string(letters, n)
     flip, sign, n_y = _pauli_masks(letters, n)
@@ -183,7 +183,8 @@ def expectation(state: State, letters: str) -> float:
         amps = state.amplitudes
         val = np.sum(amps.conj()[idx ^ flip] * phase * amps)
     else:
-        val = np.sum(state.matrix[idx ^ flip, idx] * phase)
+        # P|b> = phase(b) |b ^ flip>, so tr(rho P) = sum_b phase(b) rho[b, b ^ flip]
+        val = np.sum(state.matrix[idx, idx ^ flip] * phase)
     if abs(val.imag) > 1e-9:
         raise ValueError(f"expectation has imaginary part {val.imag}")
     return float(val.real)

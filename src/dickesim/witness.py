@@ -25,10 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dicke_states import dicke, ghz
+from .dicke_states import ghz
 from .states import (
     PAULI,
-    MeasurementSetting,
     QubitDensity,
     QubitPureState,
     State,
@@ -277,24 +276,21 @@ def correlator_scan(state: State, plane: str, thetas) -> np.ndarray:
     """<(cos(t) sigma_i + sin(t) sigma_z)^xN> over the angle grid.
 
     ``plane`` selects sigma_x ('xz') or sigma_y ('yz') as the in-plane
-    partner of sigma_z.
+    partner A of sigma_z.  Expanding the product gives the polynomial
+    sum_k cos(t)^(N-k) sin(t)^k E_k, where E_k sums <P> over the C(N, k)
+    strings with Z on k qubits and A on the rest, so the N + 1 sums come
+    from 2^N ``expectation`` calls once and any grid costs O(N) per angle.
     """
     if plane not in ("xz", "yz"):
         raise ValueError(f"plane must be 'xz' or 'yz', got {plane!r}")
-    first = PAULI["X"] if plane == "xz" else PAULI["Y"]
+    partner = "X" if plane == "xz" else "Y"
     n = state.num_qubits
-    rho = _as_density_matrix(state)
-    out = np.empty(len(thetas))
-    for i, theta in enumerate(np.asarray(thetas, dtype=float)):
-        op = np.cos(theta) * first + np.sin(theta) * PAULI["Z"]
-        tensor = rho.reshape([2] * (2 * n))
-        for q in range(n):
-            tensor = np.moveaxis(
-                np.tensordot(op, tensor, axes=[[1], [q]]), 0, q
-            )
-        val = np.trace(tensor.reshape(2**n, 2**n))
-        out[i] = val.real
-    return out
+    sums = np.zeros(n + 1)
+    for letters in itertools.product((partner, "Z"), repeat=n):
+        sums[letters.count("Z")] += expectation(state, "".join(letters))
+    thetas = np.asarray(thetas, dtype=float)[:, None]
+    k = np.arange(n + 1)
+    return (np.cos(thetas) ** (n - k) * np.sin(thetas) ** k) @ sums
 
 
 def dephased(state: State) -> QubitDensity:

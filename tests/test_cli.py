@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -9,6 +10,8 @@ import dickesim
 from dickesim.cli import config_digest, main
 from dickesim.dicke_states import dicke
 from dickesim.lms import decompose
+from dickesim.witness import dephased as dephased_state
+from test_witness import contracted_scan
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -154,6 +157,31 @@ def test_scan_dephased(tmp_path, capsys):
     assert results["dephased"] is True
     # the dephased correlator is -sin^6, so it never goes positive
     assert all(row["correlator"] <= 1e-9 for row in results["rows"])
+
+
+# generous wall-time budget for one run at the largest config the scan schema
+# accepts; the closed-form scan needs about 2-3 s on a shared 2-core host
+SCAN_BUDGET_S = 60.0
+
+
+@pytest.mark.parametrize("dephased", [False, True])
+def test_scan_at_the_schema_maximum_finishes_in_bounded_time(dephased, tmp_path, capsys):
+    config = write_config(
+        tmp_path, {"state": "dicke_10_5", "points": 100000, "dephased": dephased}
+    )
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run_cli(["scan", "--config", config, "--out", str(out)]) == 0
+    assert time.perf_counter() - start < SCAN_BUDGET_S
+    capsys.readouterr()
+    rows = load_report(out, "scan")["results"]["rows"]
+    assert len(rows) == 100000
+    picked = [rows[k] for k in (0, 12345, 71234, 99999)]
+    state = dephased_state(dicke(10, 5)) if dephased else dicke(10, 5)
+    expected = contracted_scan(state, "xz", [row["theta"] for row in picked])
+    for row, value in zip(picked, expected):
+        # report floats carry 12 significant digits
+        assert abs(row["correlator"] - value) < 1e-9
 
 
 def test_lms_ghz_special(tmp_path, capsys):

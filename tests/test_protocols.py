@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from dickesim.protocols import (
     teleport_fidelity_max,
     werner,
 )
-from dickesim.states import PAULI, QubitDensity, apply_local, fidelity
+from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
+from dickesim.states import PAULI, QubitDensity, QubitPureState, apply_local, fidelity
 from dickesim.witness import dephased
 
 
@@ -52,8 +54,9 @@ def searched_singlet_fraction(rho):
     )
 
 
-def _random_full_rank_pair(rng):
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+def _random_full_rank(rng, num_qubits=2):
+    dim = 2**num_qubits
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
@@ -61,6 +64,44 @@ def _random_full_rank_pair(rng):
 def _bell_diagonal(t):
     # (I + sum_i t_i sigma_i sigma_i) / 4, so T = diag(t) and det T = t1 t2 t3
     return (np.eye(4) + sum(ti * np.kron(PAULI[a], PAULI[a]) for ti, a in zip(t, "XYZ"))) / 4.0
+
+
+def graded_patterns(state, keep):
+    """Oracle: grade every H/V pattern of the measured qubits one at a
+    time, from the kept pair's amplitudes (pure) or its density block
+    (mixed).  Returns ([(label, prob, fidelity)], p_success,
+    mean_heralded_fidelity, channel_consistency)."""
+    n = state.num_qubits
+    measured = [q for q in range(n) if q not in keep]
+    patterns = []
+    p_success = heralded = consistency = 0.0
+    for bits in itertools.product((0, 1), repeat=n - 2):
+        base = sum(bit << (n - 1 - q) for q, bit in zip(measured, bits))
+        idx = [
+            base | (a << (n - 1 - keep[0])) | (b << (n - 1 - keep[1]))
+            for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))
+        ]
+        if isinstance(state, QubitPureState):
+            block = state.amplitudes[idx]
+            prob = float(np.real(block.conj() @ block))
+            overlap = (
+                abs(np.vdot(PSI_PLUS.amplitudes, block / math.sqrt(prob))) ** 2
+                if prob > 1e-12 else 0.0
+            )
+        else:
+            block = state.matrix[np.ix_(idx, idx)]
+            prob = float(np.trace(block).real)
+            overlap = (
+                float(np.real(PSI_PLUS.amplitudes.conj() @ block @ PSI_PLUS.amplitudes)) / prob
+                if prob > 1e-12 else 0.0
+            )
+        overlap = min(max(overlap, 0.0), 1.0)
+        patterns.append(("".join("HV"[b] for b in bits), prob, overlap))
+        consistency += prob * overlap
+        if 2 * sum(bits) == n - 2:
+            p_success += prob
+            heralded += prob * overlap
+    return patterns, p_success, heralded / p_success if p_success else 0.0, consistency
 
 
 def test_pair_state_psi_plus_fractions():
@@ -136,7 +177,7 @@ def test_singlet_fraction_matches_local_rotation_search():
         "werner pair": werner(2, 0.7).matrix,
     }
     for k in range(5):
-        cases[f"random full rank {k}"] = _random_full_rank_pair(rng)
+        cases[f"random full rank {k}"] = _random_full_rank(rng)
     for name, rho in cases.items():
         expected = searched_singlet_fraction(rho)
         got = maximal_singlet_fraction(QubitDensity(2, rho)).value
@@ -214,6 +255,30 @@ def test_odt_other_kept_pairs():
     assert result.keep == (2, 4)
     assert_allclose(result.p_success, 0.6, atol=1e-12)
     assert_allclose(result.mean_heralded_fidelity, 1.0, atol=1e-12)
+
+
+def test_odt_matches_per_pattern_oracle():
+    lossy = simulate_experiment(
+        SpdcConfig(lam=0.85, max_order=4), LossConfig(eta_h=0.3, eta_v=0.22)
+    ).rho_sim
+    cases = {
+        "d63": dicke(6, 3),
+        "d84": dicke(8, 4),
+        "dephased d63": dephased(dicke(6, 3)),
+        "lossy eta_H != eta_V": lossy,
+        "random complex": QubitDensity(6, _random_full_rank(np.random.default_rng(17), 6)),
+    }
+    for name, state in cases.items():
+        for keep in ((0, 1), (2, 4), (3, 0)):
+            patterns, p_success, heralded, consistency = graded_patterns(state, keep)
+            result = odt_report(state, keep)
+            assert [p.outcomes for p in result.patterns] == [p[0] for p in patterns]
+            got = [(p.prob, p.fidelity) for p in result.patterns]
+            assert_allclose(got, [p[1:] for p in patterns], atol=1e-12, err_msg=f"{name} {keep}")
+            assert_allclose(
+                (result.p_success, result.mean_heralded_fidelity, result.channel_consistency),
+                (p_success, heralded, consistency), atol=1e-12, err_msg=f"{name} {keep}",
+            )
 
 
 def test_qss_noiseless_run_has_no_errors():

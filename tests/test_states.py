@@ -71,12 +71,24 @@ def random_pure(num_qubits, rng):
     return QubitPureState(num_qubits, amps / np.linalg.norm(amps))
 
 
+def random_density(num_qubits, rng):
+    dim = 2**num_qubits
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return QubitDensity(num_qubits, rho / np.trace(rho).real)
+
+
 def test_expectation_matches_dense_operator():
     psi = random_pure(3, np.random.default_rng(7))
-    for letters in ["XYZ", "ZZI", "IXI", "YYY"]:
+    # complex off-diagonal entries make tr(rho P) and tr(rho P^T) differ in
+    # sign on strings with an odd number of Y letters
+    rho = random_density(3, np.random.default_rng(11))
+    for letters in ["XYZ", "ZZI", "IXI", "YYY", "YXI", "IIY"]:
         op = kron_chain(letters)
         direct = np.vdot(psi.amplitudes, op @ psi.amplitudes).real
         assert_allclose(expectation(psi, letters), direct, atol=1e-12)
+        direct = np.trace(rho.matrix @ op).real
+        assert_allclose(expectation(rho, letters), direct, atol=1e-12)
 
 
 def test_expectation_checks_pauli_string():

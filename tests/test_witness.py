@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dickesim.dicke_states import dicke, ghz
-from dickesim.states import QubitPureState, apply_local, fidelity
+from dickesim.dicke_states import dicke, ghz, w_state
+from dickesim.protocols import werner
+from dickesim.states import PAULI, QubitPureState, apply_local, fidelity
 from dickesim.witness import (
     SeeSawOptions,
     _seesaw_once,
@@ -21,6 +22,7 @@ from dickesim.witness import (
     witness_operator,
     witness_value,
 )
+from test_states import random_density
 
 
 def dense_class_maxima(n, alpha, restarts, seed=0):
@@ -46,6 +48,26 @@ def dense_class_maxima(n, alpha, restarts, seed=0):
         )
         out.setdefault(min(len(part_a), n - len(part_a)), []).append(best)
     return out
+
+
+def contracted_scan(state, plane, thetas):
+    """Oracle: tr((cos(t) A + sin(t) Z)^xN rho) by contracting the 4^N
+    density tensor with the single-qubit operator one qubit at a time,
+    at every angle; A is X for 'xz' and Y for 'yz'."""
+    first = PAULI["X"] if plane == "xz" else PAULI["Y"]
+    n = state.num_qubits
+    if isinstance(state, QubitPureState):
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    else:
+        rho = state.matrix
+    out = []
+    for theta in thetas:
+        op = np.cos(theta) * first + np.sin(theta) * PAULI["Z"]
+        tensor = rho.reshape([2] * (2 * n))
+        for q in range(n):
+            tensor = np.moveaxis(np.tensordot(op, tensor, axes=[[1], [q]]), 0, q)
+        out.append(np.trace(tensor.reshape(2**n, 2**n)).real)
+    return np.array(out)
 
 
 def test_collective_spin_operator_is_hermitian():
@@ -155,6 +177,27 @@ def test_correlator_scan_closed_form():
     assert_allclose(
         correlator_scan(dicke(6, 3), "yz", thetas), expected, atol=1e-10
     )
+
+
+def test_correlator_scan_matches_contraction_oracle():
+    rng = np.random.default_rng(31)
+    cases = {
+        "d63": dicke(6, 3),
+        "ghz4": ghz(4),
+        "w5": w_state(5),
+        "dephased d63": dephased(dicke(6, 3)),
+        "werner d63": werner(6, 0.6, base=dicke(6, 3)),
+    }
+    for n in range(1, 6):
+        cases[f"random complex {n}"] = random_density(n, rng)
+    thetas = np.linspace(-0.3, 2.0 * np.pi, 29)
+    for name, state in cases.items():
+        for plane in ("xz", "yz"):
+            got = correlator_scan(state, plane, thetas)
+            assert_allclose(got, contracted_scan(state, plane, thetas), atol=1e-12,
+                            err_msg=f"{name} {plane}")
+    with pytest.raises(ValueError):
+        correlator_scan(dicke(6, 3), "xy", thetas)
 
 
 def test_dephased_correlator_closed_form():
