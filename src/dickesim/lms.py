@@ -8,9 +8,10 @@ qubits.  Two ways of reading the strings out:
 * exact matching (``greedy``, up to ``MAX_GREEDY_QUBITS`` qubits): a
   string is evaluated from one product measurement whose axes equal its
   non-identity letters, and grouping strings into few settings is a set
-  cover solved greedily.  Every full-support string pins its own
-  setting, so this needs at least as many settings as there are such
-  strings (183 for the six-qubit Dicke state);
+  cover solved greedily, with one bitmask per candidate setting and lazily
+  refreshed gains.  Every full-support string pins its own setting, so
+  this needs at least as many settings as there are such strings (183 for
+  the six-qubit Dicke state);
 * uniform directions (``symmetric`` and ``ghz_special``): every qubit is
   measured along the same direction n_k, and the symmetric m-body
   correlators e_m of the outcomes carry weights w_km solved so that
@@ -24,6 +25,7 @@ qubits.  Two ways of reading the strings out:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -34,7 +36,10 @@ import numpy as np
 from .states import _POPCOUNT, PAULI, MeasurementSetting, QubitPureState
 
 COEFF_TOL = 1e-12
-# the greedy cover scans up to 3^N candidate settings for every setting it picks
+# the greedy cover builds one bitmask over the strings for each of the 3^N
+# candidate settings; the cap is set by the plan size, not the search: the
+# eight-qubit Dicke state takes 2,012 settings and the nine-qubit one 7,477,
+# too many to sample in bounded time
 MAX_GREEDY_QUBITS = 8
 # largest weight residual a uniform-direction plan may leave before it is refused
 SYMMETRIC_RESIDUAL_TOL = 1e-10
@@ -211,31 +216,51 @@ def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
     if n > MAX_GREEDY_QUBITS:
         raise ValueError(f"greedy supports at most {MAX_GREEDY_QUBITS} qubits, got {n}")
     strings = decomp.nonidentity_strings()
-    # enumerate, per string, every axis assignment that can read it out;
-    # identity positions are free and range over all three axes
-    by_candidate: dict[tuple, set] = {}
-    for string in strings:
-        fixed = [
-            "xyz" if letter == "I" else letter.lower() for letter in string
-        ]
-        for axes in itertools.product(*fixed):
-            by_candidate.setdefault(axes, set()).add(string)
-    uncovered = set(strings)
+    # candidate c is the axis assignment at position c of
+    # itertools.product("xyz", repeat=n); masks[c] has bit i set when it
+    # reads out strings[i].  Identity positions are free and range over
+    # all three axes.
+    place = [3 ** (n - 1 - k) for k in range(n)]
+    digit = {"X": 0, "Y": 1, "Z": 2}
+    offsets: dict[tuple, list] = {}
+    masks = [0] * 3**n
+    for i, string in enumerate(strings):
+        free = tuple(k for k, letter in enumerate(string) if letter == "I")
+        if free not in offsets:
+            offsets[free] = [
+                sum(d * place[k] for d, k in zip(ds, free))
+                for ds in itertools.product(range(3), repeat=len(free))
+            ]
+        base = sum(digit[letter] * place[k] for k, letter in enumerate(string) if letter != "I")
+        bit = 1 << i
+        for offset in offsets[free]:
+            masks[base + offset] |= bit
+    # lazy greedy: gains only shrink as strings get covered, so a stale
+    # gain bounds the true one, and a refreshed top entry that still sorts
+    # first is the largest gain at the smallest index
+    heap = [(-mask.bit_count(), c) for c, mask in enumerate(masks) if mask]
+    heapq.heapify(heap)
+    uncovered = (1 << len(strings)) - 1
     assignments = []
     while uncovered:
-        best_axes = None
-        best_gain = 0
-        for axes in sorted(by_candidate):
-            gain = len(by_candidate[axes] & uncovered)
-            if gain > best_gain:
-                best_axes, best_gain = axes, gain
-        if best_axes is None:
+        if not heap:
             raise AssertionError("greedy cover stalled with strings left")
-        taken = sorted(by_candidate[best_axes] & uncovered)
-        uncovered -= set(taken)
-        assignments.append(
-            SettingAssignment(MeasurementSetting(best_axes), tuple(taken))
-        )
+        _, c = heapq.heappop(heap)
+        taken = masks[c] & uncovered
+        gain = taken.bit_count()
+        if not gain:
+            continue
+        if heap and (-gain, c) > heap[0]:
+            heapq.heappush(heap, (-gain, c))
+            continue
+        uncovered ^= taken
+        covered = []
+        while taken:
+            low = taken & -taken
+            covered.append(strings[low.bit_length() - 1])
+            taken ^= low
+        axes = tuple("xyz"[c // place[k] % 3] for k in range(n))
+        assignments.append(SettingAssignment(MeasurementSetting(axes), tuple(covered)))
     return SettingPlan(
         method="greedy",
         num_qubits=n,
@@ -361,9 +386,12 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     ``greedy``: exact matching; repeatedly pick the axis assignment
     evaluating the most uncovered strings (ties broken toward the
     lexicographically smallest axis string), assigning each string to
-    exactly one setting.  The six-qubit Dicke state takes 207.  Raises
-    ValueError above ``MAX_GREEDY_QUBITS`` qubits: each pick scans up to
-    3^N candidate settings (the eight-qubit Dicke state takes 2,012).
+    exactly one setting.  The six-qubit Dicke state takes 207.  The search
+    keeps one bitmask over the strings per candidate (3^N of them) and a
+    heap of gains refreshed only when they reach the top, so a pick costs
+    a few big-integer ANDs instead of a scan of every candidate.  Raises
+    ValueError above ``MAX_GREEDY_QUBITS`` qubits, where plans grow too
+    large to sample (the eight-qubit Dicke state takes 2,012 settings).
     With no strategy, permutation-invariant decompositions get
     ``symmetric`` and all others ``greedy``.
     """
@@ -467,9 +495,13 @@ def fidelity_from_counts(
         total = vec.sum()
         probs = vec / total
         mean = float(probs @ weights)
-        var = (float(probs @ weights**2) - mean**2) / total
+        # two-pass variance, centred first on one counted outcome's weight:
+        # a setting whose counted outcomes share one weight has exactly zero
+        spread = weights - weights[np.argmax(vec)]
+        spread -= probs @ spread
+        var = float(probs @ spread**2) / total
         value += mean
-        variance += max(var, 0.0)
+        variance += var
         per_setting.append(SettingEstimate(key, float(total), mean, var))
     return FidelityEstimate(
         value=float(value),

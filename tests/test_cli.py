@@ -250,6 +250,34 @@ def test_greedy_on_nine_qubits_exits_two(command, tmp_path, capsys):
     assert "greedy" in capsys.readouterr().err
 
 
+# wall-time budget for greedy sampling at the largest register greedy
+# accepts; the lazy bitset planner needs about 5 s on a shared 2-core host
+GREEDY_BUDGET_S = 20.0
+
+
+def test_greedy_sample_at_the_qubit_cap_finishes_in_bounded_time(tmp_path, capsys):
+    config = write_config(tmp_path, {"state": "dicke_8_4", "strategy": "greedy", "events": 1000})
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert run_cli(["sample", "--config", config, "--out", str(out)]) == 0
+    assert time.perf_counter() - start < GREEDY_BUDGET_S
+    capsys.readouterr()
+    assert load_report(out, "sample")["results"]["num_settings"] == 2012
+
+
+@pytest.mark.parametrize("seed", ["3", "7"])
+def test_sample_on_a_zero_variance_plan_reports_no_deviation(seed, tmp_path, capsys):
+    # every counted outcome of each ghz_special setting carries one weight,
+    # so the standard error is exactly zero and no deviation is defined
+    config = write_config(tmp_path, {"state": "ghz_8", "strategy": "ghz_special"})
+    out = tmp_path / "out"
+    assert run_cli(["sample", "--config", config, "--seed", seed, "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = load_report(out, "sample")["results"]
+    assert results["std_error"] == 0.0
+    assert results["deviation_sigma"] is None
+
+
 def test_sample_estimates_fidelity(tmp_path, capsys):
     config = write_config(tmp_path, {"state": "dicke_4_2", "events": 20000})
     out = tmp_path / "out"

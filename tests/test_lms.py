@@ -131,6 +131,42 @@ def test_greedy_counts_are_frozen():
         assert plan.num_settings == GREEDY_COUNTS[name], name
 
 
+def set_scan_greedy(decomp):
+    """Greedy cover by re-scanning every candidate's string set per pick:
+    the reference for the planner's bitset search.  Returns (label,
+    covered) per setting in pick order."""
+    by_candidate = {}
+    for string in decomp.nonidentity_strings():
+        fixed = ["xyz" if letter == "I" else letter.lower() for letter in string]
+        for axes in itertools.product(*fixed):
+            by_candidate.setdefault(axes, set()).add(string)
+    uncovered = set(decomp.nonidentity_strings())
+    picks = []
+    while uncovered:
+        best_axes, best_gain = None, 0
+        for axes in sorted(by_candidate):
+            gain = len(by_candidate[axes] & uncovered)
+            if gain > best_gain:
+                best_axes, best_gain = axes, gain
+        taken = sorted(by_candidate[best_axes] & uncovered)
+        uncovered -= set(taken)
+        picks.append((",".join(best_axes), tuple(taken)))
+    return picks
+
+
+@pytest.mark.parametrize(
+    "state",
+    [dicke(6, 3), dicke(7, 1), dicke(5, 2), w_state(5), ghz(6)]
+    + [random_pure_state(n, 70 + n) for n in range(2, 6)],
+    ids=lambda s: s.label,
+)
+def test_greedy_plan_matches_set_scan_oracle(state):
+    decomp = decompose(state)
+    plan = plan_settings(decomp, strategy="greedy")
+    picks = [(a.setting.label(), a.covered) for a in plan.assignments]
+    assert picks == set_scan_greedy(decomp)
+
+
 def test_greedy_plan_partitions_all_strings():
     decomp = decompose(dicke(4, 2))
     plan = plan_settings(decomp, strategy="greedy")
@@ -363,6 +399,27 @@ def test_estimator_on_ghz_special_plan_has_zero_variance():
     est = fidelity_from_counts(decomp, plan, exact_counts(state, plan))
     assert_allclose(est.value, 1.0, atol=1e-12)
     assert est.std_error <= 1e-9
+
+
+def test_estimator_variance_matches_the_moment_formula_on_a_greedy_plan():
+    # the greedy D42 plan has a nonzero standard error, which E[w^2] - E[w]^2
+    # per setting (clamped at zero) reproduces up to rounding
+    state = dicke(4, 2)
+    decomp = decompose(state)
+    plan = plan_settings(decomp, strategy="greedy")
+    rng = np.random.default_rng(5)
+    table = CountTable()
+    expected = 0.0
+    for assignment in plan.assignments:
+        probs = outcome_distribution(state, assignment.setting)
+        counts = rng.multinomial(5000, probs / probs.sum()).astype(float)
+        table[assignment.setting.label()] = counts
+        weights = outcome_weights(decomp, assignment)
+        freqs = counts / counts.sum()
+        expected += max(freqs @ weights**2 - (freqs @ weights) ** 2, 0.0) / counts.sum()
+    est = fidelity_from_counts(decomp, plan, table)
+    assert est.std_error > 1e-3
+    assert_allclose(est.std_error, math.sqrt(expected), rtol=1e-12)
 
 
 def test_estimator_on_maximally_mixed_state():
