@@ -14,6 +14,11 @@ import argparse
 import json
 import os
 
+# one BLAS thread unless the caller sets another: the matrices here are
+# small, and a threaded BLAS loses time on them; this must run before numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from dickesim.fock import LossConfig, SpdcConfig, calibrate, pick_calibration, simulate_experiment
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "data", "calibration.json")

@@ -11,7 +11,13 @@ lands next to the published count.
 """
 
 import argparse
+import os
 from collections import Counter
+
+# one BLAS thread unless the caller sets another: the matrices here are
+# small, and a threaded BLAS loses time on them; this must run before numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from dickesim.dicke_states import dicke, ghz
 from dickesim.lms import (

@@ -10,6 +10,12 @@ constructions.
 """
 
 import argparse
+import os
+
+# one BLAS thread unless the caller sets another: the matrices here are
+# small, and a threaded BLAS loses time on them; this must run before numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from dickesim.dicke_states import NavigationStep, dicke, navigate, w_state
 from dickesim.states import apply_local, fidelity

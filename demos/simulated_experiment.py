@@ -11,6 +11,11 @@ import argparse
 import json
 import os
 
+# one BLAS thread unless the caller sets another: the matrices here are
+# small, and a threaded BLAS loses time on them; this must run before numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from dickesim.dicke_states import dicke
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.lms import decompose, fidelity_from_counts, plan_settings

@@ -8,6 +8,12 @@ curve whose closed form the six-photon state obeys.
 """
 
 import argparse
+import os
+
+# one BLAS thread unless the caller sets another: the matrices here are
+# small, and a threaded BLAS loses time on them; this must run before numpy loads
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

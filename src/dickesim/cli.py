@@ -92,10 +92,12 @@ def _boolean():
     return check
 
 
-def _list_of(item_check):
+def _list_of(item_check, max_len=None):
     def check(value, path):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{path}: expected a nonempty list")
+        if max_len is not None and len(value) > max_len:
+            raise ConfigError(f"{path}: {len(value)} entries, at most {max_len} allowed")
         return [item_check(v, f"{path}[{k}]") for k, v in enumerate(value)]
 
     return check
@@ -162,7 +164,8 @@ SCHEMAS = {
         # states.MAX_QUBITS, written out so the schemas load before numpy
         "num_qubits": (_integer(2, 10), 6),
         "alpha": (_number(), 0.0),
-        "alphas": (_list_of(_number()), None),
+        # each entry is a full bound, up to about 0.45 s at N=10
+        "alphas": (_list_of(_number(), max_len=64), None),
         "restarts": (_integer(1, 500), 50),
         "state": (_string(), None),
     },
@@ -296,12 +299,12 @@ def emit_plotdata(report: dict, out_dir: str) -> list[str]:
             ],
         )
     elif command == "sample" and results.get("histograms"):
-        rows = []
-        for hist in results["histograms"]:
-            width = results["num_qubits"]
-            for index, count in enumerate(hist["counts"]):
-                rows.append([hist["setting"], format(index, f"0{width}b"), count])
-        _write_csv(path_for("fig_histograms.csv"), ["setting", "outcome", "count"], rows)
+        from .sampling import write_count_rows
+
+        write_count_rows(
+            path_for("fig_histograms.csv"),
+            ((hist["setting"], hist["counts"]) for hist in results["histograms"]),
+        )
     return written
 
 

@@ -11,6 +11,7 @@ byte-identical histograms on any platform.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -153,20 +154,39 @@ def histograms_to_table(histograms) -> CountTable:
     return CountTable.from_histograms(histograms)
 
 
-def write_csv(histograms, path) -> None:
-    """Serialize histograms as rows (setting id, outcome bitstring, count).
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it inside a row, quoted if it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
 
-    All 2^N outcomes are written in index order; bit 0 of the bitstring
-    is the first qubit's outcome (0 = +1 eigenvector).
+
+def write_count_rows(path, rows) -> None:
+    """Write ``(label, counts)`` pairs as CSV rows (setting, outcome bitstring, count).
+
+    All 2^N outcomes of a setting are written in index order; bit 0 of
+    the bitstring is the first qubit's outcome (0 = +1 eigenvector).  The
+    bytes are those of ``csv.writer``, but each label is quoted once and
+    each width's bitstrings are formatted once, so a setting's rows are
+    built in one join.
     """
+    bitstrings = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "outcome", "count"])
-        for hist in histograms:
-            label = hist.setting.label()
-            n = hist.setting.num_qubits
-            for index, count in enumerate(hist.counts):
-                writer.writerow([label, format(index, f"0{n}b"), int(count)])
+        fh.write("setting,outcome,count\r\n")
+        for label, counts in rows:
+            counts = np.asarray(counts, dtype=np.int64).tolist()
+            size = len(counts)
+            if size not in bitstrings:
+                bitstrings[size] = [f"{i:0{size.bit_length() - 1}b}," for i in range(size)]
+            head = _csv_field(label) + ","
+            fh.write("".join(
+                f"{head}{bits}{count}\r\n" for bits, count in zip(bitstrings[size], counts)
+            ))
+
+
+def write_csv(histograms, path) -> None:
+    """Serialize histograms in the layout of :func:`write_count_rows`."""
+    write_count_rows(path, ((hist.setting.label(), hist.counts) for hist in histograms))
 
 
 def read_csv(path) -> CountTable:

@@ -394,16 +394,37 @@ def outcome_distribution(state: State, setting: MeasurementSetting) -> np.ndarra
     """Probabilities over the 2^N outcome bitstrings of a product measurement.
 
     Outcome bit 0 on a qubit means the +1 eigenvector of that qubit's axis.
+
+    Only the diagonal p(b) is computed; no rotated state is built.  Each
+    qubit's eigenbras R_q[b, i] are contracted into the state in turn,
+    with the qubits already measured folded into a leading outcome axis.
+    A pure state costs about 2N * 2^N; a density contracts qubit q's row
+    and column axes with R_q[b, i] * conj(R_q[b, j]), which halves the
+    tensor each time, for about 4 * 4^N in all and a peak of half the
+    matrix's memory.
     """
     n = state.num_qubits
     if setting.num_qubits != n:
         raise ValueError("setting covers a different number of qubits")
-    rotations = [setting.rotation(q) for q in range(n)]
-    rotated = apply_local(state, rotations)
-    if isinstance(rotated, QubitPureState):
-        probs = np.abs(rotated.amplitudes) ** 2
+    by_axis = {}
+    for q, axis in enumerate(setting.axes):
+        if axis not in by_axis:
+            by_axis[axis] = setting.rotation(q)
+    rotations = [by_axis[axis] for axis in setting.axes]
+    if isinstance(state, QubitPureState):
+        amps = state.amplitudes
+        for q, rot in enumerate(rotations):
+            amps = np.matmul(rot, amps.reshape(2**q, 2, 2 ** (n - q - 1)))
+        probs = np.abs(amps.reshape(-1)) ** 2
     else:
-        probs = rotated.matrix.diagonal().real.copy()
+        tensor = state.matrix
+        for q, rot in enumerate(rotations):
+            rest = 2 ** (n - q - 1)
+            block = rot[:, :, None] * rot.conj()[:, None, :]
+            tensor = np.einsum(
+                "bij,aixjy->abxy", block, tensor.reshape(2**q, 2, rest, 2, rest)
+            )
+        probs = tensor.reshape(-1).real
     if probs.min() < -NORM_TOL or abs(probs.sum() - 1.0) > NORM_TOL:
         raise ValueError("outcome distribution failed sanity check")
     probs = np.clip(probs, 0.0, None)

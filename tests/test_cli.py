@@ -136,6 +136,19 @@ def test_bound_ten_qubits_closed_form(tmp_path, capsys):
     assert "config.num_qubits" in capsys.readouterr().err
 
 
+def test_bound_alphas_list_is_capped(tmp_path, capsys):
+    # each entry is a full bound, so the curve length is bounded in the schema
+    alphas = [k / 8.0 for k in range(-32, 32)]
+    config = write_config(tmp_path, {"num_qubits": 2, "restarts": 2, "alphas": alphas})
+    out = tmp_path / "out"
+    assert run_cli(["bound", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert [row["alpha"] for row in load_report(out, "bound")["results"]["curve"]] == alphas
+    too_long = write_config(tmp_path, {"num_qubits": 2, "alphas": alphas + [4.0]}, name="long.json")
+    assert run_cli(["bound", "--config", too_long, "--out", str(tmp_path / "o")]) == 2
+    assert "config.alphas" in capsys.readouterr().err
+
+
 def test_scan_closed_form_artifact(tmp_path, capsys):
     config = write_config(tmp_path, {"points": 50})
     out = tmp_path / "out"

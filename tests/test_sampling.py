@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from dickesim.sampling import (
     run_plan,
     sample,
     stream_generator,
+    write_count_rows,
     write_csv,
 )
 from dickesim.states import MeasurementSetting, outcome_distribution
@@ -116,6 +119,28 @@ def test_csv_round_trip(tmp_path):
     back = read_csv(path)
     for hist in hists:
         assert np.array_equal(back[hist.setting.label()], hist.counts)
+
+
+def test_count_rows_match_the_csv_writer_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = [
+        ("z,z,z", rng.integers(0, 1000, size=8)),
+        (MeasurementSetting((("n", 0.3, 1.1), "x", ("xz", 0.4))).label(), rng.integers(0, 9, size=8)),
+        ('odd "label"', [0, 7]),
+        ("x", [3, 4]),
+        (MeasurementSetting.pauli("xyzxyzxy").label(), rng.integers(0, 50, size=256)),
+    ]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["setting", "outcome", "count"])
+        for label, counts in rows:
+            width = len(counts).bit_length() - 1
+            for index, count in enumerate(counts):
+                writer.writerow([label, format(index, f"0{width}b"), int(count)])
+    written = tmp_path / "written.csv"
+    write_count_rows(written, rows)
+    assert written.read_bytes() == expected.read_bytes()
 
 
 def test_read_csv_rejects_bad_header(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,51 @@ def test_outcome_distribution_normalized_and_correct():
     assert_allclose(probs.sum(), 1.0, atol=1e-12)
     # qubit 0 is along +x, so only outcomes with first bit 0 survive
     assert_allclose(probs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+
+
+def rotated_state_distribution(state, setting):
+    """The outcome distribution read off the diagonal of the fully rotated state."""
+    rotated = apply_local(state, [setting.rotation(q) for q in range(state.num_qubits)])
+    if isinstance(rotated, QubitPureState):
+        probs = np.abs(rotated.amplitudes) ** 2
+    else:
+        probs = rotated.matrix.diagonal().real
+    return probs / probs.sum()
+
+
+def test_outcome_distribution_matches_rotated_state_oracle():
+    rng = np.random.default_rng(17)
+    kinds = ["x", "y", "z", ("xy", 0.3), ("xz", 2.1), ("yz", -1.2), ("n", 0.7, 1.9)]
+    for n in range(1, 8):
+        for _ in range(3):
+            # mixed per-qubit axes, each kind repeated across qubits now and then
+            setting = MeasurementSetting([kinds[k] for k in rng.integers(len(kinds), size=n)])
+            for state in (random_pure(n, rng), random_density(n, rng)):
+                assert_allclose(
+                    outcome_distribution(state, setting),
+                    rotated_state_distribution(state, setting),
+                    rtol=0, atol=1e-12,
+                )
+
+
+def test_outcome_distribution_on_ten_qubits_stays_below_the_matrix_size():
+    # the contraction halves the tensor per qubit and never builds a rotated copy
+    rho = QubitPureState(10, np.full(2**10, 2.0**-5)).density()
+    setting = MeasurementSetting.direction(0.4, 0.3, 10)
+    tracemalloc.start()
+    try:
+        probs = outcome_distribution(rho, setting)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.matrix.nbytes
+    # |+>^10 along a tilted axis: each qubit independently
+    plus = 0.5 * (1.0 + math.sin(0.4) * math.cos(0.3))
+    single = np.array([plus, 1.0 - plus])
+    expected = single
+    for _ in range(9):
+        expected = np.kron(expected, single)
+    assert_allclose(probs, expected, atol=1e-12)
 
 
 def test_apply_local_requires_unitaries():
