@@ -2,13 +2,18 @@
 
 One verb per activity: state | simulate | witness | bound | scan | lms |
 sample | protocols | qss | compare.  Every command reads an optional
-JSON config (schema-validated, unknown keys rejected), writes a JSON
-report embedding the config hash and package version, and emits
-plot-ready CSV files where applicable.  Outputs are deterministic for
-fixed seeds; floats are printed with 12 significant digits.
+JSON config (schema-validated, unknown keys rejected) and writes a JSON
+report of summary values embedding the config hash and package version.
+A command with tabular output writes its rows once, to a plot-ready CSV
+that the report names in ``table_file`` (bound with ``alphas``, scan,
+sample, protocols, compare); ``state`` and ``simulate`` write their
+state the same way.  Outputs are deterministic for fixed seeds; floats
+are printed with 12 significant digits.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure; any other
-exception propagates with its traceback.
+Exit codes: 0 ok, 2 config error (including a setting strategy that does
+not fit the target and a navigation that revisits a qubit, names one out
+of range or leaves none), 3 numerical failure; any other exception
+propagates with its traceback.
 
 Heavy numerical imports happen after argument parsing so that --threads
 can cap the linear-algebra thread pools via environment variables.
@@ -23,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -247,71 +252,17 @@ def _write_csv(path: str, header: list, rows) -> None:
             )
 
 
-def emit_plotdata(report: dict, out_dir: str) -> list[str]:
-    """Write plot-ready CSV files for a command's report.
-
-    Returns the written paths; raises ValueError on an empty report.
-    """
-    if not report or not report.get("results"):
-        raise ValueError("empty report: nothing to plot")
-    command = report.get("command")
-    results = report["results"]
-    written = []
-
-    def path_for(name):
-        target = os.path.join(out_dir, name)
-        written.append(target)
-        return target
-
-    if command == "bound" and results.get("curve"):
-        rows = results["curve"]
-        with_state = all("state_value" in r for r in rows)
-        header = ["alpha", "biseparable_bound"] + (["state_value"] if with_state else [])
-        _write_csv(
-            path_for("fig_bound_curve.csv"),
-            header,
-            [
-                [r["alpha"], r["bound"]] + ([r["state_value"]] if with_state else [])
-                for r in rows
-            ],
-        )
-    elif command == "scan":
-        rows = results["rows"]
-        with_closed = all("closed_form" in r for r in rows)
-        header = ["theta", "correlator"] + (["closed_form"] if with_closed else [])
-        _write_csv(
-            path_for("fig_correlator_scan.csv"),
-            header,
-            [
-                [r["theta"], r["correlator"]]
-                + ([r["closed_form"]] if with_closed else [])
-                for r in rows
-            ],
-        )
-    elif command == "protocols" and results.get("pair_fidelity_rows"):
-        teleport = results["teleport"]
-        _write_csv(
-            path_for("fig_pair_teleport_fidelity.csv"),
-            ["first_qubit", "second_qubit", "f_max", "ideal_value", "classical_threshold"],
-            [
-                [r["first"], r["second"], r["f_max"], teleport["ideal"], teleport["classical"]]
-                for r in results["pair_fidelity_rows"]
-            ],
-        )
-    elif command == "sample" and results.get("histograms"):
-        from .sampling import write_count_rows
-
-        write_count_rows(
-            path_for("fig_histograms.csv"),
-            ((hist["setting"], hist["counts"]) for hist in results["histograms"]),
-        )
-    return written
-
-
 @dataclass(frozen=True)
 class Context:
     seed: int
     out_dir: str
+    written: list = field(default_factory=list)
+
+    def path(self, name: str) -> str:
+        """``name`` in the output directory, recorded as a file the run writes."""
+        target = os.path.join(self.out_dir, name)
+        self.written.append(target)
+        return target
 
 
 def _parse_state_label(label: str, path: str = "config.state"):
@@ -343,15 +294,14 @@ def _simulate(sim: dict):
 
 
 def _plan(decomp, strategy: str):
-    """plan_settings, with the greedy planner's size limit as a config error."""
-    from .lms import MAX_GREEDY_QUBITS, plan_settings
+    """plan_settings, with a strategy that does not fit the target (greedy
+    above its qubit cap, a design that does not span it) as a config error."""
+    from .lms import plan_settings
 
-    if strategy == "greedy" and decomp.num_qubits > MAX_GREEDY_QUBITS:
-        raise ConfigError(
-            f"config.strategy: greedy supports at most {MAX_GREEDY_QUBITS} qubits; "
-            "use symmetric"
-        )
-    return plan_settings(decomp, strategy=strategy)
+    try:
+        return plan_settings(decomp, strategy=strategy)
+    except ValueError as exc:
+        raise ConfigError(f"config.strategy: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +312,7 @@ def cmd_state(config: dict, ctx: Context) -> dict:
     import numpy as np
 
     from .dicke_states import NavigationStep, navigate
-    from .states import save_state
+    from .states import ImpossibleOutcomeError, save_state
 
     state = _parse_state_label(config["state"])
     amps = np.abs(state.amplitudes)
@@ -375,22 +325,27 @@ def cmd_state(config: dict, ctx: Context) -> dict:
     final = state
     if config["navigate"]:
         steps = [NavigationStep(s["qubit"], s["outcome"]) for s in config["navigate"]]
+        try:
+            final, total = navigate(state, steps)
+        except ImpossibleOutcomeError:
+            raise
+        except ValueError as exc:
+            # a revisited or out-of-range qubit, or no qubit left
+            raise ConfigError(f"config.navigate: {exc}") from exc
         chain = []
         previous = 1.0
         for k in range(1, len(steps) + 1):
             _, p = navigate(state, steps[:k])
             chain.append(p / previous)
             previous = p
-        final, total = navigate(state, steps)
         results["navigation"] = {
             "steps": [dict(s) for s in config["navigate"]],
             "probability": total,
             "per_step": chain,
             "final_num_qubits": final.num_qubits,
         }
-    artifact = os.path.join(ctx.out_dir, "state_vector.json")
-    save_state(final, artifact)
-    results["state_file"] = os.path.basename(artifact)
+    save_state(final, ctx.path("state_vector.json"))
+    results["state_file"] = "state_vector.json"
     return results
 
 
@@ -398,7 +353,7 @@ def cmd_simulate(config: dict, ctx: Context) -> dict:
     from .states import save_state
 
     outcome = _simulate(config)
-    save_state(outcome.rho_sim, os.path.join(ctx.out_dir, "rho_sim.json"))
+    save_state(outcome.rho_sim, ctx.path("rho_sim.json"))
     results = outcome.report()
     results["rep_rate"] = config["rep_rate"]
     results["sixfold_rate_per_s"] = config["rep_rate"] * results["p_event"]
@@ -454,13 +409,13 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
         results["state_value"] = value
         results["gap"] = estimate.value - value
     if config["alphas"]:
-        rows = []
-        for alpha, bound in bound_curve(n, config["alphas"], options):
-            row = {"alpha": alpha, "bound": bound}
-            if state is not None:
-                row["state_value"] = witness_value(state, alpha)
-            rows.append(row)
-        results["curve"] = rows
+        curve = bound_curve(n, config["alphas"], options)
+        header = ["alpha", "biseparable_bound"]
+        if state is not None:
+            header.append("state_value")
+            curve = [(alpha, bound, witness_value(state, alpha)) for alpha, bound in curve]
+        _write_csv(ctx.path("fig_bound_curve.csv"), header, curve)
+        results["table_file"] = "fig_bound_curve.csv"
     return results
 
 
@@ -476,21 +431,22 @@ def cmd_scan(config: dict, ctx: Context) -> dict:
         source = state
     thetas = np.linspace(0.0, math.pi, config["points"])
     values = correlator_scan(source, config["plane"], thetas)
-    rows = [
-        {"theta": float(t), "correlator": float(v)} for t, v in zip(thetas, values)
-    ]
     results = {
         "state": config["state"],
         "plane": config["plane"],
         "dephased": config["dephased"],
         "points": config["points"],
-        "rows": rows,
+        "table_file": "fig_correlator_scan.csv",
     }
+    header = ["theta", "correlator"]
+    columns = [thetas, values]
     if config["state"] == "dicke_6_3" and not config["dephased"]:
         closed = (3.0 * np.cos(2.0 * thetas) + 5.0 * np.cos(6.0 * thetas)) / 8.0
-        for row, cf in zip(rows, closed):
-            row["closed_form"] = float(cf)
+        header.append("closed_form")
+        columns.append(closed)
         results["max_closed_form_deviation"] = float(np.abs(values - closed).max())
+    _write_csv(ctx.path("fig_correlator_scan.csv"), header,
+               zip(*(column.tolist() for column in columns)))
     return results
 
 
@@ -514,7 +470,7 @@ def cmd_lms(config: dict, ctx: Context) -> dict:
 
 def cmd_sample(config: dict, ctx: Context) -> dict:
     from .lms import decompose, fidelity_from_counts
-    from .sampling import ExperimentPlan, histograms_to_table, run_plan
+    from .sampling import ExperimentPlan, histograms_to_table, run_plan, write_csv
     from .states import fidelity
 
     if config["simulate"] is not None:
@@ -546,6 +502,7 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
         if estimate.std_error > 0
         else None
     )
+    write_csv(histograms, ctx.path("fig_histograms.csv"))
     return {
         "target": target_label,
         "source": source_desc,
@@ -557,10 +514,7 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
         "std_error": estimate.std_error,
         "direct_fidelity": direct,
         "deviation_sigma": deviation,
-        "histograms": [
-            {"setting": h.setting.label(), "counts": [int(c) for c in h.counts]}
-            for h in histograms
-        ],
+        "table_file": "fig_histograms.csv",
     }
 
 
@@ -589,10 +543,14 @@ def cmd_protocols(config: dict, ctx: Context) -> dict:
     telecloning = telecloning_report(state)
     odt = odt_report(state)
     pair = pair_channel(state, 0, 1)
-    rows = [
-        {"first": i, "second": j, "f_max": value}
-        for (i, j), value in sorted(telecloning.pair_fidelity.items())
-    ]
+    pairs = sorted(telecloning.pair_fidelity.items())
+    ideal = (2.0 * n - 1.0) / (3.0 * (n - 1.0))
+    classical = telecloning.classical_threshold
+    _write_csv(
+        ctx.path("fig_pair_teleport_fidelity.csv"),
+        ["first_qubit", "second_qubit", "f_max", "ideal_value", "classical_threshold"],
+        [[i, j, value, ideal, classical] for (i, j), value in pairs],
+    )
     return {
         "num_qubits": n,
         "source": source_desc,
@@ -606,13 +564,13 @@ def cmd_protocols(config: dict, ctx: Context) -> dict:
             "num_patterns": len(odt.patterns),
         },
         "teleport": {
-            "f_max": rows[0]["f_max"],
-            "ideal": (2.0 * n - 1.0) / (3.0 * (n - 1.0)),
-            "classical": telecloning.classical_threshold,
+            "f_max": pairs[0][1],
+            "ideal": ideal,
+            "classical": classical,
             "symmetric_pairs": telecloning.symmetric,
             "all_above_classical": telecloning.all_above_classical,
         },
-        "pair_fidelity_rows": rows,
+        "table_file": "fig_pair_teleport_fidelity.csv",
     }
 
 
@@ -717,7 +675,7 @@ def cmd_compare(config: dict, ctx: Context) -> dict:
             "output directory first or pass config.reports"
         )
     _write_csv(
-        os.path.join(ctx.out_dir, "compare.csv"),
+        ctx.path("compare.csv"),
         [
             "key",
             "computed",
@@ -740,11 +698,7 @@ def cmd_compare(config: dict, ctx: Context) -> dict:
             for r in rows
         ],
     )
-    return {
-        "sources": used,
-        "rows": [asdict(r) for r in rows],
-        "table_file": "compare.csv",
-    }
+    return {"sources": used, "table_file": "compare.csv"}
 
 
 HANDLERS = {
@@ -862,13 +816,7 @@ def main(argv=None) -> int:
     }
     report_path = os.path.join(args.out, f"{args.command}.json")
     write_report(report_path, report)
-    written = [report_path]
-    try:
-        written.extend(emit_plotdata(report, args.out))
-    except ValueError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    for path in written:
+    for path in [report_path, *ctx.written]:
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -144,10 +144,13 @@ def bipartitions(num_qubits: int):
 
 def _top_eigenvector(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Leading eigenvector; degenerate ties broken by the lexicographically
-    largest absolute-amplitude profile so reruns pick the same vector."""
+    largest absolute-amplitude profile so reruns pick the same vector.  The
+    tie tolerance scales with |top|, so it stays above float spacing at
+    large |alpha|."""
     vals, vecs = np.linalg.eigh(matrix)
     top = vals[-1]
-    candidates = [k for k in range(len(vals)) if vals[k] > top - DEGENERACY_TOL]
+    tol = DEGENERACY_TOL * max(1.0, abs(top))
+    candidates = [k for k in range(len(vals)) if vals[k] >= top - tol]
     if len(candidates) == 1:
         return vecs[:, -1], float(top)
     best = max(candidates, key=lambda k: tuple(np.round(np.abs(vecs[:, k]), 12)))

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ import dickesim
 from dickesim.cli import config_digest, main
 from dickesim.dicke_states import dicke
 from dickesim.lms import decompose
+from dickesim.sampling import read_csv
 from dickesim.witness import dephased as dephased_state
 from test_witness import contracted_scan
 
@@ -27,6 +29,12 @@ def run_cli(args):
 def load_report(out_dir, command):
     with open(out_dir / f"{command}.json") as fh:
         return json.load(fh)
+
+
+def load_csv(path):
+    """Data rows of a CSV artifact as dicts keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -73,6 +81,21 @@ def test_state_navigation_chain(tmp_path, capsys):
     assert abs(nav["probability"] - 0.3) < 1e-9
     assert abs(nav["per_step"][0] - 0.5) < 1e-9
     assert abs(nav["per_step"][1] - 0.6) < 1e-9
+
+
+def test_navigation_revisiting_a_qubit_exits_two(tmp_path, capsys):
+    steps = [{"qubit": 0, "outcome": "H"}, {"qubit": 0, "outcome": "V"}]
+    config = write_config(tmp_path, {"navigate": steps})
+    assert run_cli(["state", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "config.navigate" in capsys.readouterr().err
+
+
+def test_impossible_navigation_outcome_exits_three(tmp_path, capsys):
+    # ghz_4 never shows H on one qubit and V on another
+    steps = [{"qubit": 0, "outcome": "H"}, {"qubit": 1, "outcome": "V"}]
+    config = write_config(tmp_path, {"state": "ghz_4", "navigate": steps})
+    assert run_cli(["state", "--config", config, "--out", str(tmp_path / "out")]) == 3
+    assert "ImpossibleOutcomeError" in capsys.readouterr().err
 
 
 def test_witness_defaults(tmp_path, capsys):
@@ -136,6 +159,16 @@ def test_bound_ten_qubits_closed_form(tmp_path, capsys):
     assert "config.num_qubits" in capsys.readouterr().err
 
 
+def test_bound_at_large_alpha(tmp_path, capsys):
+    # float spacing near the top eigenvalue is far above 1e-12 here
+    config = write_config(tmp_path, {"num_qubits": 6, "alpha": 1e4, "restarts": 3})
+    out = tmp_path / "out"
+    assert run_cli(["bound", "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    bound = load_report(out, "bound")["results"]["bound"]
+    assert bound == pytest.approx(12.0 + (1e4 - 1.0) * 9.0, rel=1e-12)
+
+
 def test_bound_alphas_list_is_capped(tmp_path, capsys):
     # each entry is a full bound, so the curve length is bounded in the schema
     alphas = [k / 8.0 for k in range(-32, 32)]
@@ -143,7 +176,7 @@ def test_bound_alphas_list_is_capped(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["bound", "--config", config, "--out", str(out)]) == 0
     capsys.readouterr()
-    assert [row["alpha"] for row in load_report(out, "bound")["results"]["curve"]] == alphas
+    assert [float(row["alpha"]) for row in load_csv(out / "fig_bound_curve.csv")] == alphas
     too_long = write_config(tmp_path, {"num_qubits": 2, "alphas": alphas + [4.0]}, name="long.json")
     assert run_cli(["bound", "--config", too_long, "--out", str(tmp_path / "o")]) == 2
     assert "config.alphas" in capsys.readouterr().err
@@ -169,7 +202,8 @@ def test_scan_dephased(tmp_path, capsys):
     results = load_report(out, "scan")["results"]
     assert results["dephased"] is True
     # the dephased correlator is -sin^6, so it never goes positive
-    assert all(row["correlator"] <= 1e-9 for row in results["rows"])
+    rows = load_csv(out / "fig_correlator_scan.csv")
+    assert all(float(row["correlator"]) <= 1e-9 for row in rows)
 
 
 # generous wall-time budget for one run at the largest config the scan schema
@@ -187,14 +221,14 @@ def test_scan_at_the_schema_maximum_finishes_in_bounded_time(dephased, tmp_path,
     assert run_cli(["scan", "--config", config, "--out", str(out)]) == 0
     assert time.perf_counter() - start < SCAN_BUDGET_S
     capsys.readouterr()
-    rows = load_report(out, "scan")["results"]["rows"]
+    rows = load_csv(out / "fig_correlator_scan.csv")
     assert len(rows) == 100000
     picked = [rows[k] for k in (0, 12345, 71234, 99999)]
     state = dephased_state(dicke(10, 5)) if dephased else dicke(10, 5)
-    expected = contracted_scan(state, "xz", [row["theta"] for row in picked])
+    expected = contracted_scan(state, "xz", [float(row["theta"]) for row in picked])
     for row, value in zip(picked, expected):
-        # report floats carry 12 significant digits
-        assert abs(row["correlator"] - value) < 1e-9
+        # CSV floats carry 12 significant digits
+        assert abs(float(row["correlator"]) - value) < 1e-9
 
 
 def test_lms_ghz_special(tmp_path, capsys):
@@ -263,6 +297,14 @@ def test_greedy_on_nine_qubits_exits_two(command, tmp_path, capsys):
     assert "greedy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lms", "sample"])
+def test_strategy_that_does_not_fit_the_target_exits_two(command, tmp_path, capsys):
+    # ghz_special's fixed design does not span a Dicke target
+    config = write_config(tmp_path, {"state": "dicke_5_2", "strategy": "ghz_special"})
+    assert run_cli([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "config.strategy" in capsys.readouterr().err
+
+
 # wall-time budget for greedy sampling at the largest register greedy
 # accepts; the lazy bitset planner needs about 5 s on a shared 2-core host
 GREEDY_BUDGET_S = 20.0
@@ -325,9 +367,48 @@ def test_sample_seed_changes_counts(tmp_path, capsys):
     assert run_cli(["sample", "--config", config, "--seed", "1", "--out", str(out_a)]) == 0
     assert run_cli(["sample", "--config", config, "--seed", "2", "--out", str(out_b)]) == 0
     capsys.readouterr()
-    hist_a = load_report(out_a, "sample")["results"]["histograms"]
-    hist_b = load_report(out_b, "sample")["results"]["histograms"]
-    assert hist_a != hist_b
+    hist_a = read_csv(out_a / "fig_histograms.csv")
+    hist_b = read_csv(out_b / "fig_histograms.csv")
+    assert {k: v.tolist() for k, v in hist_a.items()} != {k: v.tolist() for k, v in hist_b.items()}
+
+
+def _list_lengths(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _list_lengths(value)
+    elif isinstance(node, list):
+        yield len(node)
+        for value in node:
+            yield from _list_lengths(value)
+
+
+TABULAR_RUNS = {
+    "bound": {"num_qubits": 4, "restarts": 2, "alphas": [-1.0, 0.0, 1.0]},
+    "scan": {"points": 20},
+    "protocols": {"num_qubits": 4},
+    "sample": {"state": "dicke_4_1", "events": 500},
+    "compare": {},
+}
+
+
+@pytest.mark.parametrize("command", list(TABULAR_RUNS))
+def test_report_names_its_csv_instead_of_repeating_its_rows(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    if command == "compare":
+        # one report that contributes two compared values
+        assert run_cli(["protocols", "--out", str(out)]) == 0
+    capsys.readouterr()
+    config = write_config(tmp_path, TABULAR_RUNS[command])
+    assert run_cli([command, "--config", config, "--out", str(out)]) == 0
+    wrote = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines()]
+    results = load_report(out, command)["results"]
+    table = out / results["table_file"]
+    rows = load_csv(table)
+    assert len(rows) > 1
+    # no list in the report has one entry per CSV row
+    assert len(rows) not in set(_list_lengths(results))
+    assert str(table) in wrote
+    assert all(os.path.exists(path) for path in wrote)
 
 
 def test_qss_with_visibility(tmp_path, capsys):
@@ -350,8 +431,7 @@ def test_compare_collects_reports(tmp_path, capsys):
     assert run_cli(["qss", "--config", qss_config, "--out", str(out)]) == 0
     assert run_cli(["compare", "--out", str(out)]) == 0
     capsys.readouterr()
-    results = load_report(out, "compare")["results"]
-    keys = {row["key"] for row in results["rows"]}
+    keys = {row["key"] for row in load_csv(out / "compare.csv")}
     assert "lms_settings_dicke_4_2" in keys
     assert "qber_six_party" in keys
     assert (out / "compare.csv").exists()

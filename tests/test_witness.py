@@ -155,10 +155,22 @@ def test_biseparable_bound_closed_form_for_large_alpha(n):
     # for alpha >= 1 the all-up product state is optimal:
     # j(j+1) + (alpha - 1) j^2 with j = N/2
     j = n / 2.0
-    for alpha in (1.0, 1.5, 3.0):
+    for alpha in (1.0, 1.5, 3.0, 1e4, 1e12):
         est = biseparable_bound(n, alpha, SeeSawOptions(restarts=3, seed=0))
-        assert abs(est.value - (j * (j + 1) + (alpha - 1) * j * j)) < 1e-9
+        expected = j * (j + 1) + (alpha - 1) * j * j
+        assert est.value == pytest.approx(expected, rel=1e-12, abs=1e-9)
         assert all(c.converged for c in est.classes)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_biseparable_bound_matches_dense_oracle_at_large_negative_alpha(n):
+    # float spacing near the top eigenvalue is far above 1e-12 here, so the
+    # degenerate-tie tolerance must scale with it
+    for alpha in (-1e4, -1e12):
+        oracle = dense_class_maxima(n, alpha, restarts=3)
+        est = biseparable_bound(n, alpha, SeeSawOptions(restarts=3, seed=0))
+        for cls in est.classes:
+            assert cls.value == pytest.approx(max(oracle[cls.size]), rel=1e-9), (alpha, cls.size)
 
 
 def test_bound_curve_returns_alpha_value_pairs():
