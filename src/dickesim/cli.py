@@ -155,6 +155,10 @@ SIMULATE_SCHEMA = {
     "rep_rate": (_number(0.0, 1e12), 8.0e7),
 }
 
+# restart budget of one bound run, restarts x (1 + len(alphas)) for the main
+# alpha and each entry of alphas: 64 bounds at the default 50 restarts
+MAX_BOUND_RESTARTS = 3200
+
 SCHEMAS = {
     "state": {
         "state": (_string(), "dicke_6_3"),
@@ -169,7 +173,8 @@ SCHEMAS = {
         # states.MAX_QUBITS, written out so the schemas load before numpy
         "num_qubits": (_integer(2, 10), 6),
         "alpha": (_number(), 0.0),
-        # each entry is a full bound, up to about 0.45 s at N=10
+        # each entry is a full bound; restarts x (1 + len(alphas)) is
+        # capped at MAX_BOUND_RESTARTS
         "alphas": (_list_of(_number(), max_len=64), None),
         "restarts": (_integer(1, 500), 50),
         "state": (_string(), None),
@@ -243,13 +248,20 @@ def write_report(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
+    """CSV with floats to 12 significant digits and CRLF line ends.
+
+    A row of floats never needs quoting, so it is joined directly; any
+    other row goes through ``csv.writer`` for its quoting.
+    """
+    is_float = float.__instancecheck__
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [_fmt(v) if isinstance(v, float) else v for v in row]
-            )
+            if all(map(is_float, row)):
+                fh.write(",".join([f"{v:.12g}" for v in row]) + "\r\n")
+            else:
+                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
 @dataclass(frozen=True)
@@ -381,6 +393,12 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
     from .witness import SeeSawOptions, biseparable_bound, bound_curve, witness_value
 
     n = config["num_qubits"]
+    runs = 1 + len(config["alphas"] or ())
+    if config["restarts"] * runs > MAX_BOUND_RESTARTS:
+        raise ConfigError(
+            f"config.restarts x (1 + len(config.alphas)) = {config['restarts']} x {runs}"
+            f" exceeds the restart budget {MAX_BOUND_RESTARTS}"
+        )
     options = SeeSawOptions(restarts=config["restarts"], seed=ctx.seed)
     label = config["state"]
     if label is None and n % 2 == 0:

@@ -142,36 +142,51 @@ def bipartitions(num_qubits: int):
             yield (0,) + tail
 
 
-def _top_eigenvector(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """Leading eigenvector; degenerate ties broken by the lexicographically
-    largest absolute-amplitude profile so reruns pick the same vector.  The
-    tie tolerance scales with |top|, so it stays above float spacing at
-    large |alpha|."""
-    vals, vecs = np.linalg.eigh(matrix)
-    top = vals[-1]
-    tol = DEGENERACY_TOL * max(1.0, abs(top))
-    candidates = [k for k in range(len(vals)) if vals[k] >= top - tol]
-    if len(candidates) == 1:
-        return vecs[:, -1], float(top)
-    best = max(candidates, key=lambda k: tuple(np.round(np.abs(vecs[:, k]), 12)))
-    return vecs[:, best], float(top)
+def _top_eigenvectors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading eigenvector and eigenvalue of each matrix in an (R, d, d)
+    stack.  Degenerate ties are broken by the lexicographically largest
+    absolute-amplitude profile so reruns pick the same vector; the tie
+    tolerance scales with |top|, so it stays above float spacing at large
+    |alpha|.  Ties are found for the whole stack at once and resolved row
+    by row only where one occurs."""
+    vals, vecs = np.linalg.eigh(matrices)
+    top = vals[:, -1]
+    out = vecs[:, :, -1]
+    tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
+    tied = np.flatnonzero(vals[:, -2] >= top - tol) if vals.shape[1] > 1 else ()
+    for r in tied:
+        candidates = np.flatnonzero(vals[r] >= top[r] - tol[r])
+        best = max(candidates, key=lambda k: tuple(np.round(np.abs(vecs[r, :, k]), 12)))
+        out[r] = vecs[r, :, best]
+    return out, top
 
 
-def _seesaw_once(w4, d_a, d_b, rng, max_iter, tol):
-    psi_a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
-    psi_a /= np.linalg.norm(psi_a)
-    psi_b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
-    psi_b /= np.linalg.norm(psi_b)
-    value = -np.inf
+def _seesaw(w4, psi_a, max_iter, tol):
+    """Alternating see-saw from each row of psi_a (R, d_a) at once.
+
+    Each half-step replaces one side by the top eigenvector of the witness
+    contracted with the other side, so every row's objective is monotone.
+    A row stops when its increment falls below ``tol``; returns per-row
+    (values, iterations, converged).
+    """
+    rows = len(psi_a)
+    values = np.full(rows, -np.inf)
+    iterations = np.full(rows, max_iter)
+    converged = np.zeros(rows, dtype=bool)
+    active = np.arange(rows)
     for it in range(1, max_iter + 1):
-        m_b = np.einsum("ajbk,a,b->jk", w4, psi_a.conj(), psi_a)
-        psi_b, _ = _top_eigenvector(m_b)
-        m_a = np.einsum("ajbk,j,k->ab", w4, psi_b.conj(), psi_b)
-        psi_a, new_value = _top_eigenvector(m_a)
-        if new_value - value < tol:
-            return new_value, it, True
-        value = new_value
-    return value, max_iter, False
+        m_b = np.einsum("ajbk,ra,rb->rjk", w4, psi_a.conj(), psi_a)
+        psi_b, _ = _top_eigenvectors(m_b)
+        m_a = np.einsum("ajbk,rj,rk->rab", w4, psi_b.conj(), psi_b)
+        psi_a, new_values = _top_eigenvectors(m_a)
+        done = new_values - values[active] < tol
+        values[active] = new_values
+        iterations[active[done]] = it
+        converged[active[done]] = True
+        active, psi_a = active[~done], psi_a[~done]
+        if not active.size:
+            break
+    return values, iterations, converged
 
 
 def _spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,13 +200,28 @@ def _spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _sector_witness(d_a: int, d_b: int, alpha: float) -> np.ndarray:
     """W(alpha) on spin sectors of dimensions d_a (x) d_b, as (a, b, a', b')."""
+    eye_a = np.eye(d_a)[:, None, :, None]
+    eye_b = np.eye(d_b)[None, :, None, :]
     total = 0.0
     for weight, op_a, op_b in zip(
         (1.0, 1.0, alpha), _spin_matrices(d_a), _spin_matrices(d_b)
     ):
-        j = np.kron(op_a, np.eye(d_b)) + np.kron(np.eye(d_a), op_b)
+        # J_a (x) 1 + 1 (x) J_b, broadcast instead of built by np.kron
+        j = (op_a[:, None, :, None] * eye_b + eye_a * op_b[None, :, None, :]).reshape(
+            d_a * d_b, d_a * d_b
+        )
         total = total + weight * (j @ j)
     return np.ascontiguousarray(total.real).reshape(d_a, d_b, d_a, d_b)
+
+
+def _random_starts(dim: int, key: tuple, restarts: int) -> np.ndarray:
+    """(restarts, dim) normalised complex Gaussian starts, one seed per row."""
+    starts = np.empty((restarts, dim), dtype=complex)
+    for restart in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((*key, restart)))
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        starts[restart] = psi / np.linalg.norm(psi)
+    return starts
 
 
 def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
@@ -211,13 +241,13 @@ def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
             skipped += 1
             continue
         searched += 1
-        for restart in range(opts.restarts):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((opts.seed, size, d_a, d_b, restart))
-            )
-            result = _seesaw_once(w4, d_a, d_b, rng, opts.max_iter, opts.tol)
-            if result[0] > best[0]:
-                best = result
+        values, iterations, converged = _seesaw(
+            w4, _random_starts(d_a, (opts.seed, size, d_a, d_b), opts.restarts),
+            opts.max_iter, opts.tol,
+        )
+        r = int(np.argmax(values))
+        if values[r] > best[0]:
+            best = (float(values[r]), int(iterations[r]), bool(converged[r]))
     count = math.comb(n, size) // (2 if 2 * size == n else 1)
     return SizeClassSearch(size, count, *best, searched, skipped)
 
@@ -238,8 +268,10 @@ def biseparable_bound(
     dimension (2 j_A + 1)(2 j_B + 1), which is exact for every alpha.
 
     Each searched sector pair gets ``options.restarts`` random product
-    starts; each half-step replaces one side by the top eigenvector of the
-    witness contracted with the other side, so the objective is monotone.
+    starts, run as one batch: each half-step contracts the witness with
+    every restart's other side at once and takes the top eigenvectors of
+    the whole stack in one ``eigh``, so the objective is monotone per
+    restart and each restart stops on its own increment.
     ``per_bipartition`` gives every bipartition its class value,
     ``bipartition`` is the best class's representative (0, ..., k-1), and
     ``classes`` reports each class's value, convergence and sector counts.

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,8 +8,10 @@ from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.protocols import werner
 from dickesim.states import PAULI, QubitPureState, apply_local, fidelity
 from dickesim.witness import (
+    DEGENERACY_TOL,
     SeeSawOptions,
-    _seesaw_once,
+    _sector_witness,
+    _top_eigenvectors,
     biseparable_bound,
     bipartitions,
     bound_curve,
@@ -23,6 +27,61 @@ from dickesim.witness import (
     witness_value,
 )
 from test_states import random_density
+
+
+def _top_eigenvector(matrix):
+    """Oracle: leading eigenvector of one matrix, degenerate ties broken by
+    the lexicographically largest absolute-amplitude profile."""
+    vals, vecs = np.linalg.eigh(matrix)
+    top = vals[-1]
+    tol = DEGENERACY_TOL * max(1.0, abs(top))
+    candidates = [k for k in range(len(vals)) if vals[k] >= top - tol]
+    if len(candidates) == 1:
+        return vecs[:, -1], float(top)
+    best = max(candidates, key=lambda k: tuple(np.round(np.abs(vecs[:, k]), 12)))
+    return vecs[:, best], float(top)
+
+
+def _seesaw_once(w4, d_a, d_b, rng, max_iter, tol):
+    """Oracle: one see-saw restart, one matrix at a time."""
+    psi_a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
+    psi_a /= np.linalg.norm(psi_a)
+    psi_b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
+    psi_b /= np.linalg.norm(psi_b)
+    value = -np.inf
+    for it in range(1, max_iter + 1):
+        m_b = np.einsum("ajbk,a,b->jk", w4, psi_a.conj(), psi_a)
+        psi_b, _ = _top_eigenvector(m_b)
+        m_a = np.einsum("ajbk,j,k->ab", w4, psi_b.conj(), psi_b)
+        psi_a, new_value = _top_eigenvector(m_a)
+        if new_value - value < tol:
+            return new_value, it, True
+        value = new_value
+    return value, max_iter, False
+
+
+def per_restart_class_search(n, size, alpha, opts):
+    """Oracle: the size class search one restart at a time, with the same
+    sector order, skip rule and per-restart seeds as biseparable_bound.
+
+    Returns (value, iterations, converged, searched, skipped).
+    """
+    best = (-np.inf, 0, True)
+    searched = skipped = 0
+    for d_a, d_b in itertools.product(range(size + 1, 0, -2), range(n - size + 1, 0, -2)):
+        w4 = _sector_witness(d_a, d_b, alpha)
+        if searched and np.linalg.eigvalsh(w4.reshape(d_a * d_b, -1))[-1] <= best[0]:
+            skipped += 1
+            continue
+        searched += 1
+        for restart in range(opts.restarts):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((opts.seed, size, d_a, d_b, restart))
+            )
+            result = _seesaw_once(w4, d_a, d_b, rng, opts.max_iter, opts.tol)
+            if result[0] > best[0]:
+                best = result
+    return (*best, searched, skipped)
 
 
 def dense_class_maxima(n, alpha, restarts, seed=0):
@@ -148,6 +207,45 @@ def test_biseparable_bound_matches_dense_oracle(n):
             assert value == est.classes[min(len(part), n - len(part)) - 1].value
         assert est.value == max(c.value for c in est.classes)
         assert est.bipartition == tuple(range(len(est.bipartition)))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_batched_seesaw_matches_per_restart_oracle_exactly(n):
+    # the batched search must reproduce the one-restart-at-a-time see-saw
+    # bit for bit, including the N=4, alpha=-3 class that stops at max_iter
+    for alpha in (-1e12, -1e4, -10.0, -3.0, -1.0, 0.0, 0.5, 1.0, 3.0, 1e4):
+        for restarts in (3, 10):
+            opts = SeeSawOptions(restarts=restarts, seed=0)
+            est = biseparable_bound(n, alpha, opts)
+            for cls in est.classes:
+                expected = per_restart_class_search(n, cls.size, alpha, opts)
+                got = (cls.value, cls.iterations, cls.converged,
+                       cls.sectors_searched, cls.sectors_skipped)
+                assert got == expected, (n, alpha, restarts, cls.size)
+    if n == 4:
+        slow = biseparable_bound(4, -3.0, SeeSawOptions(restarts=3)).classes[1]
+        assert not slow.converged and slow.iterations == 500
+
+
+def test_top_eigenvectors_break_degenerate_ties_like_the_single_matrix_rule():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    stack = np.array([
+        np.eye(3),
+        np.diag([1.0, 1.0, 0.0]),
+        x + x.conj().T,
+        1e12 * np.eye(3),
+        np.diag([0.0, 2.0, 2.0]),
+    ], dtype=complex)
+    vecs, tops = _top_eigenvectors(stack)
+    for matrix, vec, top in zip(stack, vecs, tops):
+        want_vec, want_top = _top_eigenvector(matrix)
+        assert top == want_top
+        assert np.array_equal(vec, want_vec)
+    # the tie rule picks the largest absolute-amplitude profile
+    assert_allclose(np.abs(vecs[0]), [1.0, 0.0, 0.0])
+    assert_allclose(np.abs(vecs[1]), [1.0, 0.0, 0.0])
+    assert_allclose(np.abs(vecs[4]), [0.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("n", range(2, 11))
