@@ -156,8 +156,9 @@ SIMULATE_SCHEMA = {
 }
 
 # restart budget of one bound run, restarts x (1 + len(alphas)) for the main
-# alpha and each entry of alphas: 64 bounds at the default 50 restarts
-MAX_BOUND_RESTARTS = 3200
+# alpha and each entry of alphas: the main alpha plus 64 alphas at the
+# default 50 restarts
+MAX_BOUND_RESTARTS = 50 * 65
 
 SCHEMAS = {
     "state": {
@@ -248,20 +249,13 @@ def write_report(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
-    """CSV with floats to 12 significant digits and CRLF line ends.
-
-    A row of floats never needs quoting, so it is joined directly; any
-    other row goes through ``csv.writer`` for its quoting.
-    """
-    is_float = float.__instancecheck__
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            if all(map(is_float, row)):
-                fh.write(",".join([f"{v:.12g}" for v in row]) + "\r\n")
-            else:
-                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            writer.writerow(
+                [_fmt(v) if isinstance(v, float) else v for v in row]
+            )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import dickesim
-from dickesim.cli import _write_csv, config_digest, main
+from dickesim.cli import config_digest, main
 from dickesim.dicke_states import dicke
 from dickesim.lms import decompose
 from dickesim.sampling import read_csv
@@ -183,10 +183,15 @@ def test_bound_alphas_list_is_capped(tmp_path, capsys):
 
 
 def test_bound_restart_budget_covers_every_alpha(tmp_path, capsys):
-    # restarts x (1 + len(alphas)) is capped at 3200: 64 bounds at the default 50 restarts
+    # restarts x (1 + len(alphas)) is capped at 3250: the main alpha plus the
+    # longest alphas list at the default 50 restarts
     alphas = [k / 8.0 for k in range(-32, 31)]
-    at_cap = write_config(tmp_path, {"num_qubits": 2, "restarts": 50, "alphas": alphas})
-    assert run_cli(["bound", "--config", at_cap, "--out", str(tmp_path / "a")]) == 0
+    fits = write_config(tmp_path, {"num_qubits": 2, "restarts": 50, "alphas": alphas})
+    assert run_cli(["bound", "--config", fits, "--out", str(tmp_path / "a")]) == 0
+    longest = write_config(
+        tmp_path, {"num_qubits": 2, "alphas": alphas + [3.875]}, name="longest.json"
+    )
+    assert run_cli(["bound", "--config", longest, "--out", str(tmp_path / "c")]) == 0
     capsys.readouterr()
     over = write_config(
         tmp_path, {"num_qubits": 2, "restarts": 51, "alphas": alphas}, name="over.json"
@@ -195,25 +200,6 @@ def test_bound_restart_budget_covers_every_alpha(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config.restarts" in err and "config.alphas" in err
     assert not (tmp_path / "b" / "bound.json").exists()
-
-
-def test_csv_rows_match_the_csv_writer_byte_for_byte(tmp_path):
-    header = ["key", "value", "note"]
-    rows = [
-        [0.1 + 0.2, -1.5e-300, float("inf")],
-        (1.0, 2.0, 3.0),
-        [1, 2.5, None],
-        ["a,b", 'say "hi"', 1e-7],
-        [True, 7, ""],
-        [float("nan"), 1 / 3, 12345678901234.5],
-    ]
-    _write_csv(str(tmp_path / "new.csv"), header, rows)
-    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in row])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_scan_closed_form_artifact(tmp_path, capsys):
