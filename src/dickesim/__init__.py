@@ -66,7 +66,6 @@ _EXPORTS = {
     "plan_settings": "lms",
     "fidelity_from_counts": "lms",
     "FidelityEstimate": "lms",
-    "CountTable": "lms",
     "reference_lms_table": "lms",
     # fock
     "SpdcConfig": "fock",

@@ -188,13 +188,14 @@ SCHEMAS = {
     },
     "lms": {
         "state": (_string(), "dicke_6_3"),
-        "strategy": (_string({"greedy", "symmetric", "ghz_special"}), "greedy"),
+        # None: the library picks from the target (symmetric for every label)
+        "strategy": (_string({"greedy", "symmetric", "ghz_special"}), None),
     },
     "sample": {
         "state": (_string(), "dicke_4_2"),
         "simulate": (_nested(SIMULATE_SCHEMA), None),
         "target": (_string(), None),
-        "strategy": (_string({"greedy", "symmetric", "ghz_special"}), "greedy"),
+        "strategy": (_string({"greedy", "symmetric", "ghz_special"}), None),
         "events": (_integer(1, 10**9), 100000),
     },
     "protocols": {
@@ -299,7 +300,7 @@ def _simulate(sim: dict):
     )
 
 
-def _plan(decomp, strategy: str):
+def _plan(decomp, strategy: str | None):
     """plan_settings, with a strategy that does not fit the target (greedy
     above its qubit cap, a design that does not span it) as a config error."""
     from .lms import plan_settings
@@ -469,7 +470,7 @@ def cmd_lms(config: dict, ctx: Context) -> dict:
     plan = _plan(decomp, config["strategy"])
     return {
         "target": config["state"],
-        "strategy": config["strategy"],
+        "strategy": plan.method,
         "term_count": len(decomp),
         "identity_coefficient": decomp.identity_coefficient,
         "num_settings": plan.num_settings,
@@ -519,7 +520,7 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
         "target": target_label,
         "source": source_desc,
         "num_qubits": target.num_qubits,
-        "strategy": config["strategy"],
+        "strategy": plan.method,
         "events_per_setting": config["events"],
         "num_settings": plan.num_settings,
         "estimate": estimate.value,

@@ -229,12 +229,29 @@ def simulate_experiment(
     threshold-detector sixfold probability monitored in the H/V basis.
     Zero kept probability raises :class:`NoSixfoldEventsError`.
     """
-    return _sixfold_stats(spdc, loss or LossConfig(), _arm_amplitudes(network))
+    loss = loss or LossConfig()
+    dicke_weights, stats = _sixfold_stats(spdc, loss, _arm_amplitudes(network))
+    rho = np.zeros((2**N_SPATIAL, 2**N_SPATIAL))
+    for w, p_w in enumerate(dicke_weights):
+        d = dicke(N_SPATIAL, w).amplitudes.real
+        rho += p_w * np.outer(d, d)
+    return SimulationResult(
+        rho_sim=QubitDensity(N_SPATIAL, rho / stats["p_exact_per_pulse"]),
+        fidelity_vs_d63=stats["fidelity"],
+        p_exact=stats["p_exact"],
+        p_exact_per_pulse=stats["p_exact_per_pulse"],
+        p_event=stats["p_event"],
+        spdc=spdc,
+        loss=loss,
+    )
 
 
-def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> SimulationResult:
+def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> tuple[list, dict]:
     """Loss, exact one-photon-per-arm selection and the z-basis threshold
     event probability of the source behind a network with first column u.
+
+    Returns the weights P_w of the selected state's Dicke mixture, w = 0
+    to 6 V photons, and the scalar statistics that ``calibrate`` records.
 
     Selection.  A loss branch is fixed by the photons lost from each arm,
     l_j^H and l_j^V.  Keeping one photon per arm, H or V as bit b_j of
@@ -271,7 +288,6 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> Simulat
     c = np.abs(u) ** 2
     one_per_arm = float(np.prod(c))
     miss_h, miss_v = 1.0 - loss.eta_h, 1.0 - loss.eta_v
-    rho = np.zeros((2**N_SPATIAL, 2**N_SPATIAL))
     dicke_weights = []
     for w in range(N_SPATIAL + 1):
         lost = sum(
@@ -279,10 +295,9 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> Simulat
             / (factorial(n - N_SPATIAL + w) * factorial(n - w))
             for n in range(max(w, N_SPATIAL - w), order + 1)
         )
-        p_w = one_per_arm * comb(N_SPATIAL, w) * loss.eta_h ** (N_SPATIAL - w) * loss.eta_v**w * lost
-        d = dicke(N_SPATIAL, w).amplitudes.real
-        rho += p_w * np.outer(d, d)
-        dicke_weights.append(p_w)
+        dicke_weights.append(
+            one_per_arm * comb(N_SPATIAL, w) * loss.eta_h ** (N_SPATIAL - w) * loss.eta_v**w * lost
+        )
     p_raw = sum(dicke_weights)
     if p_raw < 1e-30:
         raise NoSixfoldEventsError("post-selection kept zero probability")
@@ -299,17 +314,13 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> Simulat
             grown[i:, j:] += arm[i, j] * series[: order + 1 - i, : order + 1 - j]
         series = grown
     p_event = float(sum(weights[n] * series[n, n] for n in photons))
-    rho_sim = QubitDensity(N_SPATIAL, rho / p_raw)
-    return SimulationResult(
-        rho_sim=rho_sim,
+    return dicke_weights, {
         # the Dicke states are orthonormal, so the overlap with D(6, 3) is P_3
-        fidelity_vs_d63=dicke_weights[3] / p_raw,
-        p_exact=p_raw / order_weight(spdc, 3),
-        p_exact_per_pulse=p_raw,
-        p_event=p_event,
-        spdc=spdc,
-        loss=loss,
-    )
+        "fidelity": dicke_weights[3] / p_raw,
+        "p_exact": p_raw / order_weight(spdc, 3),
+        "p_exact_per_pulse": p_raw,
+        "p_event": p_event,
+    }
 
 
 def calibrate(
@@ -328,7 +339,7 @@ def calibrate(
         for eta in etas:
             loss = LossConfig(eta_h=float(eta), eta_v=float(eta))
             try:
-                result = _sixfold_stats(spdc, loss, u)
+                _, stats = _sixfold_stats(spdc, loss, u)
             except NoSixfoldEventsError:
                 continue
             records.append(
@@ -337,10 +348,7 @@ def calibrate(
                     "eta_H": float(eta),
                     "eta_V": float(eta),
                     "max_order": max_order,
-                    "fidelity": result.fidelity_vs_d63,
-                    "p_exact": result.p_exact,
-                    "p_exact_per_pulse": result.p_exact_per_pulse,
-                    "p_event": result.p_event,
+                    **stats,
                 }
             )
     return records

@@ -18,9 +18,10 @@ qubits.  Two ways of reading the strings out:
   sum_k w_km n_x^a n_y^b n_z^c equals the coefficient of each string
   with a X, b Y and c Z letters.  This works for targets whose
   coefficients are permutation-invariant (G. Toth et al., PRL 105,
-  250403 (2010)).  ``symmetric`` solves ring designs whose size grows
-  quadratically in N; ``ghz_special`` solves one fixed design, the z
-  axis plus N equatorial directions, which spans GHZ targets only.
+  250403 (2010)).  ``symmetric`` solves the first design of one ordered
+  list that spans the target: the GHZ design (N + 1 settings), then ring
+  designs whose size grows quadratically in N; ``ghz_special`` is the
+  GHZ design alone.  With no strategy the target picks the plan.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .references import REFERENCE_VALUES
 from .states import _POPCOUNT, PAULI, MeasurementSetting, QubitPureState
 
 COEFF_TOL = 1e-12
@@ -295,14 +297,14 @@ def _class_coefficients(decomp: PauliDecomposition) -> dict | None:
     return classes
 
 
-def _symmetric_settings(n: int, rings: int) -> list[MeasurementSetting]:
+def _ring_settings(n: int, rings: int) -> list[MeasurementSetting]:
     """The z axis plus ``rings`` rings of N + 1 equally spaced azimuths.
 
     Ring j sits at polar angle j pi / (2 rings), so the last ring is the
     equator, and is turned by j pi / (N + 1), half an azimuth step per
     ring, so that neighbouring rings interleave.  The equator and the
     stagger were picked for the estimator's standard error and the
-    weight solve's condition number on the Dicke and GHZ targets.
+    weight solve's condition number on the Dicke targets.
     """
     settings = [MeasurementSetting.uniform("z", n)]
     for j in range(1, rings + 1):
@@ -310,6 +312,18 @@ def _symmetric_settings(n: int, rings: int) -> list[MeasurementSetting]:
         for k in range(n + 1):
             settings.append(MeasurementSetting.direction(theta, (2 * k + j) * math.pi / (n + 1), n))
     return settings
+
+
+def _designs(n: int):
+    """The uniform-direction designs ``symmetric`` tries, in order: the GHZ
+    design (the z axis plus N equatorial directions at k pi / N), then the
+    z axis plus ceil(N/2) rings, then one more ring."""
+    yield [MeasurementSetting.uniform("z", n)] + [
+        MeasurementSetting.in_plane("xy", k * math.pi / n, n) for k in range(n)
+    ]
+    first = math.ceil(n / 2)
+    yield _ring_settings(n, first)
+    yield _ring_settings(n, first + 1)
 
 
 def _symmetric_weights(classes: dict, settings: list) -> tuple[np.ndarray, float]:
@@ -330,13 +344,6 @@ def _symmetric_weights(classes: dict, settings: list) -> tuple[np.ndarray, float
         residual = max(residual, float(np.abs(design @ solution - rhs).max()))
         weights[:, m] = solution
     return weights, residual
-
-
-def _ghz_special_settings(n: int) -> list[MeasurementSetting]:
-    """The z axis plus N equatorial directions at k pi / N."""
-    return [MeasurementSetting.uniform("z", n)] + [
-        MeasurementSetting.in_plane("xy", k * math.pi / n, n) for k in range(n)
-    ]
 
 
 def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPlan:
@@ -373,16 +380,18 @@ def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPl
 def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> SettingPlan:
     """Group a decomposition's strings into measurement settings.
 
-    ``symmetric``: every qubit along one direction per setting - the z
-    axis plus ceil(N/2) rings of N + 1 azimuths, and one more ring when
-    those do not span the target - with per-order weights on the
-    symmetric correlators solved by least squares.  Needs a
-    permutation-invariant decomposition and raises ValueError otherwise,
-    or when the weights leave a residual above ``SYMMETRIC_RESIDUAL_TOL``.
-    The six-qubit Dicke state takes 22 settings (21 published).
-    ``ghz_special``: the same weight solve on one fixed design, the z
-    axis plus N equatorial directions at k pi / N (N + 1 settings); it
-    spans GHZ targets and refuses others by the same residual test.
+    With no strategy, permutation-invariant decompositions get
+    ``symmetric`` and all others ``greedy``.
+    ``symmetric``: every qubit along one direction per setting, with
+    per-order weights on the symmetric correlators solved by least
+    squares on the first of ``_designs`` whose weight residual is within
+    ``SYMMETRIC_RESIDUAL_TOL``.  GHZ targets take the GHZ design (five
+    settings at N = 4, as published), the six-qubit Dicke state 22 (21
+    published).  Raises ValueError for a decomposition that is not
+    permutation-invariant or that no design spans.
+    ``ghz_special``: the same list cut to the GHZ design.  Besides GHZ
+    targets it spans only D(2, 1), D(N, 0) and D(N, N) among the Dicke
+    states, and it refuses others by the same residual test.
     ``greedy``: exact matching; repeatedly pick the axis assignment
     evaluating the most uncovered strings (ties broken toward the
     lexicographically smallest axis string), assigning each string to
@@ -392,21 +401,16 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     a few big-integer ANDs instead of a scan of every candidate.  Raises
     ValueError above ``MAX_GREEDY_QUBITS`` qubits, where plans grow too
     large to sample (the eight-qubit Dicke state takes 2,012 settings).
-    With no strategy, permutation-invariant decompositions get
-    ``symmetric`` and all others ``greedy``.
     """
     if not len(decomp):
         raise ValueError("cannot plan settings for an empty decomposition")
     if strategy is None:
         strategy = "greedy" if _class_coefficients(decomp) is None else "symmetric"
-    n = decomp.num_qubits
+    designs = _designs(decomp.num_qubits)
     if strategy == "symmetric":
-        first = math.ceil(n / 2)
-        return _uniform_plan(
-            decomp, strategy, (_symmetric_settings(n, rings) for rings in (first, first + 1))
-        )
+        return _uniform_plan(decomp, strategy, designs)
     if strategy == "ghz_special":
-        return _uniform_plan(decomp, strategy, [_ghz_special_settings(n)])
+        return _uniform_plan(decomp, strategy, [next(designs)])
     if strategy == "greedy":
         return _greedy_plan(decomp)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -510,24 +514,9 @@ def fidelity_from_counts(
     )
 
 
-class CountTable(dict):
-    """Outcome counts per setting label, the estimator's input format.
-
-    Values are length-2^N vectors of nonnegative counts; any mapping with
-    this shape works, the class only adds converters.
-    """
-
-    @classmethod
-    def from_histograms(cls, histograms) -> "CountTable":
-        table = cls()
-        for hist in histograms:
-            table[hist.setting.label()] = np.asarray(hist.counts)
-        return table
-
-    def totals(self) -> dict:
-        return {key: float(np.sum(vec)) for key, vec in self.items()}
-
-
 def reference_lms_table() -> dict:
-    """Published setting counts for the four benchmark targets."""
-    return {"dicke_6_3": 21, "dicke_4_2": 9, "dicke_4_1": 7, "ghz_4": 5}
+    """Published setting counts, read from the ``lms_settings_*`` entries
+    of ``references.REFERENCE_VALUES``."""
+    prefix = "lms_settings_"
+    return {e.key.removeprefix(prefix): int(e.value)
+            for e in REFERENCE_VALUES if e.key.startswith(prefix)}

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import SpdcConfig, threshold_counts
-from .lms import CountTable
 from .states import (
     MeasurementSetting,
     QubitDensity,
@@ -150,8 +149,9 @@ def run_plan(source, plan: ExperimentPlan) -> list[CoincidenceHistogram]:
     ]
 
 
-def histograms_to_table(histograms) -> CountTable:
-    return CountTable.from_histograms(histograms)
+def histograms_to_table(histograms) -> dict:
+    """Outcome counts per setting label, the input of ``lms.fidelity_from_counts``."""
+    return {hist.setting.label(): hist.counts for hist in histograms}
 
 
 def _csv_field(text: str) -> str:
@@ -189,8 +189,8 @@ def write_csv(histograms, path) -> None:
     write_count_rows(path, ((hist.setting.label(), hist.counts) for hist in histograms))
 
 
-def read_csv(path) -> CountTable:
-    """Rebuild a CountTable from the CSV layout written by write_csv."""
+def read_csv(path) -> dict:
+    """Rebuild the counts per setting label from the CSV layout written by write_csv."""
     rows: dict[str, dict[int, int]] = {}
     widths: dict[str, int] = {}
     with open(path, newline="") as fh:
@@ -203,7 +203,7 @@ def read_csv(path) -> CountTable:
             if len(bits) != widths[label]:
                 raise ValueError(f"inconsistent outcome width for setting {label!r}")
             rows.setdefault(label, {})[int(bits, 2)] = int(count)
-    table = CountTable()
+    table = {}
     for label, entries in rows.items():
         vec = np.zeros(2 ** widths[label], dtype=np.int64)
         for index, count in entries.items():

@@ -263,7 +263,7 @@ def test_lms_ghz_special(tmp_path, capsys):
 
 
 def test_lms_greedy_four_qubit(tmp_path, capsys):
-    config = write_config(tmp_path, {"state": "dicke_4_2"})
+    config = write_config(tmp_path, {"state": "dicke_4_2", "strategy": "greedy"})
     out = tmp_path / "out"
     assert run_cli(["lms", "--config", config, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -284,6 +284,32 @@ def test_lms_symmetric_plan(tmp_path, capsys):
     results = load_report(out, "lms")["results"]
     assert results["strategy"] == "symmetric"
     assert results["num_settings"] == 22
+
+
+@pytest.mark.parametrize("command", ["lms", "sample"])
+@pytest.mark.parametrize(
+    "state, strategy, method, settings",
+    [
+        ("dicke_6_3", None, "symmetric", 22),
+        ("ghz_4", None, "symmetric", 5),
+        ("w_4", None, "symmetric", 11),
+        ("dicke_6_3", "greedy", "greedy", 207),
+    ],
+)
+def test_strategy_defaults_to_the_library_choice(
+    command, state, strategy, method, settings, tmp_path, capsys
+):
+    # without a strategy the target picks the plan; the report names it
+    payload = {"state": state} if strategy is None else {"state": state, "strategy": strategy}
+    if command == "sample":
+        payload["events"] = 1000
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", config, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = load_report(out, command)
+    assert report["config"]["strategy"] == strategy
+    assert (report["results"]["strategy"], report["results"]["num_settings"]) == (method, settings)
 
 
 def test_sample_symmetric_plan(tmp_path, capsys):
@@ -354,7 +380,7 @@ def test_sample_on_a_zero_variance_plan_reports_no_deviation(seed, tmp_path, cap
 
 
 def test_sample_estimates_fidelity(tmp_path, capsys):
-    config = write_config(tmp_path, {"state": "dicke_4_2", "events": 20000})
+    config = write_config(tmp_path, {"state": "dicke_4_2", "strategy": "greedy", "events": 20000})
     out = tmp_path / "out"
     assert run_cli(["sample", "--config", config, "--out", str(out)]) == 0
     capsys.readouterr()

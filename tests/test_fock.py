@@ -334,6 +334,28 @@ def test_calibrate_grid_and_pick():
     )
 
 
+def test_calibrate_records_equal_the_simulation_at_each_point():
+    # calibrate skips the density, but every number it records is the
+    # simulation's, bit for bit; the eta 0 points keep no sixfold events
+    # and are left out
+    lambdas, etas = [0.3, 0.65, 0.9], [0.0, 0.25, 1.0]
+    records = calibrate(lambdas, etas, max_order=5)
+    assert len(records) == len(lambdas) * (len(etas) - 1)
+    for record in records:
+        spdc = SpdcConfig(lam=record["lambda"], max_order=5)
+        result = simulate_experiment(spdc, LossConfig(eta_h=record["eta_H"], eta_v=record["eta_V"]))
+        assert record == {
+            "lambda": spdc.lam,
+            "eta_H": result.loss.eta_h,
+            "eta_V": result.loss.eta_v,
+            "max_order": 5,
+            "fidelity": result.fidelity_vs_d63,
+            "p_exact": result.p_exact,
+            "p_exact_per_pulse": result.p_exact_per_pulse,
+            "p_event": result.p_event,
+        }
+
+
 def test_calibrate_reproduces_calibration_file():
     with open(CALIBRATION_PATH) as fh:
         stored = json.load(fh)

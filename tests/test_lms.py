@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.lms import (
-    CountTable,
     CoverageError,
     SettingAssignment,
     SettingPlan,
@@ -20,6 +19,7 @@ from dickesim.lms import (
     reference_lms_table,
     support_mask,
 )
+from dickesim.references import REFERENCE_VALUES
 from dickesim.states import (
     _POPCOUNT,
     MeasurementSetting,
@@ -39,7 +39,7 @@ GREEDY_COUNTS = {
 
 
 def exact_counts(state, plan, events=1e6):
-    table = CountTable()
+    table = {}
     for assignment in plan.assignments:
         probs = outcome_distribution(state, assignment.setting)
         table[assignment.setting.label()] = probs * events
@@ -325,7 +325,24 @@ def test_symmetric_plan_counts():
         label: plan_settings(decompose(state)).num_settings
         for label, state in [("dicke_6_3", dicke(6, 3)), ("dicke_4_2", dicke(4, 2)), ("ghz_4", ghz(4))]
     }
-    assert counts == {"dicke_6_3": 22, "dicke_4_2": 11, "ghz_4": 11}
+    assert counts == {"dicke_6_3": 22, "dicke_4_2": 11, "ghz_4": 5}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_symmetric_plan_on_ghz_is_the_ghz_special_plan(n):
+    # the GHZ design heads symmetric's design list, so both strategies
+    # solve the same design and only the method name differs
+    decomp = decompose(ghz(n))
+    symmetric = plan_settings(decomp, strategy="symmetric")
+    special = plan_settings(decomp, strategy="ghz_special")
+    assert symmetric.method == "symmetric"
+    assert symmetric.num_settings == n + 1
+    assert [a.setting.label() for a in symmetric.assignments] == [
+        a.setting.label() for a in special.assignments
+    ]
+    assert [a.collective_weights for a in symmetric.assignments] == [
+        a.collective_weights for a in special.assignments
+    ]
 
 
 def test_symmetric_plan_refuses_other_targets():
@@ -408,7 +425,7 @@ def test_estimator_variance_matches_the_moment_formula_on_a_greedy_plan():
     decomp = decompose(state)
     plan = plan_settings(decomp, strategy="greedy")
     rng = np.random.default_rng(5)
-    table = CountTable()
+    table = {}
     expected = 0.0
     for assignment in plan.assignments:
         probs = outcome_distribution(state, assignment.setting)
@@ -434,7 +451,7 @@ def test_estimator_input_validation():
     decomp = decompose(dicke(4, 2))
     plan = plan_settings(decomp)
     with pytest.raises(ValueError, match="missing counts"):
-        fidelity_from_counts(decomp, plan, CountTable())
+        fidelity_from_counts(decomp, plan, {})
     short = {a.setting.label(): np.ones(8) for a in plan.assignments}
     with pytest.raises(ValueError, match="outcome counts"):
         fidelity_from_counts(decomp, plan, short)
@@ -451,3 +468,8 @@ def test_reference_table_values():
         "dicke_4_1": 7,
         "ghz_4": 5,
     }
+    # one table of published counts: the lms_settings_* reference entries
+    published = {e.key: e.value for e in REFERENCE_VALUES if e.key.startswith("lms_settings_")}
+    table = reference_lms_table()
+    assert {f"lms_settings_{label}": count for label, count in table.items()} == published
+    assert all(type(count) is int for count in table.values())
