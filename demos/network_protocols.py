@@ -20,7 +20,7 @@ from dickesim.dicke_states import dicke
 from dickesim.protocols import (
     maximal_singlet_fraction,
     odt_report,
-    pair_state,
+    pair_channel,
     psi_plus_fraction,
     qss_run,
     telecloning_report,
@@ -40,7 +40,7 @@ def main():
     args = parser.parse_args()
 
     for n in (6, 4):
-        rho = pair_state(n)
+        rho = pair_channel(dicke(n, n // 2), 0, 1)
         msf = maximal_singlet_fraction(rho)
         print(f"{n}-photon pair channel: Bell fraction = {psi_plus_fraction(rho):.6f}, "
               f"msf = {msf.value:.6f}, F_max = {teleport_fidelity_max(msf.value):.6f}")

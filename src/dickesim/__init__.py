@@ -70,18 +70,15 @@ _EXPORTS = {
     # fock
     "SpdcConfig": "fock",
     "LossConfig": "fock",
-    "splitter_network": "fock",
     "threshold_counts": "fock",
     "simulate_experiment": "fock",
     "calibrate": "fock",
     "NoSixfoldEventsError": "fock",
     # protocols
-    "pair_state": "protocols",
     "pair_channel": "protocols",
     "psi_plus_fraction": "protocols",
     "maximal_singlet_fraction": "protocols",
     "teleport_fidelity_max": "protocols",
-    "pair_channel_report": "protocols",
     "telecloning_report": "protocols",
     "odt_report": "protocols",
     "qss_run": "protocols",
@@ -90,7 +87,6 @@ _EXPORTS = {
     "CoincidenceHistogram": "sampling",
     "ExperimentPlan": "sampling",
     "sample": "sampling",
-    "poisson_error": "sampling",
     "run_plan": "sampling",
     # references
     "REFERENCE_VALUES": "references",

@@ -11,9 +11,11 @@ state the same way.  Outputs are deterministic for fixed seeds; floats
 are printed with 12 significant digits.
 
 Exit codes: 0 ok, 2 config error (including a setting strategy that does
-not fit the target and a navigation that revisits a qubit, names one out
-of range or leaves none), 3 numerical failure; any other exception
-propagates with its traceback.
+not fit the target, a navigation that revisits a qubit, names one out of
+range or leaves none, and a compared report whose values are not
+numbers), 3 numerical failure (no sixfold events, an impossible
+measurement outcome, an arithmetic or linear-algebra error); any other
+exception propagates with its traceback.
 
 Heavy numerical imports happen after argument parsing so that --threads
 can cap the linear-algebra thread pools via environment variables.
@@ -408,13 +410,6 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
         "num_qubits": n,
         "alpha": config["alpha"],
         "bound": estimate.value,
-        "restarts": estimate.restarts,
-        "converged": estimate.converged,
-        "bipartition": list(estimate.bipartition),
-        "per_bipartition": {
-            "+".join(map(str, part)): value
-            for part, value in estimate.per_bipartition.items()
-        },
         "classes": [asdict(cls) for cls in estimate.classes],
     }
     if state is not None:
@@ -557,7 +552,7 @@ def cmd_protocols(config: dict, ctx: Context) -> dict:
     odt = odt_report(state)
     pair = pair_channel(state, 0, 1)
     pairs = sorted(telecloning.pair_fidelity.items())
-    ideal = (2.0 * n - 1.0) / (3.0 * (n - 1.0))
+    ideal = telecloning.ideal_threshold
     classical = telecloning.classical_threshold
     _write_csv(
         ctx.path("fig_pair_teleport_fidelity.csv"),
@@ -645,6 +640,15 @@ def _extract_computed(report: dict) -> dict:
     return out
 
 
+def _comparable(value) -> bool:
+    """A finite number, or a (value, error) pair of finite numbers."""
+    items = value if isinstance(value, (list, tuple)) and len(value) == 2 else [value]
+    return all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in items
+    )
+
+
 def cmd_compare(config: dict, ctx: Context) -> dict:
     from .references import compare_values
 
@@ -678,6 +682,11 @@ def cmd_compare(config: dict, ctx: Context) -> dict:
             extracted = _extract_computed(report)
         except (AttributeError, KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: not a dickesim report: {type(exc).__name__}: {exc}") from exc
+        for key, value in extracted.items():
+            if not _comparable(value):
+                raise ConfigError(
+                    f"{path}: {key} is not a finite number or a [value, error] pair: {value!r}"
+                )
         if extracted:
             used.append(os.path.basename(path))
             computed.update(extracted)
@@ -780,13 +789,16 @@ def _load_config(path: str | None) -> dict:
 
 def _numerical_errors() -> tuple:
     """Exceptions reported as numerical failures (exit 3).  Imported on
-    demand so that --threads is set before numpy loads."""
+    demand so that --threads is set before numpy loads.  Any other
+    exception, a bare ValueError included, is a bug and keeps its
+    traceback."""
     import numpy as np
 
     from .fock import NoSixfoldEventsError
+    from .states import ImpossibleOutcomeError
 
-    # ValueError covers states.ImpossibleOutcomeError
-    return (NoSixfoldEventsError, ValueError, ArithmeticError, np.linalg.LinAlgError)
+    return (NoSixfoldEventsError, ImpossibleOutcomeError, ArithmeticError,
+            np.linalg.LinAlgError)
 
 
 def main(argv=None) -> int:

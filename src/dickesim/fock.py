@@ -2,9 +2,9 @@
 
 The source emits n photon pairs, one H and one V photon each, into a
 single input mode with probability proportional to lam^(2n), up to
-``max_order`` pairs.  A 6x6 unitary network spreads that mode over six
-arms; only input mode 0 is pumped, so only the network's first column u
-matters.  Written out, the n-pair term is
+``max_order`` pairs.  A splitter spreads that mode evenly over six arms:
+a photon enters arm j with amplitude u_j = 1/sqrt(6).  Written out, the
+n-pair term is
 
     (lam^n / norm) n! sum_{h, v} prod_j u_j^(h_j + v_j) / sqrt(h_j! v_j!) |h, v>
 
@@ -33,7 +33,10 @@ from .dicke_states import dicke
 from .states import MeasurementSetting, QubitDensity
 
 N_SPATIAL = 6
-UNITARY_TOL = 1e-10
+# the even splitter seen from the pumped input mode: a photon reaches each
+# arm with amplitude 1/sqrt(6)
+ARM_AMPLITUDES = np.full(N_SPATIAL, 1.0 / math.sqrt(N_SPATIAL))
+ARM_AMPLITUDES.flags.writeable = False
 
 
 class NoSixfoldEventsError(RuntimeError):
@@ -41,7 +44,7 @@ class NoSixfoldEventsError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Source and network
+# Source
 
 
 @dataclass(frozen=True)
@@ -73,47 +76,6 @@ def order_weight(config: SpdcConfig, pairs: int) -> float:
     if pairs > config.max_order:
         return 0.0
     return config.lam ** (2 * pairs) / total
-
-
-def splitter_network() -> np.ndarray:
-    """6x6 unitary distributing the source mode evenly over all outputs.
-
-    First column has every entry 1/sqrt(6); the remaining columns complete
-    the unitary by Gram-Schmidt on the standard basis, so the matrix is
-    real and reproducible.
-    """
-    first = np.full(N_SPATIAL, 1.0 / math.sqrt(N_SPATIAL))
-    columns = [first]
-    k = 0
-    while len(columns) < N_SPATIAL:
-        v = np.zeros(N_SPATIAL)
-        v[k] = 1.0
-        k += 1
-        for u in columns:
-            v = v - (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            columns.append(v / norm)
-    u = np.stack(columns, axis=1)
-    if np.abs(u @ u.conj().T - np.eye(N_SPATIAL)).max() > UNITARY_TOL:
-        raise AssertionError("splitter construction lost unitarity")
-    return u
-
-
-def _check_network_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (N_SPATIAL, N_SPATIAL):
-        raise ValueError(f"network unitary must be {N_SPATIAL}x{N_SPATIAL}")
-    if np.abs(u @ u.conj().T - np.eye(N_SPATIAL)).max() > UNITARY_TOL:
-        raise ValueError("network matrix is not unitary within 1e-10")
-    return u
-
-
-def _arm_amplitudes(network: np.ndarray | None) -> np.ndarray:
-    """First column u of the network (the splitter when None): u_j is the
-    amplitude for a photon of the pumped input mode to enter arm j."""
-    net = splitter_network() if network is None else _check_network_unitary(network)
-    return net[:, 0]
 
 
 def _pair_weights(spdc: SpdcConfig) -> list[float]:
@@ -162,12 +124,11 @@ def threshold_counts(spdc: SpdcConfig, setting: MeasurementSetting) -> tuple[np.
     """
     if setting.num_qubits != N_SPATIAL:
         raise ValueError("setting must cover the six spatial modes")
-    u = splitter_network()[:, 0]
     patterns = np.array(list(itertools.product((0, 1), repeat=N_SPATIAL)))
     rotations = np.array([setting.rotation(j) for j in range(N_SPATIAL)])
     # coeff[s, j, p]: amplitude for a p-polarized photon of the pumped mode
     # to reach the detector that outcome s names in arm j
-    coeff = u[:, None] * rotations[np.arange(N_SPATIAL), patterns]
+    coeff = ARM_AMPLITUDES[:, None] * rotations[np.arange(N_SPATIAL), patterns]
     # arm_poly[j, k][s]: coefficients of (alpha_j x + beta_j)^k / sqrt(k!)
     most = 2 * spdc.max_order - (N_SPATIAL - 1)
     arm_poly = {}
@@ -217,10 +178,8 @@ class SimulationResult:
         }
 
 
-def simulate_experiment(
-    spdc: SpdcConfig, loss: LossConfig | None = None, network: np.ndarray | None = None
-) -> SimulationResult:
-    """Compose source, network, loss, and both detection models.
+def simulate_experiment(spdc: SpdcConfig, loss: LossConfig | None = None) -> SimulationResult:
+    """Compose source, splitter, loss, and both detection models.
 
     ``p_exact`` is the exact one-photon-per-mode probability normalized
     per three-pair emission (so the lossless max_order=3 pipeline gives
@@ -230,7 +189,7 @@ def simulate_experiment(
     Zero kept probability raises :class:`NoSixfoldEventsError`.
     """
     loss = loss or LossConfig()
-    dicke_weights, stats = _sixfold_stats(spdc, loss, _arm_amplitudes(network))
+    dicke_weights, stats = _sixfold_stats(spdc, loss)
     rho = np.zeros((2**N_SPATIAL, 2**N_SPATIAL))
     for w, p_w in enumerate(dicke_weights):
         d = dicke(N_SPATIAL, w).amplitudes.real
@@ -246,9 +205,9 @@ def simulate_experiment(
     )
 
 
-def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> tuple[list, dict]:
+def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig) -> tuple[list, dict]:
     """Loss, exact one-photon-per-arm selection and the z-basis threshold
-    event probability of the source behind a network with first column u.
+    event probability of the source behind the splitter, u = ARM_AMPLITUDES.
 
     Returns the weights P_w of the selected state's Dicke mixture, w = 0
     to 6 V photons, and the scalar statistics that ``calibrate`` records.
@@ -263,9 +222,9 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> tuple[l
 
     with a = sum_j l_j^H and b = sum_j l_j^V, on every outcome with
     w = n - b V photons.  Each branch is therefore the Dicke state
-    D(6, w) for any network, and the multinomial theorem over the lost
-    photons (sum_j |u_j|^2 = 1) gives the branches with w V photons the
-    total weight
+    D(6, w) for any arm amplitudes u, and the multinomial theorem over
+    the lost photons (sum_j |u_j|^2 = 1) gives the branches with w V
+    photons the total weight
 
         P_w = prod_j |u_j|^2 C(6, w) eta_H^(6 - w) eta_V^w
               sum_n W_n (1 - eta_H)^a (1 - eta_V)^b / (a! b!),
@@ -285,7 +244,7 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> tuple[l
     """
     order = spdc.max_order
     weights = _pair_weights(spdc)
-    c = np.abs(u) ** 2
+    c = np.abs(ARM_AMPLITUDES) ** 2
     one_per_arm = float(np.prod(c))
     miss_h, miss_v = 1.0 - loss.eta_h, 1.0 - loss.eta_v
     dicke_weights = []
@@ -323,23 +282,20 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig, u: np.ndarray) -> tuple[l
     }
 
 
-def calibrate(
-    lambdas, etas, max_order: int = 4, network: np.ndarray | None = None
-) -> list[dict]:
+def calibrate(lambdas, etas, max_order: int = 4) -> list[dict]:
     """Sweep (lambda, eta) and record fidelity and event statistics.
 
     Loss is applied symmetrically (eta_H = eta_V = eta).  Records are
     plain dicts ready for JSON; nothing is cached or hardcoded, rerunning
     the sweep regenerates every value.
     """
-    u = _arm_amplitudes(network)
     records = []
     for lam in lambdas:
         spdc = SpdcConfig(lam=float(lam), max_order=max_order)
         for eta in etas:
             loss = LossConfig(eta_h=float(eta), eta_v=float(eta))
             try:
-                _, stats = _sixfold_stats(spdc, loss, u)
+                _, stats = _sixfold_stats(spdc, loss)
             except NoSixfoldEventsError:
                 continue
             records.append(

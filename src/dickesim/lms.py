@@ -100,13 +100,13 @@ def _hadamard(bits: int) -> np.ndarray:
     return 1.0 - 2.0 * (_POPCOUNT[idx[:, None] & idx] & 1)
 
 
-def decompose(target: QubitPureState, tol: float = COEFF_TOL) -> PauliDecomposition:
+def decompose(target: QubitPureState) -> PauliDecomposition:
     """Exhaustive Pauli expansion of |target><target|, up to ``states.MAX_QUBITS``.
 
     For each X-mask x, <X^x Z^z> for every Z-mask z is the Walsh-Hadamard
     transform of conj(psi_{j ^ x}) psi_j; a Y letter is i X Z, so the
     string with X-mask x and Z-mask z is i^popcount(x & z) X^x Z^z.
-    Coefficients above ``tol`` are kept in itertools.product("IXYZ")
+    Coefficients above ``COEFF_TOL`` are kept in itertools.product("IXYZ")
     order; the identity term (coefficient 2^-N) is always present.
     """
     n = target.num_qubits
@@ -123,7 +123,7 @@ def decompose(target: QubitPureState, tol: float = COEFF_TOL) -> PauliDecomposit
         product = (psi[masks ^ x].conj() * psi).reshape(len(high), len(low))
         transform = (high @ product @ low).reshape(-1)
         values = (phases[_POPCOUNT[masks & x] % 4] * transform).real / dim
-        kept = np.flatnonzero(np.abs(values) > tol)
+        kept = np.flatnonzero(np.abs(values) > COEFF_TOL)
         keys.append(2 * spread[kept] + spread[kept ^ x])
         coeffs.append(values[kept])
     keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
@@ -364,9 +364,11 @@ def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPl
         raise ValueError(
             f"{method} settings do not span the target: weight residual {residual:.2e}"
         )
+    # a setting whose weights are all zero adds nothing to the estimate
     assignments = tuple(
         SettingAssignment(setting, (), collective_weights=tuple(float(w) for w in row))
         for setting, row in zip(settings, weights)
+        if row.any()
     )
     return SettingPlan(
         method=method,
@@ -387,8 +389,10 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     squares on the first of ``_designs`` whose weight residual is within
     ``SYMMETRIC_RESIDUAL_TOL``.  GHZ targets take the GHZ design (five
     settings at N = 4, as published), the six-qubit Dicke state 22 (21
-    published).  Raises ValueError for a decomposition that is not
-    permutation-invariant or that no design spans.
+    published).  Settings whose weights all solve to zero are dropped, so
+    the product states D(N, 0) and D(N, N) plan the z setting alone.
+    Raises ValueError for a decomposition that is not permutation-invariant
+    or that no design spans.
     ``ghz_special``: the same list cut to the GHZ design.  Besides GHZ
     targets it spans only D(2, 1), D(N, 0) and D(N, N) among the Dicke
     states, and it refuses others by the same residual test.

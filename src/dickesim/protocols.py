@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke_states import dicke, ghz
+from .dicke_states import ghz
 from .states import (
     _POPCOUNT,
     MeasurementSetting,
@@ -34,13 +34,8 @@ PSI_MINUS = QubitPureState(2, np.array([0, 1, -1, 0]) / math.sqrt(2), label="psi
 
 # outcome patterns below this weight are reported with zero fidelity
 ZERO_PATTERN_TOL = 1e-12
-
-
-def pair_state(num_qubits: int, keep: tuple[int, int] = (0, 1)) -> QubitDensity:
-    """Two-qubit marginal of the half-excited Dicke state."""
-    if num_qubits % 2:
-        raise ValueError("pair_state expects an even qubit count")
-    return partial_trace(dicke(num_qubits, num_qubits // 2), keep)
+# largest entry difference between two pair marginals reported as equal
+SYMMETRY_TOL = 1e-12
 
 
 def pair_channel(state, first: int, second: int) -> QubitDensity:
@@ -86,19 +81,6 @@ def maximal_singlet_fraction(state, restarts=None, seed=None) -> MsfResult:
     return MsfResult(value=float(min(max(value, 0.25), 1.0)))
 
 
-def pair_channel_report(num_qubits: int) -> dict:
-    """Summary of the traced-down ideal pair as a teleportation resource."""
-    rho = pair_state(num_qubits)
-    fraction = psi_plus_fraction(rho)
-    msf = maximal_singlet_fraction(rho)
-    return {
-        "num_qubits": num_qubits,
-        "psi_plus_fraction": fraction,
-        "max_singlet_fraction": msf.value,
-        "teleport_fidelity": teleport_fidelity_max(msf.value),
-    }
-
-
 @dataclass(frozen=True)
 class TelecloningReport:
     num_qubits: int
@@ -112,11 +94,14 @@ class TelecloningReport:
         return all(v > self.classical_threshold for v in self.pair_fidelity.values())
 
 
-def telecloning_report(state, symmetry_tol: float = 1e-12) -> TelecloningReport:
+def telecloning_report(state) -> TelecloningReport:
     """Teleportation fidelity bound for every qubit pair used as channel.
 
     ``symmetric`` records whether all pair marginals coincide to
-    ``symmetry_tol`` (as for a permutation-symmetric input).
+    ``SYMMETRY_TOL`` (as for a permutation-symmetric input).
+    ``ideal_threshold`` is the pair value of the half-excited Dicke state
+    D(N, N/2), (2N - 1) / (3 (N - 1)): its pair marginals have maximal
+    singlet fraction N / (2 (N - 1)).
     """
     n = state.num_qubits
     if n < 4:
@@ -131,10 +116,10 @@ def telecloning_report(state, symmetry_tol: float = 1e-12) -> TelecloningReport:
             pair: teleport_fidelity_max(maximal_singlet_fraction(rho).value)
             for pair, rho in marginals.items()
         },
-        ideal_threshold=11.0 / 15.0,
+        ideal_threshold=(2.0 * n - 1.0) / (3.0 * (n - 1.0)),
         classical_threshold=2.0 / 3.0,
         symmetric=all(
-            np.abs(rho.matrix - first.matrix).max() <= symmetry_tol
+            np.abs(rho.matrix - first.matrix).max() <= SYMMETRY_TOL
             for rho in marginals.values()
         ),
     )
@@ -150,10 +135,6 @@ class OdtPattern:
     prob: float
     fidelity: float
 
-    @property
-    def success(self) -> bool:
-        return self.outcomes.count("H") == self.outcomes.count("V")
-
 
 @dataclass(frozen=True)
 class OdtResult:
@@ -163,9 +144,6 @@ class OdtResult:
     p_success: float
     mean_heralded_fidelity: float
     channel_consistency: float
-
-    def balanced(self) -> list[OdtPattern]:
-        return [p for p in self.patterns if p.success]
 
 
 def _pair_blocks(state, keep) -> np.ndarray:

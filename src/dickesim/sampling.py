@@ -2,18 +2,15 @@
 
 Histograms emulate the experiment's count-level data: multinomial draws
 from a state's outcome distribution (or from the threshold-detector
-model of the down-conversion source), with Poissonian uncertainties.
-Randomness comes from numpy's PCG64 generator seeded through
-SeedSequence((seed, setting_index)), so identical inputs give
-byte-identical histograms on any platform.
+model of the down-conversion source).  Randomness comes from numpy's
+PCG64 generator seeded through SeedSequence((seed, setting_index)), so
+identical inputs give byte-identical histograms on any platform.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +22,6 @@ from .states import (
     QubitPureState,
     outcome_distribution,
 )
-
-GENERATOR_NAME = "PCG64"
-
 
 def stream_generator(seed: int, stream_index: int = 0) -> np.random.Generator:
     """Independent generator for one (seed, stream) pair."""
@@ -51,11 +45,6 @@ class CoincidenceHistogram:
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
-    def frequencies(self) -> np.ndarray:
-        if self.total == 0:
-            raise ValueError("histogram holds no events")
-        return self.counts / self.total
-
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -70,33 +59,6 @@ class ExperimentPlan:
         if self.events_per_setting < 1:
             raise ValueError("events per setting must be positive")
         object.__setattr__(self, "settings", settings)
-
-    def to_json(self) -> dict:
-        return {
-            "settings": [s.label() for s in self.settings],
-            "events": self.events_per_setting,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ExperimentPlan":
-        return cls(
-            settings=tuple(
-                MeasurementSetting.from_label(text) for text in data["settings"]
-            ),
-            events_per_setting=int(data["events"]),
-            seed=int(data.get("seed", 0)),
-        )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "ExperimentPlan":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def outcome_probabilities(source, setting: MeasurementSetting) -> np.ndarray:
@@ -128,19 +90,6 @@ def sample(
     return CoincidenceHistogram(setting, counts.astype(np.int64), int(n_events))
 
 
-def poisson_error(count) -> tuple[float, bool]:
-    """Counting-statistics uncertainty sqrt(count).
-
-    Zero counts cannot certify zero rate, so they report an uncertainty
-    of 1 with the flag set.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count == 0:
-        return 1.0, True
-    return math.sqrt(count), False
-
-
 def run_plan(source, plan: ExperimentPlan) -> list[CoincidenceHistogram]:
     """One histogram per plan setting, with per-setting random streams."""
     return [
@@ -161,8 +110,8 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def write_count_rows(path, rows) -> None:
-    """Write ``(label, counts)`` pairs as CSV rows (setting, outcome bitstring, count).
+def write_csv(histograms, path) -> None:
+    """Write histograms as CSV rows (setting, outcome bitstring, count).
 
     All 2^N outcomes of a setting are written in index order; bit 0 of
     the bitstring is the first qubit's outcome (0 = +1 eigenvector).  The
@@ -173,8 +122,8 @@ def write_count_rows(path, rows) -> None:
     bitstrings = {}
     with open(path, "w", newline="") as fh:
         fh.write("setting,outcome,count\r\n")
-        for label, counts in rows:
-            counts = np.asarray(counts, dtype=np.int64).tolist()
+        for hist in histograms:
+            label, counts = hist.setting.label(), hist.counts.tolist()
             size = len(counts)
             if size not in bitstrings:
                 bitstrings[size] = [f"{i:0{size.bit_length() - 1}b}," for i in range(size)]
@@ -182,11 +131,6 @@ def write_count_rows(path, rows) -> None:
             fh.write("".join(
                 f"{head}{bits}{count}\r\n" for bits, count in zip(bitstrings[size], counts)
             ))
-
-
-def write_csv(histograms, path) -> None:
-    """Serialize histograms in the layout of :func:`write_count_rows`."""
-    write_count_rows(path, ((hist.setting.label(), hist.counts) for hist in histograms))
 
 
 def read_csv(path) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +38,10 @@ from .states import (
 )
 
 DEGENERACY_TOL = 1e-12
+# a see-saw restart stops once an iteration raises its value by less than
+# SEESAW_TOL, or after MAX_ITER iterations
+MAX_ITER = 500
+SEESAW_TOL = 1e-10
 
 
 def _embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -104,8 +108,6 @@ def pairwise_corr_matrix(state: State, axis: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SeeSawOptions:
     restarts: int = 50
-    max_iter: int = 500
-    tol: float = 1e-10
     seed: int = 0
 
 
@@ -126,20 +128,7 @@ class SizeClassSearch:
 @dataclass(frozen=True)
 class BoundEstimate:
     value: float
-    bipartition: tuple[int, ...]
-    restarts: int
-    iterations: int
-    converged: bool
-    per_bipartition: dict = field(repr=False, default_factory=dict)
-    classes: tuple[SizeClassSearch, ...] = field(repr=False, default=())
-
-
-def bipartitions(num_qubits: int):
-    """All proper bipartitions, one representative per complement pair."""
-    rest = range(1, num_qubits)
-    for r in range(0, num_qubits - 1):
-        for tail in itertools.combinations(rest, r):
-            yield (0,) + tail
+    classes: tuple[SizeClassSearch, ...]
 
 
 def _top_eigenvectors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,25 +150,25 @@ def _top_eigenvectors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, top
 
 
-def _seesaw(w4, psi_a, max_iter, tol):
+def _seesaw(w4, psi_a):
     """Alternating see-saw from each row of psi_a (R, d_a) at once.
 
     Each half-step replaces one side by the top eigenvector of the witness
     contracted with the other side, so every row's objective is monotone.
-    A row stops when its increment falls below ``tol``; returns per-row
-    (values, iterations, converged).
+    A row stops when its increment falls below ``SEESAW_TOL``; returns
+    per-row (values, iterations, converged).
     """
     rows = len(psi_a)
     values = np.full(rows, -np.inf)
-    iterations = np.full(rows, max_iter)
+    iterations = np.full(rows, MAX_ITER)
     converged = np.zeros(rows, dtype=bool)
     active = np.arange(rows)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         m_b = np.einsum("ajbk,ra,rb->rjk", w4, psi_a.conj(), psi_a)
         psi_b, _ = _top_eigenvectors(m_b)
         m_a = np.einsum("ajbk,rj,rk->rab", w4, psi_b.conj(), psi_b)
         psi_a, new_values = _top_eigenvectors(m_a)
-        done = new_values - values[active] < tol
+        done = new_values - values[active] < SEESAW_TOL
         values[active] = new_values
         iterations[active[done]] = it
         converged[active[done]] = True
@@ -242,8 +231,7 @@ def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
             continue
         searched += 1
         values, iterations, converged = _seesaw(
-            w4, _random_starts(d_a, (opts.seed, size, d_a, d_b), opts.restarts),
-            opts.max_iter, opts.tol,
+            w4, _random_starts(d_a, (opts.seed, size, d_a, d_b), opts.restarts)
         )
         r = int(np.argmax(values))
         if values[r] > best[0]:
@@ -271,10 +259,9 @@ def biseparable_bound(
     starts, run as one batch: each half-step contracts the witness with
     every restart's other side at once and takes the top eigenvectors of
     the whole stack in one ``eigh``, so the objective is monotone per
-    restart and each restart stops on its own increment.
-    ``per_bipartition`` gives every bipartition its class value,
-    ``bipartition`` is the best class's representative (0, ..., k-1), and
-    ``classes`` reports each class's value, convergence and sector counts.
+    restart and each restart stops on its own increment.  ``classes``
+    reports each class's value, bipartition count, convergence and sector
+    counts; ``value`` is the largest class value.
     """
     opts = options or SeeSawOptions()
     n = int(num_qubits)
@@ -284,15 +271,7 @@ def biseparable_bound(
         _search_size_class(n, size, float(alpha), opts)
         for size in range(1, n // 2 + 1)
     )
-    best = max(classes, key=lambda cls: cls.value)
-    per_part = {
-        part: classes[min(len(part), n - len(part)) - 1].value
-        for part in bipartitions(n)
-    }
-    return BoundEstimate(
-        best.value, tuple(range(best.size)), opts.restarts, best.iterations,
-        best.converged, per_part, classes,
-    )
+    return BoundEstimate(max(cls.value for cls in classes), classes)
 
 
 def bound_curve(num_qubits, alphas, options=None):

@@ -140,7 +140,7 @@ def test_bound_reports_are_deterministic(tmp_path, capsys):
     classes = results["classes"]
     assert [c["size"] for c in classes] == [1, 2, 3]
     assert [c["bipartitions"] for c in classes] == [6, 15, 10]
-    assert sum(c["bipartitions"] for c in classes) == len(results["per_bipartition"])
+    assert sum(c["bipartitions"] for c in classes) == 2**5 - 1
     assert results["bound"] == max(c["value"] for c in classes)
     assert all(c["sectors_searched"] >= 1 for c in classes)
 
@@ -153,7 +153,9 @@ def test_bound_ten_qubits_closed_form(tmp_path, capsys):
     capsys.readouterr()
     results = load_report(out, "bound")["results"]
     assert abs(results["bound"] - 80.0) < 1e-9
-    assert len(results["per_bipartition"]) == 2**9 - 1
+    # each value once: the class list, not one entry per bipartition
+    assert set(results) == {"num_qubits", "alpha", "bound", "classes", "state_value", "gap"}
+    assert sum(c["bipartitions"] for c in results["classes"]) == 2**9 - 1
     too_big = write_config(tmp_path, {"num_qubits": 11}, name="big.json")
     assert run_cli(["bound", "--config", too_big, "--out", str(tmp_path / "o")]) == 2
     assert "config.num_qubits" in capsys.readouterr().err
@@ -508,6 +510,23 @@ def test_compare_malformed_report_is_config_error(tmp_path, capsys, report):
     assert "not a dickesim report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"command": "bound", "results": {"num_qubits": 6, "bound": "n/a"}},
+        {"command": "sample",
+         "results": {"target": "dicke_6_3", "estimate": 0.6, "std_error": [0.01]}},
+    ],
+    ids=["string-bound", "list-std-error"],
+)
+def test_compare_non_numeric_value_is_config_error(tmp_path, capsys, report):
+    path = write_config(tmp_path, report, "report.json")
+    config = write_config(tmp_path, {"reports": [path]})
+    assert run_cli(["compare", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "not a finite number" in err
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     config = write_config(tmp_path, {"staet": "dicke_6_3"})
     assert run_cli(["witness", "--config", config, "--out", str(tmp_path / "o")]) == 2
@@ -567,14 +586,16 @@ def test_non_finite_config_number_exits_two(tmp_path, capsys, command, key, valu
 
 
 def test_unexpected_exception_propagates(tmp_path, monkeypatch):
+    # a bare ValueError is a bug too, not a numerical failure
     from dickesim import cli
 
-    def broken(config, ctx):
-        raise TypeError("handler bug")
+    for error in (TypeError, ValueError):
+        def broken(config, ctx, error=error):
+            raise error("handler bug")
 
-    monkeypatch.setitem(cli.HANDLERS, "witness", broken)
-    with pytest.raises(TypeError, match="handler bug"):
-        run_cli(["witness", "--out", str(tmp_path / "o")])
+        monkeypatch.setitem(cli.HANDLERS, "witness", broken)
+        with pytest.raises(error, match="handler bug"):
+            run_cli(["witness", "--out", str(tmp_path / "o")])
 
 
 def test_installed_entry_point(tmp_path):

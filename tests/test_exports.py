@@ -10,8 +10,8 @@ import dickesim
 for module in pkgutil.iter_modules(dickesim.__path__):
     importlib.import_module("dickesim." + module.name)
 from dickesim.dicke_states import dicke
-from dickesim.protocols import maximal_singlet_fraction, pair_state, qss_run, telecloning_report
-maximal_singlet_fraction(pair_state(6))
+from dickesim.protocols import maximal_singlet_fraction, pair_channel, qss_run, telecloning_report
+maximal_singlet_fraction(pair_channel(dicke(6, 3), 0, 1))
 telecloning_report(dicke(6, 3))
 qss_run(dicke(6, 3), 1000)
 print(",".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))

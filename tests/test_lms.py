@@ -12,6 +12,7 @@ from dickesim.lms import (
     CoverageError,
     SettingAssignment,
     SettingPlan,
+    _designs,
     check_plan_covers,
     decompose,
     fidelity_from_counts,
@@ -343,6 +344,21 @@ def test_symmetric_plan_on_ghz_is_the_ghz_special_plan(n):
     assert [a.collective_weights for a in symmetric.assignments] == [
         a.collective_weights for a in special.assignments
     ]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_uniform_plans_keep_only_weighted_settings(n):
+    # a product state D(N, 0) or D(N, N) reads out every string from the z
+    # setting alone; every other plan keeps the whole design it solved
+    designs = [[s.label() for s in design] for design in _designs(n)]
+    for state in [dicke(n, k) for k in range(n + 1)] + [ghz(n)]:
+        plan = plan_settings(decompose(state), strategy="symmetric")
+        assert all(any(a.collective_weights) for a in plan.assignments), state.label
+        labels = [a.setting.label() for a in plan.assignments]
+        if state.label in (f"dicke_{n}_0", f"dicke_{n}_{n}"):
+            assert labels == [",".join("z" * n)]
+        else:
+            assert labels in designs, state.label
 
 
 def test_symmetric_plan_refuses_other_targets():

@@ -12,8 +12,6 @@ from dickesim.protocols import (
     maximal_singlet_fraction,
     odt_report,
     pair_channel,
-    pair_channel_report,
-    pair_state,
     psi_plus_fraction,
     qss_run,
     telecloning_report,
@@ -21,8 +19,20 @@ from dickesim.protocols import (
     werner,
 )
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
-from dickesim.states import PAULI, QubitDensity, QubitPureState, apply_local, fidelity
+from dickesim.states import (
+    PAULI,
+    QubitDensity,
+    QubitPureState,
+    apply_local,
+    fidelity,
+    partial_trace,
+)
 from dickesim.witness import dephased
+
+
+def dicke_pair(n):
+    """Two-qubit marginal of the half-excited Dicke state D(n, n/2)."""
+    return partial_trace(dicke(n, n // 2), (0, 1))
 
 
 def _zyz(a, b, g):
@@ -105,13 +115,13 @@ def graded_patterns(state, keep):
 
 
 def test_pair_state_psi_plus_fractions():
-    assert_allclose(psi_plus_fraction(pair_state(6)), 0.6, atol=1e-12)
-    assert_allclose(psi_plus_fraction(pair_state(4)), 2.0 / 3.0, atol=1e-12)
+    assert_allclose(psi_plus_fraction(dicke_pair(6)), 0.6, atol=1e-12)
+    assert_allclose(psi_plus_fraction(dicke_pair(4)), 2.0 / 3.0, atol=1e-12)
 
 
 def test_pair_channel_matches_pair_state():
     rho = pair_channel(dicke(6, 3), 0, 1)
-    assert_allclose(rho.matrix, pair_state(6).matrix, atol=1e-12)
+    assert_allclose(rho.matrix, dicke_pair(6).matrix, atol=1e-12)
     # symmetry: any pair of a symmetric state gives the same channel
     other = pair_channel(dicke(6, 3), 2, 5)
     assert_allclose(other.matrix, rho.matrix, atol=1e-12)
@@ -146,9 +156,9 @@ def test_singlet_fraction_of_product_state():
 
 
 def test_singlet_fraction_of_shared_pairs():
-    result = maximal_singlet_fraction(pair_state(6))
+    result = maximal_singlet_fraction(dicke_pair(6))
     assert_allclose(result.value, 0.6, atol=1e-7)
-    result4 = maximal_singlet_fraction(pair_state(4))
+    result4 = maximal_singlet_fraction(dicke_pair(4))
     assert_allclose(result4.value, 2.0 / 3.0, atol=1e-7)
 
 
@@ -160,7 +170,7 @@ def test_singlet_fraction_is_local_unitary_invariant():
         q, r = np.linalg.qr(z)
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
-    base = pair_state(6)
+    base = dicke_pair(6)
     rotated = apply_local(base, [haar_unitary(), haar_unitary()])
     a = maximal_singlet_fraction(base).value
     b = maximal_singlet_fraction(rotated).value
@@ -170,8 +180,8 @@ def test_singlet_fraction_is_local_unitary_invariant():
 def test_singlet_fraction_matches_local_rotation_search():
     rng = np.random.default_rng(2024)
     cases = {
-        "d63 pair": pair_state(6).matrix,
-        "d42 pair": pair_state(4).matrix,
+        "d63 pair": dicke_pair(6).matrix,
+        "d42 pair": dicke_pair(4).matrix,
         "product, det T = 0": np.diag([1.0, 0.0, 0.0, 0.0]),
         "bell diagonal, det T > 0": _bell_diagonal((0.3, 0.2, 0.1)),
         "werner pair": werner(2, 0.7).matrix,
@@ -182,13 +192,6 @@ def test_singlet_fraction_matches_local_rotation_search():
         expected = searched_singlet_fraction(rho)
         got = maximal_singlet_fraction(QubitDensity(2, rho)).value
         assert abs(got - expected) <= 1e-7, (name, got, expected)
-
-
-def test_pair_channel_report_keys():
-    report = pair_channel_report(6)
-    assert_allclose(report["psi_plus_fraction"], 0.6, atol=1e-12)
-    assert_allclose(report["max_singlet_fraction"], 0.6, atol=1e-6)
-    assert_allclose(report["teleport_fidelity"], 11.0 / 15.0, atol=1e-6)
 
 
 def test_telecloning_report_six_qubit_ideal():
@@ -211,11 +214,22 @@ def test_telecloning_report_four_qubit_beats_threshold():
     assert report.all_above_classical
 
 
+@pytest.mark.parametrize(
+    "n, ideal", [(4, 7.0 / 9.0), (6, 11.0 / 15.0), (8, 5.0 / 7.0)], ids=["4", "6", "8"]
+)
+def test_telecloning_ideal_threshold_is_the_half_excited_pair_value(n, ideal):
+    # F_max = (2 f + 1) / 3 with singlet fraction f = N / (2 (N - 1))
+    report = telecloning_report(dicke(n, n // 2))
+    assert report.symmetric
+    assert_allclose(report.ideal_threshold, ideal, rtol=1e-15)
+    for value in report.pair_fidelity.values():
+        assert_allclose(value, report.ideal_threshold, rtol=0, atol=1e-12)
+
+
 def test_odt_ideal_six_qubits():
     result = odt_report(dicke(6, 3))
     assert result.keep == (0, 1)
     assert len(result.patterns) == 16
-    assert len(result.balanced()) == 6
     assert_allclose(result.p_success, 0.6, atol=1e-12)
     assert_allclose(result.mean_heralded_fidelity, 1.0, atol=1e-12)
     assert_allclose(result.channel_consistency, 0.6, atol=1e-12)

@@ -9,11 +9,12 @@ from dickesim.protocols import werner
 from dickesim.states import PAULI, QubitPureState, apply_local, fidelity
 from dickesim.witness import (
     DEGENERACY_TOL,
+    MAX_ITER,
+    SEESAW_TOL,
     SeeSawOptions,
     _sector_witness,
     _top_eigenvectors,
     biseparable_bound,
-    bipartitions,
     bound_curve,
     collective_spin_operator,
     collective_spin_sq,
@@ -78,7 +79,7 @@ def per_restart_class_search(n, size, alpha, opts):
             rng = np.random.default_rng(
                 np.random.SeedSequence((opts.seed, size, d_a, d_b, restart))
             )
-            result = _seesaw_once(w4, d_a, d_b, rng, opts.max_iter, opts.tol)
+            result = _seesaw_once(w4, d_a, d_b, rng, MAX_ITER, SEESAW_TOL)
             if result[0] > best[0]:
                 best = result
     return (*best, searched, skipped)
@@ -87,12 +88,18 @@ def per_restart_class_search(n, size, alpha, opts):
 def dense_class_maxima(n, alpha, restarts, seed=0):
     """Oracle: see-saw on the dense 2^n witness for every bipartition.
 
-    Returns {k: [per-bipartition maxima]} keyed by the smaller side's size
-    k = min(|A|, n - |A|).
+    Every proper bipartition appears once, as the side A that holds qubit
+    0.  Returns {k: [per-bipartition maxima]} keyed by the smaller side's
+    size k = min(|A|, n - |A|).
     """
     tensor = witness_operator(n, float(alpha)).reshape([2] * (2 * n))
+    parts = [
+        (0, *tail)
+        for r in range(n - 1)
+        for tail in itertools.combinations(range(1, n), r)
+    ]
     out = {}
-    for part_index, part_a in enumerate(bipartitions(n)):
+    for part_index, part_a in enumerate(parts):
         part_b = tuple(q for q in range(n) if q not in part_a)
         perm = list(part_a) + list(part_b)
         d_a, d_b = 2 ** len(part_a), 2 ** len(part_b)
@@ -176,19 +183,11 @@ def test_pairwise_corr_matrix_values():
     assert_allclose(off, np.full(30, -0.2), atol=1e-12)
 
 
-def test_bipartitions_enumerates_proper_splits():
-    parts = list(bipartitions(6))
-    assert len(parts) == 31
-    assert all(0 in p for p in parts)  # one side fixed to avoid duplicates
-    assert len(set(parts)) == 31
-
-
 def test_biseparable_bound_small_case_converges():
     est = biseparable_bound(4, 0.0, SeeSawOptions(restarts=6, seed=1))
-    assert est.converged
-    assert est.restarts == 6
+    assert all(c.converged for c in est.classes)
     assert 5.15 <= est.value <= 5.232051 + 1e-6
-    assert len(est.per_bipartition) == 7
+    assert sum(c.bipartitions for c in est.classes) == 7
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -202,11 +201,7 @@ def test_biseparable_bound_matches_dense_oracle(n):
         for cls in est.classes:
             assert abs(cls.value - max(oracle[cls.size])) < 1e-6, (n, alpha, cls.size)
             assert cls.bipartitions == len(oracle[cls.size])
-        assert set(est.per_bipartition) == set(bipartitions(n))
-        for part, value in est.per_bipartition.items():
-            assert value == est.classes[min(len(part), n - len(part)) - 1].value
         assert est.value == max(c.value for c in est.classes)
-        assert est.bipartition == tuple(range(len(est.bipartition)))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
