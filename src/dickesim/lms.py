@@ -84,7 +84,8 @@ class PauliDecomposition:
         return cached
 
     def nonidentity_strings(self) -> list[str]:
-        return [s for _, s in self.terms if s != self.identity_string]
+        identity = self.identity_string
+        return [s for _, s in self.terms if s != identity]
 
     def reconstruct(self) -> np.ndarray:
         dim = 2**self.num_qubits
@@ -279,10 +280,11 @@ def _class_coefficients(decomp: PauliDecomposition) -> dict | None:
     N! / (a! b! c! (N - a - b - c)!) permutations.
     """
     n = decomp.num_qubits
+    identity = decomp.identity_string
     classes: dict[tuple, float] = {}
     sizes: Counter = Counter()
     for coeff, string in decomp.terms:
-        if string == decomp.identity_string:
+        if string == identity:
             continue
         key = (string.count("X"), string.count("Y"), string.count("Z"))
         if abs(classes.setdefault(key, coeff) - coeff) > COEFF_TOL:
@@ -346,10 +348,12 @@ def _symmetric_weights(classes: dict, settings: list) -> tuple[np.ndarray, float
     return weights, residual
 
 
-def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPlan:
+def _uniform_plan(
+    decomp: PauliDecomposition, method: str, designs, classes: dict | None
+) -> SettingPlan:
     """Weights for the first design (a list of uniform-direction settings)
-    whose residual is within ``SYMMETRIC_RESIDUAL_TOL``."""
-    classes = _class_coefficients(decomp)
+    whose residual is within ``SYMMETRIC_RESIDUAL_TOL``; ``classes`` is
+    ``_class_coefficients(decomp)``."""
     if classes is None:
         raise ValueError(
             f"{method} needs a permutation-invariant target: each coefficient "
@@ -408,16 +412,19 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     """
     if not len(decomp):
         raise ValueError("cannot plan settings for an empty decomposition")
-    if strategy is None:
-        strategy = "greedy" if _class_coefficients(decomp) is None else "symmetric"
-    designs = _designs(decomp.num_qubits)
-    if strategy == "symmetric":
-        return _uniform_plan(decomp, strategy, designs)
-    if strategy == "ghz_special":
-        return _uniform_plan(decomp, strategy, [next(designs)])
     if strategy == "greedy":
         return _greedy_plan(decomp)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in (None, "symmetric", "ghz_special"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    classes = _class_coefficients(decomp)
+    if strategy is None:
+        if classes is None:
+            return _greedy_plan(decomp)
+        strategy = "symmetric"
+    designs = _designs(decomp.num_qubits)
+    if strategy == "ghz_special":
+        designs = [next(designs)]
+    return _uniform_plan(decomp, strategy, designs, classes)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,8 @@ class QubitPureState:
     def __init__(self, num_qubits: int, amplitudes, label: str | None = None):
         _check_num_qubits(num_qubits)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         if amps.size != 2**num_qubits:
             raise ValueError(
                 f"expected {2**num_qubits} amplitudes, got {amps.size}"
@@ -91,13 +93,15 @@ class QubitPureState:
 class QubitDensity:
     """Density matrix on ``num_qubits`` qubits.
 
-    Validated at construction: Hermitian, unit trace, and no eigenvalue
-    below ``-EIGENVALUE_TOL``.
+    Validated at construction: finite entries, Hermitian, unit trace, and
+    no eigenvalue below ``-EIGENVALUE_TOL``.
     """
 
     def __init__(self, num_qubits: int, matrix, label: str | None = None):
         _check_num_qubits(num_qubits)
         mat = np.asarray(matrix, dtype=complex).copy()
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries must be finite")
         dim = 2**num_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
@@ -457,40 +461,60 @@ def apply_local(state: State, unitaries) -> State:
 # JSON serialization
 
 
-def state_to_dict(state: State) -> dict:
-    if isinstance(state, QubitPureState):
-        out = {
-            "num_qubits": state.num_qubits,
-            "amplitudes": [[z.real, z.imag] for z in state.amplitudes],
-        }
-    else:
-        out = {
-            "num_qubits": state.num_qubits,
-            "matrix": [[[z.real, z.imag] for z in row] for row in state.matrix],
-        }
-    if state.label:
-        out["label"] = state.label
-    return out
-
-
-def state_from_dict(data: dict) -> State:
-    n = data["num_qubits"]
-    label = data.get("label")
-    if "amplitudes" in data:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return QubitPureState(n, amps, label=label)
-    if "matrix" in data:
-        mat = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-        return QubitDensity(n, mat, label=label)
-    raise ValueError("state dict needs 'amplitudes' or 'matrix'")
+def _pair_lines(depth: int, count: int) -> str:
+    """Indent-1 JSON of ``count`` ``[re, im]`` pairs nested ``depth`` deep,
+    with one ``%r`` slot per number."""
+    pad = " " * depth
+    return ",\n".join([f"{pad}[\n{pad} %r,\n{pad} %r\n{pad}]"] * count)
 
 
 def save_state(state: State, path) -> None:
+    """Write ``state`` as indent-1 JSON with a trailing newline.
+
+    Layout: ``num_qubits``; then ``amplitudes``, a list of ``[re, im]``
+    pairs, for a pure state, or ``matrix``, rows of ``[re, im]`` pairs,
+    for a density; then ``label`` if the state has a non-empty one.  The
+    bytes are those of ``json.dump(..., indent=1)``: every number is
+    written by ``float.__repr__``, so ``load_state`` gets back the exact
+    same array, and the label is escaped to ASCII by ``json.dumps``.
+    """
+    if isinstance(state, QubitPureState):
+        key, values = "amplitudes", state.amplitudes
+        template = _pair_lines(2, state.dim)
+    else:
+        key, values = "matrix", state.matrix
+        row = f"  [\n{_pair_lines(3, state.dim)}\n  ]"
+        template = ",\n".join([row] * state.dim)
+    numbers = tuple(np.stack([values.real, values.imag], -1).ravel().tolist())
+    text = f'{{\n "num_qubits": {state.num_qubits},\n "{key}": [\n{template % numbers}\n ]'
+    if state.label:
+        text += f',\n "label": {json.dumps(state.label)}'
     with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n}\n")
+
+
+def _complex_array(pairs, ndim: int) -> np.ndarray:
+    """``[re, im]`` pairs nested ``ndim`` deep as one complex array, exactly."""
+    values = np.array(pairs)
+    if values.dtype.kind not in "biuf" or values.ndim != ndim + 1 or values.shape[-1] != 2:
+        raise ValueError(f"state file entries must be [re, im] pairs of numbers, {ndim} deep")
+    return np.ascontiguousarray(values, dtype=float).view(complex)[..., 0]
 
 
 def load_state(path) -> State:
+    """Read a file written by ``save_state``; its arrays round-trip exactly.
+
+    Raises ValueError for a file that is not a state in that layout or
+    whose state fails validation.
+    """
     with open(path) as fh:
-        return state_from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a state file holds one JSON object")
+    n = data.get("num_qubits")
+    label = data.get("label")
+    if "amplitudes" in data:
+        return QubitPureState(n, _complex_array(data["amplitudes"], 1), label=label)
+    if "matrix" in data:
+        return QubitDensity(n, _complex_array(data["matrix"], 2), label=label)
+    raise ValueError("a state file needs 'amplitudes' or 'matrix'")

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -253,11 +254,119 @@ def test_save_and_load_round_trip(tmp_path):
     save_state(psi, path)
     back = load_state(path)
     assert isinstance(back, QubitPureState)
-    assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-12)
+    np.testing.assert_array_equal(back.amplitudes, psi.amplitudes)
 
     rho = partial_trace(psi, keep=(0, 2))
     path2 = tmp_path / "rho.json"
     save_state(rho, path2)
     back2 = load_state(path2)
     assert isinstance(back2, QubitDensity)
-    assert_allclose(back2.matrix, rho.matrix, atol=1e-12)
+    np.testing.assert_array_equal(back2.matrix, rho.matrix)
+
+
+def state_to_dict(state):
+    """The dict the writer serialised before it wrote templated text."""
+    if isinstance(state, QubitPureState):
+        out = {
+            "num_qubits": state.num_qubits,
+            "amplitudes": [[z.real, z.imag] for z in state.amplitudes],
+        }
+    else:
+        out = {
+            "num_qubits": state.num_qubits,
+            "matrix": [[[z.real, z.imag] for z in row] for row in state.matrix],
+        }
+    if state.label:
+        out["label"] = state.label
+    return out
+
+
+# floats whose shortest repr is not what a format string would guess
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, 1 / 3]
+
+
+def awkward_state(kind, num_qubits, rng, label):
+    """A valid random state whose entries include ``AWKWARD_FLOATS``."""
+    dim = 2**num_qubits
+    if kind == "pure":
+        amps = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) / (2 * math.sqrt(dim))
+        parts = amps.view(float)
+        count = min(len(AWKWARD_FLOATS), 2 * dim - 2)
+        parts[:count] = AWKWARD_FLOATS[:count]
+        amps[-1] = math.sqrt(1.0 - np.sum(np.abs(amps[:-1]) ** 2))
+        return QubitPureState(num_qubits, amps, label=label)
+    fixed = [1 / 3, 0.1 + 0.2][: dim - 1]
+    rest = rng.uniform(0.5, 1.5, size=dim - len(fixed))
+    diag = np.concatenate([fixed, rest / rest.sum() * (1.0 - sum(fixed))])
+    # off-diagonal rows sum below the smallest diagonal entry: positive definite
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = (g + g.conj().T) * diag.min() / (4 * dim * np.abs(g).max())
+    mat[np.diag_indices(dim)] = diag
+    mat[0, 1], mat[1, 0] = complex(-0.0, 5e-324), complex(1e-300, -0.0)
+    return QubitDensity(num_qubits, mat, label=label)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [None, "dicke_6_3", "D\u2086\u207d\u00b3\u207e 100% \"\u00e9\""],
+    ids=["no-label", "ascii-label", "non-ascii-label"],
+)
+@pytest.mark.parametrize("num_qubits", range(1, 8))
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_state_file_bytes_match_json_dump_oracle(tmp_path, kind, num_qubits, label):
+    rng = np.random.default_rng([num_qubits, len(label or "")])
+    state = awkward_state(kind, num_qubits, rng, label)
+    oracle = tmp_path / "oracle.json"
+    with open(oracle, "w") as fh:
+        json.dump(state_to_dict(state), fh, indent=1)
+        fh.write("\n")
+    written = tmp_path / "state.json"
+    save_state(state, written)
+    assert written.read_bytes() == oracle.read_bytes()
+    back = load_state(written)
+    values = back.amplitudes if kind == "pure" else back.matrix
+    expected = state.amplitudes if kind == "pure" else state.matrix
+    # bit for bit, so -0.0 and the subnormal 5e-324 survive too
+    assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert back.label == label
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_states_reject_non_finite_entries(tmp_path, bad):
+    with pytest.raises(ValueError, match="finite"):
+        QubitPureState(1, [bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        QubitPureState(1, [complex(0.0, bad), 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        QubitDensity(1, [[0.5, bad], [bad, 0.5]])
+    with pytest.raises(ValueError, match="finite"):
+        QubitDensity(1, [[complex(0.5, bad), 0.0], [0.0, 0.5]])
+    path = tmp_path / "nan.json"
+    path.write_text('{"num_qubits": 1, "amplitudes": [[NaN, 0.0], [1.0, 0.0]]}')
+    with pytest.raises(ValueError, match="finite"):
+        load_state(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"num_qubits": 1}', id="no-entries"),
+        pytest.param("[1.0, 0.0]", id="not-an-object"),
+        pytest.param('{"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}', id="no-num-qubits"),
+        pytest.param('{"num_qubits": 1, "amplitudes": [[1.0, 0.0, 0.0], [0.0, 0.0]]}', id="triple"),
+        pytest.param('{"num_qubits": 1, "amplitudes": [1.0, 0.0]}', id="bare-numbers"),
+        pytest.param('{"num_qubits": 1, "amplitudes": [["1.0", "0.0"], ["0.0", "0.0"]]}', id="strings"),
+        pytest.param('{"num_qubits": 1, "amplitudes": [[1.0, null], [0.0, 0.0]]}', id="null"),
+        pytest.param('{"num_qubits": 1, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]}', id="ragged"),
+        pytest.param(
+            '{"num_qubits": 2, "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}',
+            id="wrong-size",
+        ),
+        pytest.param('{"num_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]', id="truncated"),
+    ],
+)
+def test_load_state_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_state(path)
