@@ -472,7 +472,7 @@ def cmd_lms(config: dict, ctx: Context) -> dict:
         "published_count": reference_lms_table().get(config["state"]),
         "settings": [a.setting.label() for a in plan.assignments],
         "strings_per_setting": [len(a.covered) for a in plan.assignments],
-        "collective_strings": len(plan.collective_strings),
+        "collective_strings": len(decomp) - 1 if plan.collective_classes else 0,
     }
 
 

@@ -1,9 +1,11 @@
 """Projector decompositions and local measurement setting plans.
 
 A target projector |psi><psi| expands as sum_P c_P P over Pauli strings
-with c_P = <psi|P|psi> / 2^N; all 4^N coefficients come from one
-Walsh-Hadamard transform per X-mask, for up to ``states.MAX_QUBITS``
-qubits.  Two ways of reading the strings out:
+with c_P = <psi|P|psi> / 2^N, for up to ``states.MAX_QUBITS`` qubits.  A
+permutation-invariant target is read class by class, one coefficient per
+letter-count class (#X, #Y, #Z); only ``greedy`` needs all 4^N strings,
+which come from one Walsh-Hadamard transform per X-mask.  Two ways of
+reading the strings out:
 
 * exact matching (``greedy``, up to ``MAX_GREEDY_QUBITS`` qubits): a
   string is evaluated from one product measurement whose axes equal its
@@ -15,21 +17,21 @@ qubits.  Two ways of reading the strings out:
 * uniform directions (``symmetric`` and ``ghz_special``): every qubit is
   measured along the same direction n_k, and the symmetric m-body
   correlators e_m of the outcomes carry weights w_km solved so that
-  sum_k w_km n_x^a n_y^b n_z^c equals the coefficient of each string
-  with a X, b Y and c Z letters.  This works for targets whose
-  coefficients are permutation-invariant (G. Toth et al., PRL 105,
-  250403 (2010)).  ``symmetric`` solves the first design of one ordered
-  list that spans the target: the GHZ design (N + 1 settings), then ring
-  designs whose size grows quadratically in N; ``ghz_special`` is the
-  GHZ design alone.  With no strategy the target picks the plan.
+  sum_k w_km n_x^a n_y^b n_z^c equals the coefficient of the class
+  (a, b, c).  This works for permutation-invariant targets (G. Toth et
+  al., PRL 105, 250403 (2010)).  ``symmetric`` solves the first design
+  of one ordered list that spans the target: the GHZ design (N + 1
+  settings), then ring designs whose size grows quadratically in N;
+  ``ghz_special`` is the GHZ design alone.  With no strategy the target
+  picks the plan.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,7 @@ from .references import REFERENCE_VALUES
 from .states import _POPCOUNT, PAULI, MeasurementSetting, QubitPureState
 
 COEFF_TOL = 1e-12
+_PHASES = np.array([1, 1j, -1, -1j])
 # the greedy cover builds one bitmask over the strings for each of the 3^N
 # candidate settings; the cap is set by the plan size, not the search: the
 # eight-qubit Dicke state takes 2,012 settings and the nine-qubit one 7,477,
@@ -56,35 +59,35 @@ def pauli_matrix(letters: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliDecomposition:
-    """Sparse real Pauli expansion of a pure-state projector."""
+    """Real Pauli expansion of the projector onto ``target``, built on first
+    use: ``terms`` string by string, ``classes`` one per letter-count class."""
 
-    num_qubits: int
-    terms: tuple  # ((coefficient, string), ...) in generation order
-    target_label: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.terms)
+    target: QubitPureState
 
     @property
-    def identity_string(self) -> str:
-        return "I" * self.num_qubits
+    def num_qubits(self) -> int:
+        return self.target.num_qubits
+
+    def __len__(self) -> int:
+        if self.classes is None:
+            return len(self.terms)
+        n = self.num_qubits
+        return 1 + sum(math.comb(n, a) * math.comb(n - a, b) * math.comb(n - a - b, c)
+                       for a, b, c in self.classes)
 
     @property
     def identity_coefficient(self) -> float:
-        return self.coefficient(self.identity_string)
+        return 2.0**-self.num_qubits
 
     def coefficient(self, string: str) -> float:
-        return self._by_string().get(string, 0.0)
+        return self._by_string.get(string, 0.0)
 
+    @functools.cached_property
     def _by_string(self) -> dict:
-        cached = self.__dict__.get("_cache")
-        if cached is None:
-            cached = {s: c for c, s in self.terms}
-            object.__setattr__(self, "_cache", cached)
-        return cached
+        return {s: c for c, s in self.terms}
 
     def nonidentity_strings(self) -> list[str]:
-        identity = self.identity_string
+        identity = "I" * self.num_qubits
         return [s for _, s in self.terms if s != identity]
 
     def reconstruct(self) -> np.ndarray:
@@ -94,45 +97,78 @@ class PauliDecomposition:
             out += coeff * pauli_matrix(string)
         return out
 
+    @functools.cached_property
+    def terms(self) -> tuple:
+        """((coefficient, string), ...) above ``COEFF_TOL``, in itertools.product("IXYZ")
+        order; the identity term (coefficient 2^-N) is always present."""
+        n = self.num_qubits
+        masks = np.arange(2**n)
+        # base-4 digit of each qubit in product order: I 0, X 1, Y 2, Z 3
+        spread = sum(((masks >> q) & 1) << (2 * q) for q in range(n))
+        keys, coeffs = [], []
+        for x in masks:
+            values = self._x_mask_coefficients(x)
+            kept = np.flatnonzero(np.abs(values) > COEFF_TOL)
+            keys.append(2 * spread[kept] + spread[kept ^ x])
+            coeffs.append(values[kept])
+        keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
+        order = np.argsort(keys)
+        digits = (keys[order, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
+        strings = np.frombuffer(b"IXYZ", dtype=np.uint8)[digits].view(f"S{n}").ravel()
+        return tuple(zip(coeffs[order].tolist(), strings.astype(str).tolist()))
 
+    def _x_mask_coefficients(self, x: int) -> np.ndarray:
+        """Coefficients of the 2^N strings with X-mask x, indexed by Z-mask z:
+        <X^x Z^z> is the Walsh-Hadamard transform (H_high (x) H_low) of
+        conj(psi_{j ^ x}) psi_j, and a Y letter is i X Z."""
+        psi = self.target.amplitudes
+        masks = np.arange(psi.size)
+        n = self.num_qubits
+        high, low = _hadamard(n // 2), _hadamard(n - n // 2)
+        product = (psi[masks ^ x].conj() * psi).reshape(len(high), len(low))
+        transform = (high @ product @ low).reshape(-1)
+        return (_PHASES[_POPCOUNT[masks & x] % 4] * transform).real / psi.size
+
+    @functools.cached_property
+    def classes(self) -> dict | None:
+        """{(#X, #Y, #Z): coefficient} of the non-identity classes above
+        ``COEFF_TOL``, each read from its string I..IX..XY..YZ..Z; None
+        unless the N - 1 neighbour swaps change the amplitudes by a global
+        phase at most, which leaves every coefficient permutation-invariant."""
+        n = self.num_qubits
+        psi = self.target.amplitudes
+        for q in range(n - 1):
+            swapped = psi.reshape((2,) * n).swapaxes(q, q + 1).reshape(-1)
+            if np.abs(swapped - np.vdot(psi, swapped) * psi).max() > COEFF_TOL:
+                return None
+        classes = {}
+        for c in range(n + 1):
+            for s in range(n + 1 - c):
+                # a X and s - a Y letters, then c Z letters: the X-mask has s
+                # ones above the last c bits, the Z-mask the last s - a + c
+                values = self._x_mask_coefficients(((1 << s) - 1) << c)
+                for a in range(s + 1):
+                    value = values[(1 << (s - a + c)) - 1]
+                    if s + c and abs(value) > COEFF_TOL:
+                        classes[a, s - a, c] = value
+        return classes
+
+
+@functools.cache
 def _hadamard(bits: int) -> np.ndarray:
-    """Sylvester Hadamard matrix, entry (z, j) = (-1)^popcount(z & j)."""
+    """Sylvester Hadamard matrix, entry (z, j) = (-1)^popcount(z & j); one
+    read-only copy per size."""
     idx = np.arange(2**bits)
-    return 1.0 - 2.0 * (_POPCOUNT[idx[:, None] & idx] & 1)
+    out = 1.0 - 2.0 * (_POPCOUNT[idx[:, None] & idx] & 1)
+    out.flags.writeable = False
+    return out
 
 
 def decompose(target: QubitPureState) -> PauliDecomposition:
-    """Exhaustive Pauli expansion of |target><target|, up to ``states.MAX_QUBITS``.
-
-    For each X-mask x, <X^x Z^z> for every Z-mask z is the Walsh-Hadamard
-    transform of conj(psi_{j ^ x}) psi_j; a Y letter is i X Z, so the
-    string with X-mask x and Z-mask z is i^popcount(x & z) X^x Z^z.
-    Coefficients above ``COEFF_TOL`` are kept in itertools.product("IXYZ")
-    order; the identity term (coefficient 2^-N) is always present.
-    """
-    n = target.num_qubits
-    dim = 2**n
-    psi = target.amplitudes
-    masks = np.arange(dim)
-    # the 2^N transform is H_high (x) H_low: two small products per X-mask
-    high, low = _hadamard(n // 2), _hadamard(n - n // 2)
-    # base-4 digit of each qubit in product order: I 0, X 1, Y 2, Z 3
-    spread = sum(((masks >> q) & 1) << (2 * q) for q in range(n))
-    phases = np.array([1, 1j, -1, -1j])
-    keys, coeffs = [], []
-    for x in range(dim):
-        product = (psi[masks ^ x].conj() * psi).reshape(len(high), len(low))
-        transform = (high @ product @ low).reshape(-1)
-        values = (phases[_POPCOUNT[masks & x] % 4] * transform).real / dim
-        kept = np.flatnonzero(np.abs(values) > COEFF_TOL)
-        keys.append(2 * spread[kept] + spread[kept ^ x])
-        coeffs.append(values[kept])
-    keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
-    order = np.argsort(keys)
-    digits = (keys[order, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
-    strings = np.frombuffer(b"IXYZ", dtype=np.uint8)[digits].view(f"S{n}").ravel()
-    terms = tuple(zip(coeffs[order].tolist(), strings.astype(str).tolist()))
-    return PauliDecomposition(n, terms, target_label=target.label)
+    """Pauli expansion of |target><target|, up to ``states.MAX_QUBITS`` qubits;
+    ``terms`` (4^N strings, for ``greedy``) and ``classes`` (for the
+    uniform-direction plans) are built the first time they are read."""
+    return PauliDecomposition(target)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +200,8 @@ class SettingAssignment:
     setting's estimator, with e_m the m-th symmetric correlator of the
     outcomes (the sum over all m-qubit subsets of the product of their
     +-1 outcomes); only settings with one direction for every qubit carry
-    them.  This is how the symmetric and GHZ plans evaluate the plan's
-    ``collective_strings``.
+    them.  This is how the symmetric and GHZ plans evaluate the letter-count
+    classes in the plan's ``collective_classes``.
     """
 
     setting: MeasurementSetting
@@ -176,10 +212,9 @@ class SettingAssignment:
 @dataclass(frozen=True)
 class SettingPlan:
     method: str
-    num_qubits: int
-    target_label: str | None
     assignments: tuple
-    collective_strings: tuple = ()
+    # ((#X, #Y, #Z), coefficient) pairs that the collective weights were solved for
+    collective_classes: tuple = ()
 
     @property
     def num_settings(self) -> int:
@@ -194,12 +229,20 @@ class CoverageError(ValueError):
 
 
 def check_plan_covers(plan: SettingPlan, decomp: PauliDecomposition) -> None:
-    provided = {string for assignment in plan.assignments for string in assignment.covered}
     if any(assignment.collective_weights for assignment in plan.assignments):
-        provided.update(plan.collective_strings)
-    missing = set(decomp.nonidentity_strings()) - provided
+        # collective weights are only right for the class table they were solved for
+        solved, target = dict(plan.collective_classes), decomp.classes
+        if target is None:
+            raise CoverageError("plan reads letter-count classes of a target that has none")
+        missing = sorted(key for key in solved.keys() | target.keys()
+                         if abs(solved.get(key, 0.0) - target.get(key, 0.0)) > COEFF_TOL)
+        what = "classes (#X, #Y, #Z) at the target's coefficients"
+    else:
+        provided = {string for assignment in plan.assignments for string in assignment.covered}
+        missing = sorted(set(decomp.nonidentity_strings()) - provided)
+        what = "strings"
     if missing:
-        raise CoverageError(f"plan misses {len(missing)} strings, e.g. {sorted(missing)[:3]}")
+        raise CoverageError(f"plan misses {len(missing)} {what}, e.g. {missing[:3]}")
     for idx, assignment in enumerate(plan.assignments):
         axes = assignment.setting.axes
         for string in assignment.covered:
@@ -264,39 +307,7 @@ def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
             taken ^= low
         axes = tuple("xyz"[c // place[k] % 3] for k in range(n))
         assignments.append(SettingAssignment(MeasurementSetting(axes), tuple(covered)))
-    return SettingPlan(
-        method="greedy",
-        num_qubits=n,
-        target_label=decomp.target_label,
-        assignments=tuple(assignments),
-    )
-
-
-def _class_coefficients(decomp: PauliDecomposition) -> dict | None:
-    """Coefficient per letter-count class (#X, #Y, #Z) of the non-identity strings.
-
-    Returns None unless the decomposition is permutation-invariant: every
-    coefficient depends only on its class, and each kept class holds all
-    N! / (a! b! c! (N - a - b - c)!) permutations.
-    """
-    n = decomp.num_qubits
-    identity = decomp.identity_string
-    classes: dict[tuple, float] = {}
-    sizes: Counter = Counter()
-    for coeff, string in decomp.terms:
-        if string == identity:
-            continue
-        key = (string.count("X"), string.count("Y"), string.count("Z"))
-        if abs(classes.setdefault(key, coeff) - coeff) > COEFF_TOL:
-            return None
-        sizes[key] += 1
-    for (a, b, c), size in sizes.items():
-        full = math.factorial(n) // (
-            math.factorial(a) * math.factorial(b) * math.factorial(c) * math.factorial(n - a - b - c)
-        )
-        if size != full:
-            return None
-    return classes
+    return SettingPlan(method="greedy", assignments=tuple(assignments))
 
 
 def _ring_settings(n: int, rings: int) -> list[MeasurementSetting]:
@@ -348,12 +359,10 @@ def _symmetric_weights(classes: dict, settings: list) -> tuple[np.ndarray, float
     return weights, residual
 
 
-def _uniform_plan(
-    decomp: PauliDecomposition, method: str, designs, classes: dict | None
-) -> SettingPlan:
+def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPlan:
     """Weights for the first design (a list of uniform-direction settings)
-    whose residual is within ``SYMMETRIC_RESIDUAL_TOL``; ``classes`` is
-    ``_class_coefficients(decomp)``."""
+    whose residual is within ``SYMMETRIC_RESIDUAL_TOL``."""
+    classes = decomp.classes
     if classes is None:
         raise ValueError(
             f"{method} needs a permutation-invariant target: each coefficient "
@@ -374,13 +383,7 @@ def _uniform_plan(
         for setting, row in zip(settings, weights)
         if row.any()
     )
-    return SettingPlan(
-        method=method,
-        num_qubits=decomp.num_qubits,
-        target_label=decomp.target_label,
-        assignments=assignments,
-        collective_strings=tuple(decomp.nonidentity_strings()),
-    )
+    return SettingPlan(method, assignments, collective_classes=tuple(classes.items()))
 
 
 def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> SettingPlan:
@@ -410,21 +413,18 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     ValueError above ``MAX_GREEDY_QUBITS`` qubits, where plans grow too
     large to sample (the eight-qubit Dicke state takes 2,012 settings).
     """
-    if not len(decomp):
-        raise ValueError("cannot plan settings for an empty decomposition")
     if strategy == "greedy":
         return _greedy_plan(decomp)
     if strategy not in (None, "symmetric", "ghz_special"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    classes = _class_coefficients(decomp)
     if strategy is None:
-        if classes is None:
+        if decomp.classes is None:
             return _greedy_plan(decomp)
         strategy = "symmetric"
     designs = _designs(decomp.num_qubits)
     if strategy == "ghz_special":
         designs = [next(designs)]
-    return _uniform_plan(decomp, strategy, designs, classes)
+    return _uniform_plan(decomp, strategy, designs)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,70 @@ def test_decompose_reaches_ten_qubits():
     assert len(decompose(dicke(9, 4))) == 65792
 
 
+def class_coefficients(decomp):
+    """Coefficient per letter-count class (#X, #Y, #Z), walked string by
+    string over ``terms``: the reference for ``classes``.  None unless every
+    coefficient depends only on its class and each kept class holds all
+    N! / (a! b! c! (N - a - b - c)!) permutations."""
+    n = decomp.num_qubits
+    classes, sizes = {}, Counter()
+    for coeff, string in decomp.terms:
+        if string == "I" * n:
+            continue
+        key = (string.count("X"), string.count("Y"), string.count("Z"))
+        if abs(classes.setdefault(key, coeff) - coeff) > 1e-12:
+            return None
+        sizes[key] += 1
+    for (a, b, c), size in sizes.items():
+        factorials = math.factorial(a) * math.factorial(b) * math.factorial(c)
+        if size != math.factorial(n) // (factorials * math.factorial(n - a - b - c)):
+            return None
+    return classes
+
+
+def random_symmetric_state(n, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    amps = sum(c * dicke(n, k).amplitudes for k, c in enumerate(coeffs))
+    return QubitPureState(n, amps / np.linalg.norm(amps), label=f"symmetric_{n}")
+
+
+def perturbed_dicke_4_2():
+    amps = dicke(4, 2).amplitudes.copy()
+    amps[3] += 1e-6
+    return QubitPureState(4, amps / np.linalg.norm(amps), label="dicke_4_2_perturbed")
+
+
+def hh_plus():
+    # |H>|H>|+> keeps ZII but not its permutation IIZ
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    return QubitPureState(3, np.kron(np.kron([1.0, 0.0], [1.0, 0.0]), plus), label="hh_plus")
+
+
+NOT_INVARIANT = [perturbed_dicke_4_2(), hh_plus()]
+CLASS_TARGETS = (
+    [dicke(n, k) for n in range(1, 9) for k in range(n + 1)]
+    + [ghz(n) for n in range(2, 9)]
+    + [w_state(n) for n in range(2, 9)]
+    + [dicke(10, 5), ghz(10)]
+    + [random_symmetric_state(n, 90 + n) for n in range(2, 7)]
+    # the singlet changes sign under the swap, its projector does not
+    + [QubitPureState(2, np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0), label="singlet")]
+    + NOT_INVARIANT
+)
+
+
+@pytest.mark.parametrize("state", CLASS_TARGETS, ids=lambda s: s.label)
+def test_classes_match_the_string_walk(state):
+    # a class is read from I..IX..XY..YZ..Z, the first of its strings in
+    # product order, so its value is the walk's own to the bit
+    decomp = decompose(state)
+    expected = class_coefficients(decomp)
+    assert decomp.classes == expected
+    assert (expected is None) == any(state is s for s in NOT_INVARIANT)
+    assert len(decomp) == len(decomp.terms)
+
+
 def test_support_mask_marks_nonidentity_positions():
     # qubit 0 = MSB, so position 1 maps to bit 2 of a 4-bit mask
     assert support_mask("IXZI", 4) == 0b0110
@@ -379,10 +443,8 @@ def test_check_plan_covers_flags_collective_weights_on_mixed_axes():
     weights = (0.0, 0.0, 0.0, 1.0)
     plan = SettingPlan(
         method="symmetric",
-        num_qubits=3,
-        target_label=None,
         assignments=(SettingAssignment(MeasurementSetting.pauli("zzx"), (), weights),),
-        collective_strings=tuple(decomp.nonidentity_strings()),
+        collective_classes=tuple(decomp.classes.items()),
     )
     with pytest.raises(CoverageError, match="one direction"):
         check_plan_covers(plan, decomp)
@@ -392,27 +454,44 @@ def test_check_plan_covers_needs_a_collective_setting_for_collective_strings():
     decomp = decompose(dicke(3, 1))
     plan = SettingPlan(
         method="symmetric",
-        num_qubits=3,
-        target_label=None,
         assignments=(SettingAssignment(MeasurementSetting.pauli("zzz"), ("ZZZ",)),),
-        collective_strings=tuple(decomp.nonidentity_strings()),
+        collective_classes=tuple(decomp.classes.items()),
     )
     with pytest.raises(CoverageError, match="misses"):
         check_plan_covers(plan, decomp)
 
 
 def test_check_plan_covers_memory_stays_flat_on_ten_qubits():
-    # 131,584 strings over 56 settings: one set of strings, not one tuple
-    # of setting indices per string
-    decomp = decompose(dicke(10, 5))
-    plan = plan_settings(decomp, strategy="symmetric")
+    # D(10, 5) has 131,584 strings in 285 classes: the symmetric plan path
+    # reads the classes and never expands, copies or walks the strings
     tracemalloc.start()
     try:
+        decomp = decompose(dicke(10, 5))
+        plan = plan_settings(decomp, strategy="symmetric")
         check_plan_covers(plan, decomp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 2e6
+
+
+def test_check_plan_covers_rejects_a_plan_solved_for_other_coefficients():
+    # D(6, 2) and D(6, 4) have the same classes with different coefficients;
+    # the weights solved for one read out a fidelity near 0 on the other
+    state = dicke(6, 4)
+    decomp = decompose(state)
+    plan = plan_settings(decompose(dicke(6, 2)))
+    assert {key for key, _ in plan.collective_classes} == set(decomp.classes)
+    with pytest.raises(CoverageError, match="classes"):
+        check_plan_covers(plan, decomp)
+    with pytest.raises(CoverageError):
+        fidelity_from_counts(decomp, plan, exact_counts(state, plan))
+    # a class missing on either side is a mismatch too
+    own = plan_settings(decomp)
+    for classes in (own.collective_classes[1:], own.collective_classes + (((1, 0, 0), 0.5),)):
+        with pytest.raises(CoverageError, match="classes"):
+            check_plan_covers(SettingPlan(own.method, own.assignments, classes), decomp)
+    check_plan_covers(own, decomp)
 
 
 def test_estimator_recovers_unit_fidelity_from_exact_counts():
