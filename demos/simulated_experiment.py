@@ -48,7 +48,7 @@ def main():
     print(f"direct fidelity to the six-photon target: {direct:.6f}")
 
     value = witness_value(rho, 0.0)
-    bound = biseparable_bound(6, 0.0, options=SeeSawOptions(restarts=20, seed=args.seed))
+    bound = biseparable_bound(6, 0.0, options=SeeSawOptions(restarts=20))
     print(f"witness value {value:.4f} vs biseparable bound {bound.value:.4f} "
           f"-> genuinely multipartite: {value > bound.value}")
 

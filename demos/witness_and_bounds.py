@@ -32,7 +32,6 @@ PUBLISHED_BOUNDS = {4: 5.23, 5: 7.87, 6: 11.02}
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--restarts", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     print("ideal witness values at alpha = 0")
@@ -40,8 +39,8 @@ def main():
         value = witness_value(dicke(n, m), 0.0)
         print(f"  {n} photons, {m} excitations: {value:.6f}")
 
-    print(f"\nbiseparable bounds ({args.restarts} restarts)")
-    options = SeeSawOptions(restarts=args.restarts, seed=args.seed)
+    print(f"\nbiseparable bounds ({args.restarts} polar starts)")
+    options = SeeSawOptions(restarts=args.restarts)
     for n in (4, 5, 6):
         est = biseparable_bound(n, 0.0, options=options)
         print(f"  {n} qubits: {est.value:.6f}  (published {PUBLISHED_BOUNDS[n]}, "

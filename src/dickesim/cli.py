@@ -179,7 +179,7 @@ SCHEMAS = {
         # each entry is a full bound; restarts x (1 + len(alphas)) is
         # capped at MAX_BOUND_RESTARTS
         "alphas": (_list_of(_number(), max_len=64), None),
-        "restarts": (_integer(1, 500), 50),
+        "restarts": (_integer(2, 500), 50),
         "state": (_string(), None),
     },
     "scan": {
@@ -396,7 +396,7 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
             f"config.restarts x (1 + len(config.alphas)) = {config['restarts']} x {runs}"
             f" exceeds the restart budget {MAX_BOUND_RESTARTS}"
         )
-    options = SeeSawOptions(restarts=config["restarts"], seed=ctx.seed)
+    options = SeeSawOptions(restarts=config["restarts"])
     label = config["state"]
     if label is None and n % 2 == 0:
         label = f"dicke_{n}_{n // 2}"

@@ -454,8 +454,8 @@ def _counts_vector(counts, key: str, dim: int) -> np.ndarray:
     vec = np.asarray(raw, dtype=float).reshape(-1)
     if vec.size != dim:
         raise ValueError(f"setting {key!r} needs {dim} outcome counts, got {vec.size}")
-    if vec.min() < 0:
-        raise ValueError(f"negative count in setting {key!r}")
+    if not np.isfinite(vec).all() or vec.min() < 0:
+        raise ValueError(f"negative or non-finite count in setting {key!r}")
     if vec.sum() <= 0:
         raise ValueError(f"zero total counts for setting {key!r}")
     return vec

@@ -14,6 +14,11 @@ that W leaves invariant, and a product optimum sits in a single block
 pair, so each search runs on spin-j matrices of dimension
 (2 j_A + 1)(2 j_B + 1) rather than on the 2^N operator and stays exact
 (G. Toth et al., New J. Phys. 11, 083002 (2009)).
+
+The search draws no random numbers: side A starts in spin-coherent
+states at polar angles in [0, pi/2], which suffice because W commutes with
+rotations about z and with the pi rotation about x (G. Toth, JOSA B 24,
+275 (2007)).
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .states import (
     fidelity,
 )
 
-DEGENERACY_TOL = 1e-12
 # a see-saw restart stops once an iteration raises its value by less than
 # SEESAW_TOL, or after MAX_ITER iterations
 MAX_ITER = 500
@@ -107,8 +111,15 @@ def pairwise_corr_matrix(state: State, axis: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeeSawOptions:
+    """``restarts`` polar starts per sector pair, at least 2 (one start is
+    the pole alone, which misses the optimum); ``seed`` is ignored."""
+
     restarts: int = 50
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 2:
+            raise ValueError(f"restarts must be at least 2, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -131,25 +142,6 @@ class BoundEstimate:
     classes: tuple[SizeClassSearch, ...]
 
 
-def _top_eigenvectors(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading eigenvector and eigenvalue of each matrix in an (R, d, d)
-    stack.  Degenerate ties are broken by the lexicographically largest
-    absolute-amplitude profile so reruns pick the same vector; the tie
-    tolerance scales with |top|, so it stays above float spacing at large
-    |alpha|.  Ties are found for the whole stack at once and resolved row
-    by row only where one occurs."""
-    vals, vecs = np.linalg.eigh(matrices)
-    top = vals[:, -1]
-    out = vecs[:, :, -1]
-    tol = DEGENERACY_TOL * np.maximum(1.0, np.abs(top))
-    tied = np.flatnonzero(vals[:, -2] >= top - tol) if vals.shape[1] > 1 else ()
-    for r in tied:
-        candidates = np.flatnonzero(vals[r] >= top[r] - tol[r])
-        best = max(candidates, key=lambda k: tuple(np.round(np.abs(vecs[r, :, k]), 12)))
-        out[r] = vecs[r, :, best]
-    return out, top
-
-
 def _seesaw(w4, psi_a):
     """Alternating see-saw from each row of psi_a (R, d_a) at once.
 
@@ -165,9 +157,10 @@ def _seesaw(w4, psi_a):
     active = np.arange(rows)
     for it in range(1, MAX_ITER + 1):
         m_b = np.einsum("ajbk,ra,rb->rjk", w4, psi_a.conj(), psi_a)
-        psi_b, _ = _top_eigenvectors(m_b)
+        psi_b = np.linalg.eigh(m_b)[1][:, :, -1]
         m_a = np.einsum("ajbk,rj,rk->rab", w4, psi_b.conj(), psi_b)
-        psi_a, new_values = _top_eigenvectors(m_a)
+        vals, vecs = np.linalg.eigh(m_a)
+        psi_a, new_values = vecs[:, :, -1], vals[:, -1]
         done = new_values - values[active] < SEESAW_TOL
         values[active] = new_values
         iterations[active[done]] = it
@@ -203,14 +196,18 @@ def _sector_witness(d_a: int, d_b: int, alpha: float) -> np.ndarray:
     return np.ascontiguousarray(total.real).reshape(d_a, d_b, d_a, d_b)
 
 
-def _random_starts(dim: int, key: tuple, restarts: int) -> np.ndarray:
-    """(restarts, dim) normalised complex Gaussian starts, one seed per row."""
-    starts = np.empty((restarts, dim), dtype=complex)
-    for restart in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((*key, restart)))
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        starts[restart] = psi / np.linalg.norm(psi)
-    return starts
+def _polar_starts(dim: int, count: int) -> np.ndarray:
+    """(count, dim) spin-coherent states |theta_k, phi = 0> of spin
+    j = (dim - 1) / 2 in the basis m = j, ..., -j, at theta_k =
+    linspace(0, pi / 2, count): row 0 is the pole, the last row the equator.
+
+    The amplitude of m is sqrt(C(2j, j - m)) cos(theta/2)^(j + m)
+    sin(theta/2)^(j - m) (Arecchi et al., PRA 6, 2211 (1972)).
+    """
+    down = np.arange(dim)  # j - m
+    half = np.linspace(0.0, np.pi / 2, count)[:, None] / 2.0
+    scale = np.sqrt([math.comb(dim - 1, k) for k in down])
+    return scale * np.cos(half) ** (dim - 1 - down) * np.sin(half) ** down
 
 
 def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
@@ -224,15 +221,11 @@ def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
     sectors = itertools.product(range(size + 1, 0, -2), range(n - size + 1, 0, -2))
     for d_a, d_b in sectors:
         w4 = _sector_witness(d_a, d_b, alpha)
-        if searched and np.linalg.eigvalsh(
-            w4.reshape(d_a * d_b, d_a * d_b)
-        )[-1] <= best[0]:
+        if searched and np.linalg.eigvalsh(w4.reshape(d_a * d_b, -1))[-1] <= best[0]:
             skipped += 1
             continue
         searched += 1
-        values, iterations, converged = _seesaw(
-            w4, _random_starts(d_a, (opts.seed, size, d_a, d_b), opts.restarts)
-        )
+        values, iterations, converged = _seesaw(w4, _polar_starts(d_a, opts.restarts))
         r = int(np.argmax(values))
         if values[r] > best[0]:
             best = (float(values[r]), int(iterations[r]), bool(converged[r]))
@@ -255,13 +248,18 @@ def biseparable_bound(
     runs the see-saw on W built from spin-j_A and spin-j_B matrices, of
     dimension (2 j_A + 1)(2 j_B + 1), which is exact for every alpha.
 
-    Each searched sector pair gets ``options.restarts`` random product
-    starts, run as one batch: each half-step contracts the witness with
-    every restart's other side at once and takes the top eigenvectors of
-    the whole stack in one ``eigh``, so the objective is monotone per
-    restart and each restart stops on its own increment.  ``classes``
-    reports each class's value, bipartition count, convergence and sector
-    counts; ``value`` is the largest class value.
+    Each searched sector pair starts side A in the spin-coherent states at
+    ``options.restarts`` polar angles in [0, pi/2], azimuth 0: the azimuth
+    is free as W commutes with rotations about z, and theta ~ pi - theta
+    as W is invariant under the pi rotation about x.  W is real in the m
+    basis and some optimum is real (a joint z rotation zeroes the other
+    side's <J_y>), so the search runs in real arithmetic; ``options.seed``
+    is not read.  The starts run as one batch: each half-step contracts
+    the witness with every start's other side at once and takes the top
+    eigenvectors of the whole stack in one ``eigh``, so the objective is
+    monotone per start and each start stops on its own increment.
+    ``classes`` reports each class's value, bipartition count, convergence
+    and sector counts; ``value`` is the largest class value.
     """
     opts = options or SeeSawOptions()
     n = int(num_qubits)

@@ -127,16 +127,24 @@ def test_bound_with_curve_artifact(tmp_path, capsys):
 
 
 def test_bound_reports_are_deterministic(tmp_path, capsys):
+    # the search draws no random numbers: a rerun writes the same bytes,
+    # and another --seed changes only the report's seed field
     config = write_config(tmp_path, {"alpha": -3.0, "restarts": 5, "alphas": [0.0]})
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    for out in (out_a, out_b):
+    runs = {"a": "3", "b": "3", "c": "4"}
+    for name, seed in runs.items():
         assert run_cli(
-            ["bound", "--config", config, "--seed", "3", "--out", str(out)]
+            ["bound", "--config", config, "--seed", seed, "--out", str(tmp_path / name)]
         ) == 0
     capsys.readouterr()
+    out_a, out_b, out_c = (tmp_path / name for name in runs)
     assert (out_a / "bound.json").read_bytes() == (out_b / "bound.json").read_bytes()
-    results = load_report(out_a, "bound")["results"]
+    report_a, report_c = load_report(out_a, "bound"), load_report(out_c, "bound")
+    assert (report_a["seed"], report_c["seed"]) == (3, 4)
+    assert report_a["results"] == report_c["results"]
+    assert report_a["config"] == report_c["config"]
+    results = report_a["results"]
+    table = results["table_file"]
+    assert (out_a / table).read_bytes() == (out_c / table).read_bytes()
     classes = results["classes"]
     assert [c["size"] for c in classes] == [1, 2, 3]
     assert [c["bipartitions"] for c in classes] == [6, 15, 10]
@@ -548,6 +556,10 @@ def test_out_of_range_value_exits_two(tmp_path, capsys):
     assert run_cli(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config.lambda" in err
+    # a single polar start misses the optimum
+    config = write_config(tmp_path, {"restarts": 1}, name="bound.json")
+    assert run_cli(["bound", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "config.restarts" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -554,6 +554,12 @@ def test_estimator_input_validation():
     negative[plan.assignments[0].setting.label()] = -np.ones(16)
     with pytest.raises(ValueError, match="negative"):
         fidelity_from_counts(decomp, plan, negative)
+    key = plan.assignments[-1].setting.label()
+    for bad in (np.nan, np.inf, -np.inf):
+        counts = exact_counts(dicke(4, 2), plan)
+        counts[key][3] = bad
+        with pytest.raises(ValueError, match=f"non-finite count in setting '{key}'"):
+            fidelity_from_counts(decomp, plan, counts)
 
 
 def test_reference_table_values():

@@ -8,12 +8,13 @@ from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.protocols import werner
 from dickesim.states import PAULI, QubitPureState, apply_local, fidelity
 from dickesim.witness import (
-    DEGENERACY_TOL,
     MAX_ITER,
     SEESAW_TOL,
     SeeSawOptions,
+    _polar_starts,
     _sector_witness,
-    _top_eigenvectors,
+    _seesaw,
+    _spin_matrices,
     biseparable_bound,
     bound_curve,
     collective_spin_operator,
@@ -31,24 +32,18 @@ from test_states import random_density
 
 
 def _top_eigenvector(matrix):
-    """Oracle: leading eigenvector of one matrix, degenerate ties broken by
-    the lexicographically largest absolute-amplitude profile."""
+    """Oracle: leading eigenvector and eigenvalue of one matrix."""
     vals, vecs = np.linalg.eigh(matrix)
-    top = vals[-1]
-    tol = DEGENERACY_TOL * max(1.0, abs(top))
-    candidates = [k for k in range(len(vals)) if vals[k] >= top - tol]
-    if len(candidates) == 1:
-        return vecs[:, -1], float(top)
-    best = max(candidates, key=lambda k: tuple(np.round(np.abs(vecs[:, k]), 12)))
-    return vecs[:, best], float(top)
+    return vecs[:, -1], float(vals[-1])
 
 
-def _seesaw_once(w4, d_a, d_b, rng, max_iter, tol):
-    """Oracle: one see-saw restart, one matrix at a time."""
-    psi_a = rng.normal(size=d_a) + 1j * rng.normal(size=d_a)
-    psi_a /= np.linalg.norm(psi_a)
-    psi_b = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
-    psi_b /= np.linalg.norm(psi_b)
+def _random_start(dim, rng):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def _seesaw_once(w4, psi_a, max_iter, tol):
+    """Oracle: one see-saw restart from side A's start, one matrix at a time."""
     value = -np.inf
     for it in range(1, max_iter + 1):
         m_b = np.einsum("ajbk,a,b->jk", w4, psi_a.conj(), psi_a)
@@ -63,7 +58,7 @@ def _seesaw_once(w4, d_a, d_b, rng, max_iter, tol):
 
 def per_restart_class_search(n, size, alpha, opts):
     """Oracle: the size class search one restart at a time, with the same
-    sector order, skip rule and per-restart seeds as biseparable_bound.
+    sector order, skip rule and polar starts as biseparable_bound.
 
     Returns (value, iterations, converged, searched, skipped).
     """
@@ -75,14 +70,35 @@ def per_restart_class_search(n, size, alpha, opts):
             skipped += 1
             continue
         searched += 1
-        for restart in range(opts.restarts):
-            rng = np.random.default_rng(
-                np.random.SeedSequence((opts.seed, size, d_a, d_b, restart))
-            )
-            result = _seesaw_once(w4, d_a, d_b, rng, MAX_ITER, SEESAW_TOL)
+        for psi_a in _polar_starts(d_a, opts.restarts):
+            result = _seesaw_once(w4, psi_a, MAX_ITER, SEESAW_TOL)
             if result[0] > best[0]:
                 best = result
     return (*best, searched, skipped)
+
+
+def _random_starts(dim, key, restarts):
+    """(restarts, dim) normalised complex Gaussian starts, one seed per row."""
+    return np.array([
+        _random_start(dim, np.random.default_rng(np.random.SeedSequence((*key, restart))))
+        for restart in range(restarts)
+    ])
+
+
+def random_start_class_maxima(n, alpha, restarts, seed=0):
+    """Oracle: {k: size class maximum} from seeded complex Gaussian starts
+    on every sector pair whose unconstrained top eigenvalue can beat the
+    best value so far."""
+    out = {}
+    for size in range(1, n // 2 + 1):
+        best = -np.inf
+        for d_a, d_b in itertools.product(range(size + 1, 0, -2), range(n - size + 1, 0, -2)):
+            w4 = _sector_witness(d_a, d_b, alpha)
+            if np.linalg.eigvalsh(w4.reshape(d_a * d_b, -1))[-1] > best:
+                starts = _random_starts(d_a, (seed, size, d_a, d_b), restarts)
+                best = max(best, _seesaw(w4, starts)[0].max())
+        out[size] = best
+    return out
 
 
 def dense_class_maxima(n, alpha, restarts, seed=0):
@@ -106,8 +122,10 @@ def dense_class_maxima(n, alpha, restarts, seed=0):
         w4 = tensor.transpose(perm + [n + p for p in perm]).reshape(d_a, d_b, d_a, d_b)
         best = max(
             _seesaw_once(
-                w4, d_a, d_b,
-                np.random.default_rng(np.random.SeedSequence((seed, part_index, r))),
+                w4,
+                _random_start(
+                    d_a, np.random.default_rng(np.random.SeedSequence((seed, part_index, r)))
+                ),
                 500, 1e-10,
             )[0]
             for r in range(restarts)
@@ -188,6 +206,10 @@ def test_biseparable_bound_small_case_converges():
     assert all(c.converged for c in est.classes)
     assert 5.15 <= est.value <= 5.232051 + 1e-6
     assert sum(c.bipartitions for c in est.classes) == 7
+    # one start sits at the pole only; none or fewer cannot run at all
+    for restarts in (1, 0, -1):
+        with pytest.raises(ValueError, match="restarts must be at least 2"):
+            SeeSawOptions(restarts=restarts)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -222,25 +244,39 @@ def test_batched_seesaw_matches_per_restart_oracle_exactly(n):
         assert not slow.converged and slow.iterations == 500
 
 
-def test_top_eigenvectors_break_degenerate_ties_like_the_single_matrix_rule():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    stack = np.array([
-        np.eye(3),
-        np.diag([1.0, 1.0, 0.0]),
-        x + x.conj().T,
-        1e12 * np.eye(3),
-        np.diag([0.0, 2.0, 2.0]),
-    ], dtype=complex)
-    vecs, tops = _top_eigenvectors(stack)
-    for matrix, vec, top in zip(stack, vecs, tops):
-        want_vec, want_top = _top_eigenvector(matrix)
-        assert top == want_top
-        assert np.array_equal(vec, want_vec)
-    # the tie rule picks the largest absolute-amplitude profile
-    assert_allclose(np.abs(vecs[0]), [1.0, 0.0, 0.0])
-    assert_allclose(np.abs(vecs[1]), [1.0, 0.0, 0.0])
-    assert_allclose(np.abs(vecs[4]), [0.0, 1.0, 0.0])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_polar_starts_never_fall_below_random_starts(n):
+    # two polar starts, the pole and the equator, reach the bound that
+    # seeded Gaussian starts find on every sector pair; a class that does
+    # not set the bound may need a third (N=6, alpha=-10: two starts stop
+    # the 3|3 class at 4.28 where its maximum is 7)
+    for alpha in (-1e4, -10.0, -3.0, -1.0, 0.0, 0.5, 0.999, 1.0, 10.0):
+        oracle = random_start_class_maxima(n, alpha, restarts=10)
+        best = max(oracle.values())
+        two = biseparable_bound(n, alpha, SeeSawOptions(restarts=2))
+        assert two.value >= best - 1e-12 * max(1.0, abs(best)), (n, alpha)
+        for cls in biseparable_bound(n, alpha, SeeSawOptions(restarts=3)).classes:
+            want = oracle[cls.size]
+            # a converged value stops within about one stopping increment
+            # of its limit; the N=4, alpha=-3, |A|=2 class stops at
+            # MAX_ITER about 5e-7 short of 4
+            tol = SEESAW_TOL if cls.converged else 1e-6
+            assert cls.value >= want - tol * max(1.0, abs(want)), (n, alpha, cls.size)
+
+
+def test_polar_starts_are_spin_coherent_states():
+    thetas = np.linspace(0.0, np.pi / 2, 7)
+    for dim in (1, 2, 3, 6, 11):
+        jx, _, jz = _spin_matrices(dim)
+        j = (dim - 1) / 2.0
+        starts = _polar_starts(dim, len(thetas))
+        assert starts.shape == (7, dim)
+        for theta, psi in zip(thetas, starts):
+            assert_allclose(np.linalg.norm(psi), 1.0, atol=1e-12)
+            spin = np.sin(theta) * jx + np.cos(theta) * jz
+            assert_allclose(spin @ psi, j * psi, atol=1e-12)
+        # the pole is |m = j>
+        assert_allclose(starts[0], np.eye(dim)[0], atol=0)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -257,8 +293,8 @@ def test_biseparable_bound_closed_form_for_large_alpha(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_biseparable_bound_matches_dense_oracle_at_large_negative_alpha(n):
-    # float spacing near the top eigenvalue is far above 1e-12 here, so the
-    # degenerate-tie tolerance must scale with it
+    # W has entries near |alpha| here, so float spacing near its top
+    # eigenvalue is far above the 1e-10 stopping increment
     for alpha in (-1e4, -1e12):
         oracle = dense_class_maxima(n, alpha, restarts=3)
         est = biseparable_bound(n, alpha, SeeSawOptions(restarts=3, seed=0))
