@@ -179,7 +179,7 @@ SCHEMAS = {
         # each entry is a full bound; restarts x (1 + len(alphas)) is
         # capped at MAX_BOUND_RESTARTS
         "alphas": (_list_of(_number(), max_len=64), None),
-        "restarts": (_integer(2, 500), 50),
+        "restarts": (_integer(3, 500), 50),
         "state": (_string(), None),
     },
     "scan": {
@@ -278,18 +278,20 @@ def _parse_state_label(label: str, path: str = "config.state"):
     from .dicke_states import dicke, ghz, w_state
 
     parts = label.split("_")
+    builders = {("dicke", 3): dicke, ("ghz", 2): ghz, ("w", 2): w_state}
+    build = builders.get((parts[0], len(parts)))
+    if build is None:
+        raise ConfigError(
+            f"{path}: unknown state label {label!r}; use dicke_N_M, ghz_N, or w_N"
+        )
     try:
-        if parts[0] == "dicke" and len(parts) == 3:
-            return dicke(int(parts[1]), int(parts[2]))
-        if parts[0] == "ghz" and len(parts) == 2:
-            return ghz(int(parts[1]))
-        if parts[0] == "w" and len(parts) == 2:
-            return w_state(int(parts[1]))
+        state = build(*(int(part) for part in parts[1:]))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(
-        f"{path}: unknown state label {label!r}; use dicke_N_M, ghz_N, or w_N"
-    )
+    # reports key on the label, so only the state's own spelling is accepted
+    if state.label != label:
+        raise ConfigError(f"{path}: state label {label!r} is not canonical; use {state.label!r}")
+    return state
 
 
 def _simulate(sim: dict):

@@ -24,6 +24,7 @@ from .states import (
     QubitDensity,
     QubitPureState,
     State,
+    _check_num_qubits,
     project,
 )
 
@@ -53,6 +54,7 @@ def dicke(num_qubits: int, excitations: int) -> QubitPureState:
 def ghz(num_qubits: int) -> QubitPureState:
     """(|H...H> + |V...V>) / sqrt(2)."""
     n = int(num_qubits)
+    _check_num_qubits(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = SQRT_HALF
     return QubitPureState(n, amps, label=f"ghz_{n}")

@@ -332,7 +332,7 @@ def _designs(n: int):
     design (the z axis plus N equatorial directions at k pi / N), then the
     z axis plus ceil(N/2) rings, then one more ring."""
     yield [MeasurementSetting.uniform("z", n)] + [
-        MeasurementSetting.in_plane("xy", k * math.pi / n, n) for k in range(n)
+        MeasurementSetting.direction(math.pi / 2, k * math.pi / n, n) for k in range(n)
     ]
     first = math.ceil(n / 2)
     yield _ring_settings(n, first)
@@ -377,11 +377,12 @@ def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPl
         raise ValueError(
             f"{method} settings do not span the target: weight residual {residual:.2e}"
         )
-    # a setting whose weights are all zero adds nothing to the estimate
+    # a setting whose weights are all within COEFF_TOL of zero adds nothing
+    # to the estimate (an equatorial setting's n_z = cos(pi/2) is 6e-17, not 0)
     assignments = tuple(
         SettingAssignment(setting, (), collective_weights=tuple(float(w) for w in row))
         for setting, row in zip(settings, weights)
-        if row.any()
+        if np.abs(row).max() > COEFF_TOL
     )
     return SettingPlan(method, assignments, collective_classes=tuple(classes.items()))
 
@@ -396,8 +397,9 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     squares on the first of ``_designs`` whose weight residual is within
     ``SYMMETRIC_RESIDUAL_TOL``.  GHZ targets take the GHZ design (five
     settings at N = 4, as published), the six-qubit Dicke state 22 (21
-    published).  Settings whose weights all solve to zero are dropped, so
-    the product states D(N, 0) and D(N, N) plan the z setting alone.
+    published).  Settings whose weights all solve to within ``COEFF_TOL``
+    of zero are dropped, so the product states D(N, 0) and D(N, N) plan
+    the z setting alone.
     Raises ValueError for a decomposition that is not permutation-invariant
     or that no design spans.
     ``ghz_special``: the same list cut to the GHZ design.  Besides GHZ

@@ -7,6 +7,8 @@ Conventions used throughout the package:
 * sigma_z |H> = +|H>, and sigma_y |H> = i |V>.
 
 States are small (at most ``MAX_QUBITS`` qubits) and stored densely.
+A measurement setting names one axis per qubit, either a Pauli letter
+'x' | 'y' | 'z' or a Bloch direction ('n', theta, phi).
 """
 
 from __future__ import annotations
@@ -34,13 +36,6 @@ AXIS_VECTORS = {
     "x": np.array([1.0, 0.0, 0.0]),
     "y": np.array([0.0, 1.0, 0.0]),
     "z": np.array([0.0, 0.0, 1.0]),
-}
-
-# unit vectors spanning each measurement plane, in the order (cos, sin)
-PLANE_SPANS = {
-    "xy": ("x", "y"),
-    "xz": ("x", "z"),
-    "yz": ("y", "z"),
 }
 
 
@@ -273,57 +268,43 @@ def project(state: State, qubit: int, outcome_ket) -> tuple[State, float]:
 
 
 def _axis_entry(axis):
-    """Normalize one per-qubit axis entry.
-
-    Returns 'x' | 'y' | 'z', an in-plane axis (plane, theta), or a
-    general Bloch direction ('n', theta, phi).
-    """
+    """Normalize one per-qubit axis: 'x' | 'y' | 'z', or a Bloch direction
+    ('n', theta, phi)."""
     if isinstance(axis, str):
         a = axis.lower()
         if a in AXIS_VECTORS:
             return a
         raise ValueError(f"unknown axis label {axis!r}")
-    if len(axis) == 3:
-        tag, theta, phi = axis
-        if str(tag).lower() != "n":
-            raise ValueError(f"unknown direction tag {tag!r}; expected 'n'")
-        return ("n", float(theta), float(phi))
-    plane, theta = axis
-    plane = str(plane).lower()
-    if plane not in PLANE_SPANS:
-        raise ValueError(f"unknown plane {plane!r}; expected one of {sorted(PLANE_SPANS)}")
-    return (plane, float(theta))
+    if len(axis) != 3 or str(axis[0]).lower() != "n":
+        raise ValueError(f"unknown axis {axis!r}; expected 'x', 'y', 'z' or ('n', theta, phi)")
+    return ("n", float(axis[1]), float(axis[2]))
 
 
+@dataclass(frozen=True)
 class MeasurementSetting:
     """Per-qubit measurement axes.
 
-    Each entry is a Pauli label ('x', 'y', 'z'), an in-plane axis
-    ``(plane, theta)`` with plane in {'xy', 'xz', 'yz'}, meaning
-    cos(theta) * first_axis + sin(theta) * second_axis, or a general Bloch
-    direction ``('n', theta, phi)`` with polar angle theta from z and
-    azimuth phi from x.
+    Each entry is a Pauli label ('x', 'y', 'z') or a Bloch direction
+    ``('n', theta, phi)`` with polar angle theta from z and azimuth phi
+    from x; a string such as ``"zzxy"`` gives one Pauli label per qubit.
+    ``label()`` writes the axes exactly and ``from_label`` rebuilds them.
     """
 
-    def __init__(self, axes):
-        axes = tuple(_axis_entry(a) for a in axes)
+    axes: tuple
+
+    def __post_init__(self):
+        axes = tuple(_axis_entry(a) for a in self.axes)
         if not 1 <= len(axes) <= MAX_QUBITS:
             raise ValueError(f"setting must cover 1..{MAX_QUBITS} qubits")
-        self.axes = axes
-        self.num_qubits = len(axes)
+        object.__setattr__(self, "axes", axes)
 
-    @classmethod
-    def pauli(cls, labels: str) -> "MeasurementSetting":
-        """All-Pauli setting from a compact string such as 'zzxy'."""
-        return cls(tuple(labels.lower()))
+    @property
+    def num_qubits(self) -> int:
+        return len(self.axes)
 
     @classmethod
     def uniform(cls, axis, num_qubits: int) -> "MeasurementSetting":
         return cls((axis,) * num_qubits)
-
-    @classmethod
-    def in_plane(cls, plane: str, theta: float, num_qubits: int) -> "MeasurementSetting":
-        return cls(((plane, theta),) * num_qubits)
 
     @classmethod
     def direction(cls, theta: float, phi: float, num_qubits: int) -> "MeasurementSetting":
@@ -334,14 +315,10 @@ class MeasurementSetting:
         axis = self.axes[qubit]
         if isinstance(axis, str):
             return AXIS_VECTORS[axis].copy()
-        if axis[0] == "n":
-            _, theta, phi = axis
-            return np.array(
-                [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-            )
-        plane, theta = axis
-        a, b = PLANE_SPANS[plane]
-        return math.cos(theta) * AXIS_VECTORS[a] + math.sin(theta) * AXIS_VECTORS[b]
+        _, theta, phi = axis
+        return np.array(
+            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+        )
 
     def rotation(self, qubit: int) -> np.ndarray:
         """2x2 unitary whose rows are the bras of the +1 / -1 eigenvectors."""
@@ -358,37 +335,15 @@ class MeasurementSetting:
         return nx * PAULI["X"] + ny * PAULI["Y"] + nz * PAULI["Z"]
 
     def label(self) -> str:
-        parts = []
-        for axis in self.axes:
-            if isinstance(axis, str):
-                parts.append(axis)
-            elif axis[0] == "n":
-                # repr keeps every bit, so from_label rebuilds the same angles
-                _, theta, phi = axis
-                parts.append(f"n:{theta!r}:{phi!r}")
-            else:
-                plane, theta = axis
-                parts.append(f"{plane}:{theta:.12g}")
-        return ",".join(parts)
+        # repr keeps every bit, so from_label rebuilds the same angles
+        return ",".join(
+            axis if isinstance(axis, str) else f"n:{axis[1]!r}:{axis[2]!r}"
+            for axis in self.axes
+        )
 
     @classmethod
     def from_label(cls, text: str) -> "MeasurementSetting":
-        axes = []
-        for tok in text.split(","):
-            parts = tok.split(":")
-            if len(parts) == 3:
-                axes.append((parts[0], float(parts[1]), float(parts[2])))
-            elif len(parts) == 2:
-                axes.append((parts[0], float(parts[1])))
-            else:
-                axes.append(tok)
-        return cls(axes)
-
-    def __eq__(self, other):
-        return isinstance(other, MeasurementSetting) and self.axes == other.axes
-
-    def __hash__(self):
-        return hash(self.axes)
+        return cls(tok.split(":") if ":" in tok else tok for tok in text.split(","))
 
     def __repr__(self):
         return f"<MeasurementSetting {self.label()}>"

@@ -1,7 +1,8 @@
 """Collective-spin witnesses, biseparable bounds, and correlator scans.
 
 The witness family is W(alpha) = Jx^2 + Jy^2 + alpha * Jz^2 with
-J_i = (1/2) sum_k sigma_i^(k).  Genuine multipartite entanglement is
+J_i = (1/2) sum_k sigma_i^(k); its value is read from three collective
+settings, every qubit along x, y or z.  Genuine multipartite entanglement is
 signalled when a measured witness value exceeds the maximum attainable
 by states that are product across some bipartition; those maxima are
 estimated by an alternating top-eigenvector (see-saw) search.
@@ -32,7 +33,9 @@ import numpy as np
 
 from .dicke_states import ghz
 from .states import (
+    _POPCOUNT,
     PAULI,
+    MeasurementSetting,
     QubitDensity,
     QubitPureState,
     State,
@@ -40,6 +43,7 @@ from .states import (
     apply_local,
     expectation,
     fidelity,
+    outcome_distribution,
 )
 
 # a see-saw restart stops once an iteration raises its value by less than
@@ -82,27 +86,21 @@ def witness_operator(num_qubits: int, alpha: float) -> np.ndarray:
 
 
 def collective_spin_sq(state: State, axis: str) -> float:
-    """<J_axis^2> = (sum_jk <sigma_j sigma_k>) / 4 from two-qubit correlators."""
-    return float(pairwise_corr_matrix(state, axis).sum() / 4.0)
+    """<J_axis^2> from the one setting with every qubit along ``axis``.
+
+    J_axis has eigenvalue N/2 - popcount(b) on outcome b of that setting,
+    so <J_axis^2> = sum_b p(b) (N/2 - popcount(b))^2.
+    """
+    n = state.num_qubits
+    probs = outcome_distribution(state, MeasurementSetting.uniform(axis, n))
+    return float(probs @ (n / 2.0 - _POPCOUNT[: 2**n]) ** 2)
 
 
 def witness_value(state: State, alpha: float) -> float:
-    """<W(alpha)> on a state, from <J_a^2> = (sum_jk <sigma_a^j sigma_a^k>) / 4
+    """<W(alpha)> on a state from the three collective settings x, y and z,
     without building the 2^N operator."""
     jx2, jy2, jz2 = (collective_spin_sq(state, axis) for axis in "xyz")
     return float(jx2 + jy2 + alpha * jz2)
-
-
-def pairwise_corr_matrix(state: State, axis: str) -> np.ndarray:
-    """Symmetric matrix of <sigma_axis^(j) sigma_axis^(k)>; unit diagonal."""
-    n = state.num_qubits
-    letter = axis.upper()
-    out = np.eye(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            letters = "".join(letter if q in (a, b) else "I" for q in range(n))
-            out[a, b] = out[b, a] = expectation(state, letters)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +109,16 @@ def pairwise_corr_matrix(state: State, axis: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeeSawOptions:
-    """``restarts`` polar starts per sector pair, at least 2 (one start is
-    the pole alone, which misses the optimum); ``seed`` is ignored."""
+    """``restarts`` polar starts per sector pair, at least 3 (the pole and
+    the equator alone can stop a class below its maximum, e.g. the 3|3
+    class at N=6, alpha=-10); ``seed`` is ignored."""
 
     restarts: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 2:
-            raise ValueError(f"restarts must be at least 2, got {self.restarts}")
+        if self.restarts < 3:
+            raise ValueError(f"restarts must be at least 3, got {self.restarts}")
 
 
 @dataclass(frozen=True)

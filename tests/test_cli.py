@@ -182,7 +182,7 @@ def test_bound_at_large_alpha(tmp_path, capsys):
 def test_bound_alphas_list_is_capped(tmp_path, capsys):
     # each entry is a full bound, so the curve length is bounded in the schema
     alphas = [k / 8.0 for k in range(-32, 32)]
-    config = write_config(tmp_path, {"num_qubits": 2, "restarts": 2, "alphas": alphas})
+    config = write_config(tmp_path, {"num_qubits": 2, "restarts": 3, "alphas": alphas})
     out = tmp_path / "out"
     assert run_cli(["bound", "--config", config, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -439,7 +439,7 @@ def _list_lengths(node):
 
 
 TABULAR_RUNS = {
-    "bound": {"num_qubits": 4, "restarts": 2, "alphas": [-1.0, 0.0, 1.0]},
+    "bound": {"num_qubits": 4, "restarts": 3, "alphas": [-1.0, 0.0, 1.0]},
     "scan": {"points": 20},
     "protocols": {"num_qubits": 4},
     "sample": {"state": "dicke_4_1", "events": 500},
@@ -556,10 +556,22 @@ def test_out_of_range_value_exits_two(tmp_path, capsys):
     assert run_cli(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config.lambda" in err
-    # a single polar start misses the optimum
-    config = write_config(tmp_path, {"restarts": 1}, name="bound.json")
-    assert run_cli(["bound", "--config", config, "--out", str(tmp_path / "o")]) == 2
-    assert "config.restarts" in capsys.readouterr().err
+    # the pole and the equator alone can stop a class below its maximum
+    for restarts in (1, 2):
+        config = write_config(tmp_path, {"restarts": restarts}, name="bound.json")
+        assert run_cli(["bound", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "config.restarts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["state", "witness", "lms", "qss"])
+@pytest.mark.parametrize("label", ["dicke_06_3", "ghz_+4", "w_ 4", "ghz_-1"])
+def test_state_label_other_than_the_canonical_one_exits_two(command, label, tmp_path, capsys):
+    # reports key on the label, so a second spelling of a state is refused;
+    # ghz_-1 names no state at all
+    config = write_config(tmp_path, {"state": label})
+    assert run_cli([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "config.state" in capsys.readouterr().err
+    assert not (tmp_path / "o" / f"{command}.json").exists()
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -273,7 +273,7 @@ def test_ghz_special_plan_has_five_settings():
     check_plan_covers(plan, decomp)
     labels = [a.setting.label() for a in plan.assignments]
     assert "z,z,z,z" in labels
-    assert sum(1 for lab in labels if "xy:" in lab) == 4
+    assert sum(1 for lab in labels if lab.startswith(f"n:{math.pi / 2!r}:")) == 4
 
 
 def test_ghz_special_rejects_other_targets():
@@ -318,8 +318,8 @@ def test_ghz_special_weights_match_the_order_n_construction(n):
     assert_allclose(outcome_weights(decomp, z_setting), diagonal, rtol=0, atol=1e-12)
     assert len(equatorial) == n
     for k, assignment in enumerate(equatorial):
-        expected = MeasurementSetting.in_plane("xy", k * math.pi / n, n)
-        assert assignment.setting.label() == expected.label()
+        expected = MeasurementSetting.direction(math.pi / 2, k * math.pi / n, n)
+        assert assignment.setting == expected
         assert assignment.covered == ()
         assert_allclose(
             assignment.collective_weights, [0.0] * n + [(-1.0) ** k / (2.0 * n)], rtol=0, atol=1e-12
@@ -425,6 +425,28 @@ def test_uniform_plans_keep_only_weighted_settings(n):
             assert labels in designs, state.label
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_planned_setting_rebuilds_from_its_label(n):
+    # reports and CSVs name settings by label, so a label must give back
+    # the very setting that was measured, under every strategy that
+    # accepts the target
+    strategies = ("greedy", "symmetric", "ghz_special") if n <= 6 else ("symmetric", "ghz_special")
+    planned = 0
+    for state in [dicke(n, k) for k in range(n + 1)] + [ghz(n), w_state(n)]:
+        decomp = decompose(state)
+        for strategy in strategies:
+            try:
+                plan = plan_settings(decomp, strategy=strategy)
+            except ValueError:
+                continue
+            planned += 1
+            for setting in plan.settings():
+                assert MeasurementSetting.from_label(setting.label()) == setting, (
+                    state.label, strategy, setting.label())
+    # greedy and symmetric accept every target, ghz_special at least GHZ_N
+    assert planned >= (2 * (n + 3) if n <= 6 else n + 3) + 1
+
+
 def test_symmetric_plan_refuses_other_targets():
     # |H>|H>|+> keeps ZII but not its permutation IIZ
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -443,7 +465,7 @@ def test_check_plan_covers_flags_collective_weights_on_mixed_axes():
     weights = (0.0, 0.0, 0.0, 1.0)
     plan = SettingPlan(
         method="symmetric",
-        assignments=(SettingAssignment(MeasurementSetting.pauli("zzx"), (), weights),),
+        assignments=(SettingAssignment(MeasurementSetting("zzx"), (), weights),),
         collective_classes=tuple(decomp.classes.items()),
     )
     with pytest.raises(CoverageError, match="one direction"):
@@ -454,7 +476,7 @@ def test_check_plan_covers_needs_a_collective_setting_for_collective_strings():
     decomp = decompose(dicke(3, 1))
     plan = SettingPlan(
         method="symmetric",
-        assignments=(SettingAssignment(MeasurementSetting.pauli("zzz"), ("ZZZ",)),),
+        assignments=(SettingAssignment(MeasurementSetting("zzz"), ("ZZZ",)),),
         collective_classes=tuple(decomp.classes.items()),
     )
     with pytest.raises(CoverageError, match="misses"):

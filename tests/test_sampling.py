@@ -88,7 +88,7 @@ def test_run_plan_streams_are_distinct_and_reproducible():
 
 def test_csv_round_trip(tmp_path):
     plan = ExperimentPlan(
-        (zbasis(4), MeasurementSetting.pauli("xyzx")), events_per_setting=300, seed=1
+        (zbasis(4), MeasurementSetting("xyzx")), events_per_setting=300, seed=1
     )
     hists = run_plan(dicke(4, 2), plan)
     path = tmp_path / "counts.csv"
@@ -106,10 +106,10 @@ def test_count_rows_match_the_csv_writer_byte_for_byte(tmp_path):
     rng = np.random.default_rng(4)
     rows = [
         ("z,z,z", rng.integers(0, 1000, size=8)),
-        (MeasurementSetting((("n", 0.3, 1.1), "x", ("xz", 0.4))).label(), rng.integers(0, 9, size=8)),
+        (MeasurementSetting((("n", 0.3, 1.1), "x", ("n", 1.2, 0.0))).label(), rng.integers(0, 9, size=8)),
         ('odd "label"', [0, 7]),
         ("x", [3, 4]),
-        (MeasurementSetting.pauli("xyzxyzxy").label(), rng.integers(0, 50, size=256)),
+        (MeasurementSetting("xyzxyzxy").label(), rng.integers(0, 50, size=256)),
     ]
     expected = tmp_path / "expected.csv"
     with open(expected, "w", newline="") as fh:

@@ -138,29 +138,34 @@ def test_project_impossible_outcome_raises():
 
 
 def test_setting_constructors_round_trip():
-    setting = MeasurementSetting.pauli("zzxy")
+    setting = MeasurementSetting("zzxy")
     assert setting.num_qubits == 4
     again = MeasurementSetting.from_label(setting.label())
-    assert again.label() == setting.label()
+    assert again == setting and hash(again) == hash(setting)
+    assert again.label() == setting.label() == "z,z,x,y"
     uniform = MeasurementSetting.uniform("x", 3)
-    assert uniform.label() == MeasurementSetting.pauli("xxx").label()
-    tilted = MeasurementSetting.in_plane("xz", 0.0, 2)
+    assert uniform == MeasurementSetting("xxx")
+    tilted = MeasurementSetting.direction(math.pi / 2, 0.0, 2)
     assert_allclose(
         outcome_distribution(QubitPureState(2, [1, 0, 0, 0]), tilted),
-        outcome_distribution(
-            QubitPureState(2, [1, 0, 0, 0]), MeasurementSetting.pauli("xx")
-        ),
+        outcome_distribution(QubitPureState(2, [1, 0, 0, 0]), MeasurementSetting("xx")),
         atol=1e-12,
     )
+    # an axis is a Pauli letter or ('n', theta, phi), nothing else
+    for axis in ("w", ("xy", 0.3), ("m", 0.1, 0.2), ("n", 0.1)):
+        with pytest.raises(ValueError):
+            MeasurementSetting((axis,))
+    with pytest.raises(ValueError):
+        MeasurementSetting.from_label("xy:0.3")
 
 
 def test_general_direction_label_round_trips_and_matches_eigenprojectors():
-    setting = MeasurementSetting((("n", 0.3, 1.1), "x", ("xz", 0.4)))
+    setting = MeasurementSetting((("n", 0.3, 1.1), "x", ("n", math.pi / 2 - 0.4, 0.0)))
     again = MeasurementSetting.from_label(setting.label())
     assert again == setting
     assert again.label() == setting.label()
-    # Pauli and in-plane entries keep their compact labels
-    assert setting.label().split(",")[1:] == ["x", "xz:0.4"]
+    # Pauli entries keep their one-letter labels; directions write every bit
+    assert setting.label().split(",")[1:] == ["x", f"n:{math.pi / 2 - 0.4!r}:0.0"]
     assert_allclose(
         setting.bloch_vector(0),
         [math.sin(0.3) * math.cos(1.1), math.sin(0.3) * math.sin(1.1), math.cos(0.3)],
@@ -183,13 +188,11 @@ def test_general_direction_label_round_trips_and_matches_eigenprojectors():
 
     uniform = MeasurementSetting.direction(0.7, -2.0, 3)
     assert uniform.axes == (("n", 0.7, -2.0),) * 3
-    with pytest.raises(ValueError):
-        MeasurementSetting((("m", 0.1, 0.2),))
 
 
 def test_outcome_distribution_normalized_and_correct():
     psi = QubitPureState(2, np.kron(KET_PLUS, KET_H))
-    probs = outcome_distribution(psi, MeasurementSetting.pauli("xz"))
+    probs = outcome_distribution(psi, MeasurementSetting("xz"))
     assert_allclose(probs.sum(), 1.0, atol=1e-12)
     # qubit 0 is along +x, so only outcomes with first bit 0 survive
     assert_allclose(probs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
@@ -207,7 +210,8 @@ def rotated_state_distribution(state, setting):
 
 def test_outcome_distribution_matches_rotated_state_oracle():
     rng = np.random.default_rng(17)
-    kinds = ["x", "y", "z", ("xy", 0.3), ("xz", 2.1), ("yz", -1.2), ("n", 0.7, 1.9)]
+    kinds = ["x", "y", "z", ("n", math.pi / 2, 0.3), ("n", math.pi / 2 - 2.1, 0.0),
+             ("n", math.pi / 2 + 1.2, math.pi / 2), ("n", 0.7, 1.9)]
     for n in range(1, 8):
         for _ in range(3):
             # mixed per-qubit axes, each kind repeated across qubits now and then

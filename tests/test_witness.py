@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.protocols import werner
-from dickesim.states import PAULI, QubitPureState, apply_local, fidelity
+from dickesim.states import PAULI, QubitPureState, _as_density_matrix, apply_local, fidelity
 from dickesim.witness import (
     MAX_ITER,
     SEESAW_TOL,
@@ -23,7 +23,6 @@ from dickesim.witness import (
     dephased,
     ghz_rotation_unitaries,
     ghz_witness,
-    pairwise_corr_matrix,
     rotated_ghz_target,
     witness_operator,
     witness_value,
@@ -160,14 +159,31 @@ def test_collective_spin_operator_is_hermitian():
         assert_allclose(op, op.conj().T, atol=1e-12)
 
 
-def test_collective_spin_sq_matches_operator():
-    rng = np.random.default_rng(5)
-    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-    psi = QubitPureState(4, amps / np.linalg.norm(amps))
+def _random_pure(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return QubitPureState(n, amps / np.linalg.norm(amps), label=f"random_{n}")
+
+
+MOMENT_STATES = {
+    state.label: state
+    for state in [dicke(n, k) for n in range(2, 9) for k in range(n + 1)]
+    + [ghz(n) for n in range(2, 9)]
+    + [w_state(n) for n in range(2, 9)]
+    + [_random_pure(4, 5)]
+}
+MOMENT_STATES["werner_0.7_dicke_8_4"] = werner(8, 0.7, dicke(8, 4))
+MOMENT_STATES["dephased_dicke_6_3"] = dephased(dicke(6, 3))
+
+
+@pytest.mark.parametrize("label", list(MOMENT_STATES))
+def test_collective_spin_sq_matches_operator(label):
+    state = MOMENT_STATES[label]
+    rho = _as_density_matrix(state)
     for axis in "xyz":
-        op = collective_spin_operator(4, axis)
-        direct = np.vdot(psi.amplitudes, op @ op @ psi.amplitudes).real
-        assert_allclose(collective_spin_sq(psi, axis), direct, atol=1e-10)
+        op = collective_spin_operator(state.num_qubits, axis)
+        direct = np.trace(rho @ op @ op).real
+        assert_allclose(collective_spin_sq(state, axis), direct, rtol=0, atol=1e-10)
 
 
 def test_witness_value_matches_operator_trace():
@@ -192,23 +208,15 @@ def test_half_excited_value_is_alpha_independent():
         assert_allclose(witness_value(dicke(6, 3), alpha), base, atol=1e-9)
 
 
-def test_pairwise_corr_matrix_values():
-    mat = pairwise_corr_matrix(dicke(6, 3), "z")
-    assert mat.shape == (6, 6)
-    assert_allclose(mat, mat.T, atol=1e-12)
-    assert_allclose(np.diag(mat), np.ones(6), atol=1e-12)
-    off = mat[~np.eye(6, dtype=bool)]
-    assert_allclose(off, np.full(30, -0.2), atol=1e-12)
-
-
 def test_biseparable_bound_small_case_converges():
     est = biseparable_bound(4, 0.0, SeeSawOptions(restarts=6, seed=1))
     assert all(c.converged for c in est.classes)
     assert 5.15 <= est.value <= 5.232051 + 1e-6
     assert sum(c.bipartitions for c in est.classes) == 7
-    # one start sits at the pole only; none or fewer cannot run at all
-    for restarts in (1, 0, -1):
-        with pytest.raises(ValueError, match="restarts must be at least 2"):
+    # the pole and the equator alone can stop a class below its maximum;
+    # none or fewer cannot run at all
+    for restarts in (2, 1, 0, -1):
+        with pytest.raises(ValueError, match="restarts must be at least 3"):
             SeeSawOptions(restarts=restarts)
 
 
@@ -246,15 +254,11 @@ def test_batched_seesaw_matches_per_restart_oracle_exactly(n):
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_polar_starts_never_fall_below_random_starts(n):
-    # two polar starts, the pole and the equator, reach the bound that
-    # seeded Gaussian starts find on every sector pair; a class that does
-    # not set the bound may need a third (N=6, alpha=-10: two starts stop
-    # the 3|3 class at 4.28 where its maximum is 7)
+    # three polar starts, the fewest allowed, reach every class maximum that
+    # seeded Gaussian starts find (two, the pole and the equator, stop the
+    # 3|3 class at N=6, alpha=-10 at 4.28 where its maximum is 7)
     for alpha in (-1e4, -10.0, -3.0, -1.0, 0.0, 0.5, 0.999, 1.0, 10.0):
         oracle = random_start_class_maxima(n, alpha, restarts=10)
-        best = max(oracle.values())
-        two = biseparable_bound(n, alpha, SeeSawOptions(restarts=2))
-        assert two.value >= best - 1e-12 * max(1.0, abs(best)), (n, alpha)
         for cls in biseparable_bound(n, alpha, SeeSawOptions(restarts=3)).classes:
             want = oracle[cls.size]
             # a converged value stops within about one stopping increment
