@@ -11,9 +11,11 @@ reading the strings out:
   string is evaluated from one product measurement whose axes equal its
   non-identity letters, and grouping strings into few settings is a set
   cover solved greedily, with one bitmask per candidate setting and lazily
-  refreshed gains.  Every full-support string pins its own setting, so
-  this needs at least as many settings as there are such strings (183 for
-  the six-qubit Dicke state);
+  refreshed gains.  The bitmasks are scattered into a packed byte table,
+  one array operation per count of identity letters, and read out as
+  Python ints block by block.  Every full-support string pins its own
+  setting, so this needs at least as many settings as there are such
+  strings (183 for the six-qubit Dicke state);
 * uniform directions (``symmetric`` and ``ghz_special``): every qubit is
   measured along the same direction n_k, and the symmetric m-body
   correlators e_m of the outcomes carry weights w_km solved so that
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -175,19 +176,17 @@ def decompose(target: QubitPureState) -> PauliDecomposition:
 # Setting plans
 
 
-def support_mask(string: str, num_qubits: int) -> int:
-    """Bit mask of the non-identity positions (qubit 0 = MSB)."""
-    mask = 0
-    for k, letter in enumerate(string):
-        if letter != "I":
-            mask |= 1 << (num_qubits - 1 - k)
-    return mask
+# letter digit of a Pauli string: X 0, Y 1, Z 2 (its axis's place in "xyz"), I 3
+_LETTER_DIGITS = np.full(256, 255, dtype=np.uint8)
+_LETTER_DIGITS[list(b"XYZI")] = range(4)
+# largest block of a greedy plan's packed candidate table, and of the
+# estimator's per-setting outcome weights, in bytes
+_BLOCK_BYTES = 2**18
 
 
-def _setting_covers(axes: tuple, string: str) -> bool:
-    return all(
-        letter == "I" or axes[k] == letter.lower() for k, letter in enumerate(string)
-    )
+def _letter_digits(strings: list, n: int) -> np.ndarray:
+    """(len(strings), N) letter digits of N-letter Pauli strings."""
+    return _LETTER_DIGITS[np.frombuffer("".join(strings).encode(), dtype=np.uint8)].reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -229,6 +228,17 @@ class CoverageError(ValueError):
 
 
 def check_plan_covers(plan: SettingPlan, decomp: PauliDecomposition) -> None:
+    """Raise ``CoverageError`` unless the plan reads every non-identity
+    string of ``decomp`` exactly once, from settings that can evaluate it.
+
+    A string's letters must match its setting's axes wherever it is not the
+    identity, and a setting with a Bloch direction ('n', theta, phi) covers
+    no string.  Collective weights must be solved for the target's classes,
+    on a setting with one direction for every qubit; they read every string,
+    so a plan that carries them covers none.
+    """
+    n = decomp.num_qubits
+    covered = [string for assignment in plan.assignments for string in assignment.covered]
     if any(assignment.collective_weights for assignment in plan.assignments):
         # collective weights are only right for the class table they were solved for
         solved, target = dict(plan.collective_classes), decomp.classes
@@ -237,24 +247,91 @@ def check_plan_covers(plan: SettingPlan, decomp: PauliDecomposition) -> None:
         missing = sorted(key for key in solved.keys() | target.keys()
                          if abs(solved.get(key, 0.0) - target.get(key, 0.0)) > COEFF_TOL)
         what = "classes (#X, #Y, #Z) at the target's coefficients"
+        expected, extra = set(), "the collective weights read every string"
     else:
-        provided = {string for assignment in plan.assignments for string in assignment.covered}
-        missing = sorted(set(decomp.nonidentity_strings()) - provided)
-        what = "strings"
+        expected = set(decomp.nonidentity_strings())
+        missing = sorted(expected.difference(covered))
+        what, extra = "strings", "it is not a non-identity string of the target"
     if missing:
         raise CoverageError(f"plan misses {len(missing)} {what}, e.g. {missing[:3]}")
+    if len(covered) != len(expected):
+        # a string read twice, or one that is not a term left to read
+        first = {}
+        for idx, assignment in enumerate(plan.assignments):
+            for string in assignment.covered:
+                if string in first:
+                    raise CoverageError(f"settings {first[string]} and {idx} both cover {string}")
+                if string not in expected:
+                    raise CoverageError(f"setting {idx} covers {string}, but {extra}")
+                first[string] = idx
     for idx, assignment in enumerate(plan.assignments):
-        axes = assignment.setting.axes
-        for string in assignment.covered:
-            if any(isinstance(a, tuple) for a in axes) or not _setting_covers(axes, string):
-                raise CoverageError(f"setting {idx} cannot evaluate {string}")
+        if assignment.setting.num_qubits != n:
+            raise CoverageError(f"setting {idx} measures {assignment.setting.num_qubits} "
+                                f"qubits, the target has {n}")
         if assignment.collective_weights and (
-            len(set(axes)) != 1 or len(assignment.collective_weights) != decomp.num_qubits + 1
+            len(set(assignment.setting.axes)) != 1
+            or len(assignment.collective_weights) != n + 1
         ):
             raise CoverageError(
                 f"setting {idx} needs one direction for every qubit and "
-                f"{decomp.num_qubits + 1} collective weights"
+                f"{n + 1} collective weights"
             )
+    # letter digits of every covered string against its setting's axes; a
+    # Bloch direction matches no letter
+    axes = _letter_digits(
+        ["".join(axis.upper() if isinstance(axis, str) else "N" for axis in assignment.setting.axes)
+         for assignment in plan.assignments],
+        n,
+    )
+    owner = np.repeat(np.arange(len(plan.assignments)), [len(a.covered) for a in plan.assignments])
+    digits = _letter_digits(covered, n)
+    bad = np.flatnonzero(
+        (axes > 3).any(axis=1)[owner] | ((digits != 3) & (digits != axes[owner])).any(axis=1)
+    )
+    if bad.size:
+        raise CoverageError(f"setting {owner[bad[0]]} cannot evaluate {covered[bad[0]]}")
+
+
+def _candidate_masks(strings: list, n: int) -> list[int]:
+    """One bitmask per candidate setting: candidate c is the axis assignment
+    at position c of itertools.product("xyz", repeat=n), and its mask has bit
+    i set when it reads out strings[i].
+
+    Identity positions are free and range over all three axes, so a string
+    with f identity letters sets its bit in 3^f candidates.  The bits are
+    scattered into a packed table, bit i at byte i // 8, with one
+    ``bitwise_or.at`` for all strings with the same f, and each table row
+    becomes a Python int.  Candidates that share their first ``lead`` axes
+    form one block of the table; each block is converted before the next is
+    built, so the table never holds every candidate next to the ints.
+    """
+    digits = _letter_digits(strings, n)
+    width = -(-len(strings) // 8)
+    lead = 0
+    while 3 ** (n - lead) * width > _BLOCK_BYTES:
+        lead += 1
+    rest = n - lead
+    place = 3 ** np.arange(rest - 1, -1, -1)
+    index = np.arange(len(strings), dtype=np.int32)
+    masks = []
+    for head in np.ndindex((3,) * lead):
+        fits = ((digits[:, :lead] == head) | (digits[:, :lead] == 3)).all(axis=1)
+        tail, ids = digits[fits, lead:], index[fits]
+        free = tail == 3
+        base = np.where(free, 0, tail) @ place
+        counts = free.sum(axis=1)
+        block = np.zeros(3**rest * width, dtype=np.uint8)
+        for f in np.flatnonzero(np.bincount(counts)).tolist():
+            rows = counts == f
+            # the free positions of each string, and the 3^f axis choices on them
+            i = ids[rows]
+            spots = np.nonzero(free[rows])[1].reshape(len(i), f)
+            choices = np.arange(3**f)[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3
+            flat = (base[rows, None] + place[spots] @ choices.T) * width + (i >> 3)[:, None]
+            bits = np.left_shift(1, i & 7).astype(np.uint8)
+            np.bitwise_or.at(block, flat.ravel(), np.repeat(bits, 3**f))
+        masks.extend(int.from_bytes(row, "little") for row in block.reshape(-1, width))
+    return masks
 
 
 def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
@@ -262,25 +339,8 @@ def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
     if n > MAX_GREEDY_QUBITS:
         raise ValueError(f"greedy supports at most {MAX_GREEDY_QUBITS} qubits, got {n}")
     strings = decomp.nonidentity_strings()
-    # candidate c is the axis assignment at position c of
-    # itertools.product("xyz", repeat=n); masks[c] has bit i set when it
-    # reads out strings[i].  Identity positions are free and range over
-    # all three axes.
+    masks = _candidate_masks(strings, n)
     place = [3 ** (n - 1 - k) for k in range(n)]
-    digit = {"X": 0, "Y": 1, "Z": 2}
-    offsets: dict[tuple, list] = {}
-    masks = [0] * 3**n
-    for i, string in enumerate(strings):
-        free = tuple(k for k, letter in enumerate(string) if letter == "I")
-        if free not in offsets:
-            offsets[free] = [
-                sum(d * place[k] for d, k in zip(ds, free))
-                for ds in itertools.product(range(3), repeat=len(free))
-            ]
-        base = sum(digit[letter] * place[k] for k, letter in enumerate(string) if letter != "I")
-        bit = 1 << i
-        for offset in offsets[free]:
-            masks[base + offset] |= bit
     # lazy greedy: gains only shrink as strings get covered, so a stale
     # gain bounds the true one, and a refreshed top entry that still sorts
     # first is the largest gain at the smallest index
@@ -411,7 +471,11 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     exactly one setting.  The six-qubit Dicke state takes 207.  The search
     keeps one bitmask over the strings per candidate (3^N of them) and a
     heap of gains refreshed only when they reach the top, so a pick costs
-    a few big-integer ANDs instead of a scan of every candidate.  Raises
+    a few big-integer ANDs instead of a scan of every candidate.  The
+    bitmasks come from a packed byte table that numpy fills for all strings
+    with the same number of identity letters at once, converted to ints in
+    blocks of at most ``_BLOCK_BYTES`` so that the table and the ints never
+    both hold every candidate.  Raises
     ValueError above ``MAX_GREEDY_QUBITS`` qubits, where plans grow too
     large to sample (the eight-qubit Dicke state takes 2,012 settings).
     """
@@ -481,6 +545,34 @@ def _symmetric_correlators(n: int) -> np.ndarray:
     return table[:, _POPCOUNT[: 2**n]]
 
 
+def _covered_weights(decomp: PauliDecomposition, plan: SettingPlan):
+    """Yield each assignment with its covered strings' outcome weights,
+    sum_P c_P (-1)^popcount(outcome & support(P)) over the strings P.
+
+    Settings are taken in blocks whose weights fit in ``_BLOCK_BYTES``.
+    String j of every setting in a block that has one is added in one step,
+    j = 0, 1, ..., so each setting sums its strings in covered order, as a
+    loop over one setting's strings would.
+    """
+    n = decomp.num_qubits
+    outcomes = np.arange(2**n)
+    block = max(1, _BLOCK_BYTES // (8 * 2**n))
+    for start in range(0, plan.num_settings, block):
+        assignments = plan.assignments[start:start + block]
+        strings = [string for assignment in assignments for string in assignment.covered]
+        sizes = [len(assignment.covered) for assignment in assignments]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        position = np.arange(len(strings)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        supports = (_letter_digits(strings, n) != 3) @ (1 << np.arange(n - 1, -1, -1))
+        coeffs = np.array([decomp.coefficient(string) for string in strings])
+        weights = np.zeros((len(sizes), 2**n))
+        for j in range(max(sizes)):
+            rows = np.flatnonzero(position == j)
+            signs = (-1.0) ** _POPCOUNT[outcomes & supports[rows, None]]
+            weights[owner[rows]] += coeffs[rows, None] * signs
+        yield from zip(assignments, weights)
+
+
 def fidelity_from_counts(
     decomp: PauliDecomposition, plan: SettingPlan, counts
 ) -> FidelityEstimate:
@@ -495,18 +587,13 @@ def fidelity_from_counts(
     check_plan_covers(plan, decomp)
     n = decomp.num_qubits
     dim = 2**n
-    outcomes = np.arange(dim)
     correlators = _symmetric_correlators(n)
     value = decomp.identity_coefficient
     variance = 0.0
     per_setting = []
-    for assignment in plan.assignments:
+    for assignment, weights in _covered_weights(decomp, plan):
         key = assignment.setting.label()
         vec = _counts_vector(counts, key, dim)
-        weights = np.zeros(dim)
-        for string in assignment.covered:
-            mask = support_mask(string, n)
-            weights += decomp.coefficient(string) * (-1.0) ** _POPCOUNT[outcomes & mask]
         if assignment.collective_weights:
             weights += np.asarray(assignment.collective_weights) @ correlators
         total = vec.sum()

@@ -362,7 +362,7 @@ def test_strategy_that_does_not_fit_the_target_exits_two(command, tmp_path, caps
 
 
 # wall-time budget for greedy sampling at the largest register greedy
-# accepts; the lazy bitset planner needs about 5 s on a shared 2-core host
+# accepts; the whole command takes about 1 s on a shared 2-core host
 GREEDY_BUDGET_S = 20.0
 
 

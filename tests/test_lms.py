@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import tracemalloc
@@ -9,16 +10,20 @@ from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.lms import (
+    MAX_GREEDY_QUBITS,
     CoverageError,
+    FidelityEstimate,
     SettingAssignment,
+    SettingEstimate,
     SettingPlan,
+    _counts_vector,
     _designs,
+    _symmetric_correlators,
     check_plan_covers,
     decompose,
     fidelity_from_counts,
     plan_settings,
     reference_lms_table,
-    support_mask,
 )
 from dickesim.references import REFERENCE_VALUES
 from dickesim.states import (
@@ -178,10 +183,271 @@ def test_classes_match_the_string_walk(state):
     assert len(decomp) == len(decomp.terms)
 
 
+# ---------------------------------------------------------------------------
+# Per-string oracles: the greedy planner's bitmasks, the coverage check's
+# letter test and the estimator's outcome weights, one string at a time
+
+
+def support_mask(string, num_qubits):
+    """Bit mask of the non-identity positions (qubit 0 = MSB)."""
+    mask = 0
+    for k, letter in enumerate(string):
+        if letter != "I":
+            mask |= 1 << (num_qubits - 1 - k)
+    return mask
+
+
+def setting_covers(axes, string):
+    return all(letter == "I" or axes[k] == letter.lower() for k, letter in enumerate(string))
+
+
 def test_support_mask_marks_nonidentity_positions():
     # qubit 0 = MSB, so position 1 maps to bit 2 of a 4-bit mask
     assert support_mask("IXZI", 4) == 0b0110
     assert support_mask("XIII", 4) == 0b1000
+
+
+def outcome_weights(decomp, assignment):
+    """What one setting adds to the estimate, per outcome: its covered
+    strings' eigenvalues plus its weighted symmetric correlators, each
+    e_m read off prod_q (1 + t s_q) for the outcome's +-1 values s_q."""
+    n = decomp.num_qubits
+    outcomes = np.arange(2**n)
+    out = np.zeros(2**n)
+    for string in assignment.covered:
+        out += decomp.coefficient(string) * (-1.0) ** _POPCOUNT[outcomes & support_mask(string, n)]
+    if assignment.collective_weights:
+        for o in outcomes:
+            poly = np.ones(1)
+            for q in range(n):
+                poly = np.convolve(poly, [1.0, -1.0 if o >> q & 1 else 1.0])
+            out[o] += np.dot(assignment.collective_weights, poly)
+    return out
+
+
+def per_string_greedy_plan(decomp):
+    """The greedy planner with each candidate's bitmask built by ORing in one
+    string's bit at a time; same lazy heap and pick order."""
+    n = decomp.num_qubits
+    assert n <= MAX_GREEDY_QUBITS
+    strings = decomp.nonidentity_strings()
+    place = [3 ** (n - 1 - k) for k in range(n)]
+    digit = {"X": 0, "Y": 1, "Z": 2}
+    offsets = {}
+    masks = [0] * 3**n
+    for i, string in enumerate(strings):
+        free = tuple(k for k, letter in enumerate(string) if letter == "I")
+        if free not in offsets:
+            offsets[free] = [
+                sum(d * place[k] for d, k in zip(ds, free))
+                for ds in itertools.product(range(3), repeat=len(free))
+            ]
+        base = sum(digit[letter] * place[k] for k, letter in enumerate(string) if letter != "I")
+        for offset in offsets[free]:
+            masks[base + offset] |= 1 << i
+    heap = [(-mask.bit_count(), c) for c, mask in enumerate(masks) if mask]
+    heapq.heapify(heap)
+    uncovered = (1 << len(strings)) - 1
+    assignments = []
+    while uncovered:
+        _, c = heapq.heappop(heap)
+        taken = masks[c] & uncovered
+        gain = taken.bit_count()
+        if not gain:
+            continue
+        if heap and (-gain, c) > heap[0]:
+            heapq.heappush(heap, (-gain, c))
+            continue
+        uncovered ^= taken
+        covered = []
+        while taken:
+            low = taken & -taken
+            covered.append(strings[low.bit_length() - 1])
+            taken ^= low
+        axes = tuple("xyz"[c // place[k] % 3] for k in range(n))
+        assignments.append(SettingAssignment(MeasurementSetting(axes), tuple(covered)))
+    return SettingPlan(method="greedy", assignments=tuple(assignments))
+
+
+def per_string_fidelity(decomp, plan, counts):
+    """The estimator with each setting's outcome weights summed string by
+    string, in covered order."""
+    n = decomp.num_qubits
+    dim = 2**n
+    outcomes = np.arange(dim)
+    correlators = _symmetric_correlators(n)
+    value = decomp.identity_coefficient
+    variance = 0.0
+    per_setting = []
+    for assignment in plan.assignments:
+        key = assignment.setting.label()
+        vec = _counts_vector(counts, key, dim)
+        weights = np.zeros(dim)
+        for string in assignment.covered:
+            mask = support_mask(string, n)
+            weights += decomp.coefficient(string) * (-1.0) ** _POPCOUNT[outcomes & mask]
+        if assignment.collective_weights:
+            weights += np.asarray(assignment.collective_weights) @ correlators
+        total = vec.sum()
+        probs = vec / total
+        mean = float(probs @ weights)
+        spread = weights - weights[np.argmax(vec)]
+        spread -= probs @ spread
+        var = float(probs @ spread**2) / total
+        value += mean
+        variance += var
+        per_setting.append(SettingEstimate(key, float(total), mean, var))
+    return FidelityEstimate(float(value), math.sqrt(variance), tuple(per_setting))
+
+
+def per_string_letter_check(plan):
+    """The first covered string whose setting cannot evaluate it, as the
+    message the coverage check raises, or None."""
+    for idx, assignment in enumerate(plan.assignments):
+        axes = assignment.setting.axes
+        for string in assignment.covered:
+            if any(isinstance(a, tuple) for a in axes) or not setting_covers(axes, string):
+                return f"setting {idx} cannot evaluate {string}"
+    return None
+
+
+GREEDY_ORACLE_TARGETS = (
+    [dicke(n, k) for n in range(1, 8) for k in range(n + 1)]
+    + [ghz(n) for n in range(2, 8)]
+    + [w_state(n) for n in range(2, 8)]
+    + [random_pure_state(n, 80 + n) for n in range(2, 7)]
+)
+
+
+@pytest.mark.parametrize("state", GREEDY_ORACLE_TARGETS, ids=lambda s: s.label)
+def test_greedy_plan_matches_the_per_string_planner(state):
+    decomp = decompose(state)
+    assert plan_settings(decomp, strategy="greedy") == per_string_greedy_plan(decomp)
+
+
+ESTIMATOR_ORACLE_TARGETS = [dicke(4, 2), dicke(6, 3), dicke(7, 1), w_state(5), ghz(6),
+                            random_pure_state(5, 85)]
+
+
+@pytest.mark.parametrize("state", ESTIMATOR_ORACLE_TARGETS, ids=lambda s: s.label)
+def test_estimator_matches_the_per_string_loop(state):
+    # seeded counts, so that every setting sees a spread of outcomes
+    decomp = decompose(state)
+    plan = plan_settings(decomp, strategy="greedy")
+    rng = np.random.default_rng(state.num_qubits)
+    counts = {}
+    for assignment in plan.assignments:
+        probs = outcome_distribution(state, assignment.setting)
+        counts[assignment.setting.label()] = rng.multinomial(2000, probs / probs.sum()).astype(float)
+    est = fidelity_from_counts(decomp, plan, counts)
+    assert est == per_string_fidelity(decomp, plan, counts)
+    assert len(est.per_setting) == plan.num_settings
+
+
+def with_assignment(plan, idx, assignment):
+    assignments = list(plan.assignments)
+    assignments[idx] = assignment
+    return SettingPlan(plan.method, tuple(assignments), plan.collective_classes)
+
+
+def wrong_letter(plan, idx):
+    # turn the axis under the first string's first letter to another axis
+    assignment = plan.assignments[idx]
+    axes = list(assignment.setting.axes)
+    k = next(k for k, letter in enumerate(assignment.covered[0]) if letter != "I")
+    axes[k] = {"x": "y", "y": "z", "z": "x"}[axes[k]]
+    return with_assignment(plan, idx, SettingAssignment(MeasurementSetting(axes), assignment.covered))
+
+
+def bloch_direction(plan, idx):
+    # a Bloch direction on one qubit, even one that no string reads
+    assignment = plan.assignments[idx]
+    axes = list(assignment.setting.axes)
+    axes[-1] = ("n", 0.3, 0.1)
+    return with_assignment(plan, idx, SettingAssignment(MeasurementSetting(axes), assignment.covered))
+
+
+@pytest.mark.parametrize("mutate", [wrong_letter, bloch_direction])
+@pytest.mark.parametrize("idx", [0, 5, 20])
+def test_check_plan_covers_names_the_first_setting_that_cannot_evaluate_its_string(mutate, idx):
+    decomp = decompose(dicke(4, 2))
+    plan = plan_settings(decomp, strategy="greedy")
+    assert per_string_letter_check(plan) is None
+    bad = mutate(plan, idx)
+    message = per_string_letter_check(bad)
+    assert message.startswith(f"setting {idx} cannot evaluate ")
+    with pytest.raises(CoverageError) as info:
+        check_plan_covers(bad, decomp)
+    assert str(info.value) == message
+
+
+def test_check_plan_covers_names_a_missing_string():
+    decomp = decompose(dicke(4, 2))
+    plan = plan_settings(decomp, strategy="greedy")
+    assignment = plan.assignments[3]
+    dropped = assignment.covered[0]
+    short = with_assignment(plan, 3, SettingAssignment(assignment.setting, assignment.covered[1:]))
+    with pytest.raises(CoverageError) as info:
+        check_plan_covers(short, decomp)
+    assert str(info.value) == f"plan misses 1 strings, e.g. {[dropped]}"
+
+
+def test_check_plan_covers_rejects_a_string_read_twice():
+    # IIXX is read elsewhere; read again on y,y,x,x, its coefficient 1/24
+    # would enter the estimate twice
+    state = dicke(4, 2)
+    decomp = decompose(state)
+    plan = plan_settings(decomp, strategy="greedy")
+    labels = [a.setting.label() for a in plan.assignments]
+    idx = labels.index("y,y,x,x")
+    first = next(i for i, a in enumerate(plan.assignments) if "IIXX" in a.covered)
+    assignment = plan.assignments[idx]
+    assert "IIXX" not in assignment.covered
+    twice = with_assignment(plan, idx, SettingAssignment(assignment.setting, assignment.covered + ("IIXX",)))
+    assert per_string_letter_check(twice) is None
+    with pytest.raises(CoverageError, match=f"settings {min(first, idx)} and {max(first, idx)} both cover IIXX"):
+        check_plan_covers(twice, decomp)
+    with pytest.raises(CoverageError):
+        fidelity_from_counts(decomp, twice, exact_counts(state, twice))
+    # the identity enters analytically, so no setting may read it either
+    identity = with_assignment(plan, 0, SettingAssignment(
+        plan.assignments[0].setting, plan.assignments[0].covered + ("IIII",)))
+    with pytest.raises(CoverageError, match="setting 0 covers IIII, but it is not"):
+        check_plan_covers(identity, decomp)
+
+
+def test_check_plan_covers_rejects_strings_beside_collective_weights():
+    # the collective weights read every string, so a covered one counts twice
+    decomp = decompose(dicke(4, 2))
+    plan = plan_settings(decomp)
+    first = plan.assignments[0]
+    assert first.setting.label() == "z,z,z,z"
+    extra = with_assignment(plan, 0, SettingAssignment(first.setting, ("IIZZ",), first.collective_weights))
+    with pytest.raises(CoverageError, match="setting 0 covers IIZZ, but the collective weights"):
+        check_plan_covers(extra, decomp)
+
+
+def test_check_plan_covers_rejects_a_setting_on_another_register():
+    decomp = decompose(dicke(4, 2))
+    plan = plan_settings(decomp, strategy="greedy")
+    assignment = plan.assignments[2]
+    short = with_assignment(plan, 2, SettingAssignment(MeasurementSetting("xyz"), assignment.covered))
+    with pytest.raises(CoverageError, match="setting 2 measures 3 qubits, the target has 4"):
+        check_plan_covers(short, decomp)
+
+
+def test_greedy_plan_memory_at_the_qubit_cap():
+    # the eight-qubit Dicke state: 8,319 strings over 6,561 candidates.  The
+    # per-string planner peaked at 8.95 MB (mostly the candidates' ints);
+    # the packed table is built and converted in 256 KB blocks
+    tracemalloc.start()
+    try:
+        plan = plan_settings(decompose(dicke(8, 4)), "greedy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.num_settings == 2012
+    assert peak < 1.1 * 8.95e6
 
 
 def test_greedy_counts_are_frozen():
@@ -281,24 +547,6 @@ def test_ghz_special_rejects_other_targets():
         plan_settings(decompose(dicke(4, 2)), strategy="ghz_special")
     with pytest.raises(ValueError):
         plan_settings(decompose(dicke(4, 2)), strategy="magic")
-
-
-def outcome_weights(decomp, assignment):
-    """What one setting adds to the estimate, per outcome: its covered
-    strings' eigenvalues plus its weighted symmetric correlators, each
-    e_m read off prod_q (1 + t s_q) for the outcome's +-1 values s_q."""
-    n = decomp.num_qubits
-    outcomes = np.arange(2**n)
-    out = np.zeros(2**n)
-    for string in assignment.covered:
-        out += decomp.coefficient(string) * (-1.0) ** _POPCOUNT[outcomes & support_mask(string, n)]
-    if assignment.collective_weights:
-        for o in outcomes:
-            poly = np.ones(1)
-            for q in range(n):
-                poly = np.convolve(poly, [1.0, -1.0 if o >> q & 1 else 1.0])
-            out[o] += np.dot(assignment.collective_weights, poly)
-    return out
 
 
 @pytest.mark.parametrize("n", range(3, 9))
