@@ -15,7 +15,8 @@ them in closed form.
 - ``simulate_experiment`` and ``calibrate``: per-polarization loss with
   exact one-photon-per-arm selection, whose selected state is a mixture
   of six-qubit Dicke states, and the sixfold threshold-detector event
-  probability in the H/V basis.
+  probability in the H/V basis, a sum of seven products of power series
+  in one variable (H photons or V photons).
 - ``threshold_counts``: the per-basis threshold-detector outcome
   distribution of the lossless source behind the splitter.
 """
@@ -34,7 +35,9 @@ from .states import MeasurementSetting, QubitDensity
 
 N_SPATIAL = 6
 # the even splitter seen from the pumped input mode: a photon reaches each
-# arm with amplitude 1/sqrt(6)
+# arm with amplitude 1/sqrt(6).  The sixfold event series in
+# ``_sixfold_stats`` takes |u_j|^2 from arm 0 for every arm, so it relies on
+# the arms being equal.
 ARM_AMPLITUDES = np.full(N_SPATIAL, 1.0 / math.sqrt(N_SPATIAL))
 ARM_AMPLITUDES.flags.writeable = False
 
@@ -79,8 +82,13 @@ def order_weight(config: SpdcConfig, pairs: int) -> float:
 
 
 def _pair_weights(spdc: SpdcConfig) -> list[float]:
-    """W_n = (lam^n n! / norm)^2, the squared prefactor of the n-pair term."""
-    return [order_weight(spdc, n) * factorial(n) ** 2 for n in range(spdc.max_order + 1)]
+    """W_n = (lam^n n! / norm)^2, the squared prefactor of the n-pair term.
+
+    Each W_n is ``order_weight(spdc, n) * n!^2`` to the bit; the
+    normalizer is summed once for all orders.
+    """
+    total = sum(spdc.lam ** (2 * n) for n in range(spdc.max_order + 1))
+    return [spdc.lam ** (2 * n) / total * factorial(n) ** 2 for n in range(spdc.max_order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +241,28 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig) -> tuple[list, dict]:
 
     Threshold events.  An arm holding h H and v V photons clicks on
     exactly one detector with probability
-    f(h, v) = (1 - (1 - eta_H)^h) (1 - eta_V)^v + (1 - eta_H)^h (1 - (1 - eta_V)^v),
-    so with c_j = |u_j|^2
+    f(h, v) = (1 - m_H^h) m_V^v + m_H^h (1 - m_V^v), m_p = 1 - eta_p, so
+    with c = |u_j|^2, the same for every arm,
 
-        p_event = sum_n W_n [x^n y^n] prod_j sum_{h, v} c_j^(h + v) f(h, v) x^h y^v / (h! v!),
+        p_event = sum_n W_n [x^n y^n] F^6,
+        F = sum_{h, v} c^(h + v) f(h, v) x^h y^v / (h! v!) = a b' + a' b,
 
-    a product of series with positive coefficients.  The test
+    where a = sum_h (1 - m_H^h) c^h x^h / h! (H clicks),
+    a' = sum_h m_H^h c^h x^h / h! (H dark) and b, b' are the V
+    analogues in y.  The binomial theorem separates the two variables:
+
+        [x^n y^n] F^6 = sum_m C(6, m) [x^n] a^m a'^(6 - m) [y^n] b'^m b^(6 - m).
+
+    The seven terms are built as one stack of rows in six steps, each
+    step multiplying every row by the lower-triangular Toeplitz
+    (truncated-product) matrix of one of the four series.  Every
+    coefficient stays nonnegative; expanding a = e^(cx) - a' would
+    instead cancel terms of alternating sign as eta_H -> 0.
+
     ``test_simulation_matches_loss_branch_oracle`` checks both against
-    post-selection of the full loss-branch mixture of the Fock-space state.
+    post-selection of the full loss-branch mixture of the Fock-space
+    state, and ``test_event_series_matches_the_arm_by_arm_product`` checks
+    p_event against F^6 multiplied out one arm at a time in two variables.
     """
     order = spdc.max_order
     weights = _pair_weights(spdc)
@@ -261,18 +283,24 @@ def _sixfold_stats(spdc: SpdcConfig, loss: LossConfig) -> tuple[list, dict]:
     if p_raw < 1e-30:
         raise NoSixfoldEventsError("post-selection kept zero probability")
     photons = np.arange(order + 1)
-    h, v = photons[:, None], photons[None, :]
-    one_click = (1.0 - miss_h**h) * miss_v**v + miss_h**h * (1.0 - miss_v**v)
     inv_fact = 1.0 / np.array([factorial(k) for k in photons], dtype=float)
-    series = np.zeros((order + 1, order + 1))
-    series[0, 0] = 1.0
-    for c_j in c:
-        arm = c_j ** (h + v) * one_click * np.outer(inv_fact, inv_fact)
-        grown = np.zeros_like(series)
-        for i, j in np.ndindex(arm.shape):
-            grown[i:, j:] += arm[i, j] * series[: order + 1 - i, : order + 1 - j]
-        series = grown
-    p_event = float(sum(weights[n] * series[n, n] for n in photons))
+    # every arm holds the same c, so one set of series serves all six
+    grow = c[0] ** photons * inv_fact
+    dark_h, dark_v = miss_h**photons, miss_v**photons
+    series = np.stack([(1.0 - dark_h) * grow, dark_v * grow, dark_h * grow, (1.0 - dark_v) * grow])
+    # row @ toeplitz[k] is the row's series times series k (a, b', a', b),
+    # truncated after x^order
+    lag = photons[None, :] - photons[:, None]
+    toeplitz = np.where(lag >= 0, series[:, lag], 0.0)
+    # rows[0, m] ends as a^m a'^(6 - m), rows[1, m] as b'^m b^(6 - m)
+    rows = np.zeros((2, N_SPATIAL + 1, order + 1))
+    rows[:, :, 0] = 1.0
+    m = np.arange(N_SPATIAL + 1)[:, None]
+    for step in range(N_SPATIAL):
+        rows = np.where(m > step, rows @ toeplitz[:2], rows @ toeplitz[2:])
+    binomials = np.array([comb(N_SPATIAL, k) for k in range(N_SPATIAL + 1)], dtype=float)
+    diagonal = binomials @ (rows[0] * rows[1])
+    p_event = float(sum(weights[n] * diagonal[n] for n in photons))
     return dicke_weights, {
         # the Dicke states are orthonormal, so the overlap with D(6, 3) is P_3
         "fidelity": dicke_weights[3] / p_raw,

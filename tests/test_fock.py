@@ -13,6 +13,7 @@ from dickesim.fock import (
     LossConfig,
     NoSixfoldEventsError,
     SpdcConfig,
+    _sixfold_stats,
     calibrate,
     order_weight,
     pick_calibration,
@@ -220,6 +221,49 @@ def _check_against_mixture_oracle(spdc, loss):
     assert_allclose(result.p_event, p_event, rtol=1e-9, atol=0)
 
 
+def _slice_loop_stats(spdc, loss):
+    """The sixfold statistics with the event series multiplied out arm by
+    arm, as a two-variable table updated by one slice-add per (h, v) term,
+    and the pair weights taken from ``order_weight``."""
+    order = spdc.max_order
+    weights = [order_weight(spdc, n) * math.factorial(n) ** 2 for n in range(order + 1)]
+    c = np.abs(np.full(6, 1.0 / math.sqrt(6))) ** 2
+    one_per_arm = float(np.prod(c))
+    miss_h, miss_v = 1.0 - loss.eta_h, 1.0 - loss.eta_v
+    dicke_weights = []
+    for w in range(7):
+        lost = sum(
+            weights[n] * miss_h ** (n - 6 + w) * miss_v ** (n - w)
+            / (math.factorial(n - 6 + w) * math.factorial(n - w))
+            for n in range(max(w, 6 - w), order + 1)
+        )
+        dicke_weights.append(
+            one_per_arm * math.comb(6, w) * loss.eta_h ** (6 - w) * loss.eta_v**w * lost
+        )
+    p_raw = sum(dicke_weights)
+    if p_raw < 1e-30:
+        raise NoSixfoldEventsError("post-selection kept zero probability")
+    photons = np.arange(order + 1)
+    h, v = photons[:, None], photons[None, :]
+    one_click = (1.0 - miss_h**h) * miss_v**v + miss_h**h * (1.0 - miss_v**v)
+    inv_fact = 1.0 / np.array([math.factorial(k) for k in photons], dtype=float)
+    series = np.zeros((order + 1, order + 1))
+    series[0, 0] = 1.0
+    for c_j in c:
+        arm = c_j ** (h + v) * one_click * np.outer(inv_fact, inv_fact)
+        grown = np.zeros_like(series)
+        for i, j in np.ndindex(arm.shape):
+            grown[i:, j:] += arm[i, j] * series[: order + 1 - i, : order + 1 - j]
+        series = grown
+    p_event = float(sum(weights[n] * series[n, n] for n in photons))
+    return dicke_weights, {
+        "fidelity": dicke_weights[3] / p_raw,
+        "p_exact": p_raw / order_weight(spdc, 3),
+        "p_exact_per_pulse": p_raw,
+        "p_event": p_event,
+    }
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -343,26 +387,55 @@ def test_calibrate_grid_and_pick():
     )
 
 
-def test_calibrate_records_equal_the_simulation_at_each_point():
+@pytest.mark.parametrize("max_order", [3, 5, 7])
+def test_calibrate_records_equal_the_simulation_at_each_point(max_order):
     # calibrate skips the density, but every number it records is the
     # simulation's, bit for bit; the eta 0 points keep no sixfold events
     # and are left out
     lambdas, etas = [0.3, 0.65, 0.9], [0.0, 0.25, 1.0]
-    records = calibrate(lambdas, etas, max_order=5)
+    records = calibrate(lambdas, etas, max_order=max_order)
     assert len(records) == len(lambdas) * (len(etas) - 1)
     for record in records:
-        spdc = SpdcConfig(lam=record["lambda"], max_order=5)
+        spdc = SpdcConfig(lam=record["lambda"], max_order=max_order)
         result = simulate_experiment(spdc, LossConfig(eta_h=record["eta_H"], eta_v=record["eta_V"]))
         assert record == {
             "lambda": spdc.lam,
             "eta_H": result.loss.eta_h,
             "eta_V": result.loss.eta_v,
-            "max_order": 5,
+            "max_order": max_order,
             "fidelity": result.fidelity_vs_d63,
             "p_exact": result.p_exact,
             "p_exact_per_pulse": result.p_exact_per_pulse,
             "p_event": result.p_event,
         }
+
+
+@pytest.mark.parametrize("max_order", range(1, 8))
+def test_event_series_matches_the_arm_by_arm_product(max_order):
+    # p_event sums the same nonnegative terms in another order; the Dicke
+    # weights and the other statistics come from unchanged arithmetic
+    losses = [
+        (1.0, 1.0), (0.3, 0.3), (1e-3, 0.999), (0.999, 1e-3), (0.3, 1.0),
+        (1.0, 0.3), (1e-300, 1.0), (1.0, 1e-300), (1e-300, 0.999),
+    ]
+    kept = 0
+    for lam, (eta_h, eta_v) in itertools.product([0.2, 0.65, 0.99], losses):
+        spdc, loss = SpdcConfig(lam=lam, max_order=max_order), LossConfig(eta_h=eta_h, eta_v=eta_v)
+        try:
+            expected_weights, expected = _slice_loop_stats(spdc, loss)
+        except NoSixfoldEventsError:
+            with pytest.raises(NoSixfoldEventsError):
+                simulate_experiment(spdc, loss)
+            continue
+        kept += 1
+        result = simulate_experiment(spdc, loss)
+        assert_allclose(result.p_event, expected["p_event"], rtol=1e-13, atol=0)
+        assert (result.fidelity_vs_d63, result.p_exact, result.p_exact_per_pulse) == (
+            expected["fidelity"], expected["p_exact"], expected["p_exact_per_pulse"]
+        )
+        assert _sixfold_stats(spdc, loss)[0] == expected_weights
+    # from three pairs on, some lossy points keep sixfold events
+    assert kept == 0 if max_order < 3 else kept > 0
 
 
 def test_calibrate_reproduces_calibration_file():
