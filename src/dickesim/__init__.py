@@ -39,6 +39,7 @@ _EXPORTS = {
     "project": "states",
     "apply_local": "states",
     "outcome_distribution": "states",
+    "outcome_distributions": "states",
     "save_state": "states",
     "load_state": "states",
     # dicke_states

@@ -4,8 +4,9 @@ A target projector |psi><psi| expands as sum_P c_P P over Pauli strings
 with c_P = <psi|P|psi> / 2^N, for up to ``states.MAX_QUBITS`` qubits.  A
 permutation-invariant target is read class by class, one coefficient per
 letter-count class (#X, #Y, #Z); only ``greedy`` needs all 4^N strings,
-which come from one Walsh-Hadamard transform per X-mask.  Two ways of
-reading the strings out:
+which come from a Walsh-Hadamard transform of every X-mask, a block of
+X-masks at a time as one stacked matrix product.  Two ways of reading
+the strings out:
 
 * exact matching (``greedy``, up to ``MAX_GREEDY_QUBITS`` qubits): a
   string is evaluated from one product measurement whose axes equal its
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .references import REFERENCE_VALUES
-from .states import _POPCOUNT, PAULI, MeasurementSetting, QubitPureState
+from .states import _POPCOUNT, BLOCK_BYTES, PAULI, MeasurementSetting, QubitPureState
 
 COEFF_TOL = 1e-12
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -107,28 +108,35 @@ class PauliDecomposition:
         # base-4 digit of each qubit in product order: I 0, X 1, Y 2, Z 3
         spread = sum(((masks >> q) & 1) << (2 * q) for q in range(n))
         keys, coeffs = [], []
-        for x in masks:
-            values = self._x_mask_coefficients(x)
-            kept = np.flatnonzero(np.abs(values) > COEFF_TOL)
-            keys.append(2 * spread[kept] + spread[kept ^ x])
-            coeffs.append(values[kept])
+        for xs, values in self._x_mask_coefficients(masks):
+            rows, zs = np.nonzero(np.abs(values) > COEFF_TOL)
+            keys.append(2 * spread[zs] + spread[zs ^ xs[rows]])
+            coeffs.append(values[rows, zs])
         keys, coeffs = np.concatenate(keys), np.concatenate(coeffs)
         order = np.argsort(keys)
         digits = (keys[order, None] >> (2 * np.arange(n - 1, -1, -1))) & 3
         strings = np.frombuffer(b"IXYZ", dtype=np.uint8)[digits].view(f"S{n}").ravel()
         return tuple(zip(coeffs[order].tolist(), strings.astype(str).tolist()))
 
-    def _x_mask_coefficients(self, x: int) -> np.ndarray:
-        """Coefficients of the 2^N strings with X-mask x, indexed by Z-mask z:
-        <X^x Z^z> is the Walsh-Hadamard transform (H_high (x) H_low) of
-        conj(psi_{j ^ x}) psi_j, and a Y letter is i X Z."""
+    def _x_mask_coefficients(self, masks: np.ndarray):
+        """Yield (xs, values) over blocks of the X-masks ``masks``: row k of
+        values holds the coefficients of the 2^N strings with X-mask xs[k],
+        indexed by Z-mask z.  <X^x Z^z> is the Walsh-Hadamard transform
+        (H_high (x) H_low) of conj(psi_{j ^ x}) psi_j, and a Y letter is i X Z;
+        a block is transformed as one stacked high @ product @ low, and holds
+        as many X-masks as keep each complex temporary within ``BLOCK_BYTES``."""
         psi = self.target.amplitudes
-        masks = np.arange(psi.size)
+        indices = np.arange(psi.size)
         n = self.num_qubits
         high, low = _hadamard(n // 2), _hadamard(n - n // 2)
-        product = (psi[masks ^ x].conj() * psi).reshape(len(high), len(low))
-        transform = (high @ product @ low).reshape(-1)
-        return (_PHASES[_POPCOUNT[masks & x] % 4] * transform).real / psi.size
+        rows = max(1, BLOCK_BYTES // (16 * psi.size))
+        for start in range(0, len(masks), rows):
+            xs = masks[start:start + rows]
+            product = np.conjugate(psi[indices ^ xs[:, None]])
+            product *= psi
+            transform = (high @ product.reshape(-1, len(high), len(low)) @ low).reshape(len(xs), -1)
+            transform *= _PHASES[_POPCOUNT[indices & xs[:, None]] % 4]
+            yield xs, transform.real / psi.size
 
     @functools.cached_property
     def classes(self) -> dict | None:
@@ -142,17 +150,19 @@ class PauliDecomposition:
             swapped = psi.reshape((2,) * n).swapaxes(q, q + 1).reshape(-1)
             if np.abs(swapped - np.vdot(psi, swapped) * psi).max() > COEFF_TOL:
                 return None
-        classes = {}
-        for c in range(n + 1):
-            for s in range(n + 1 - c):
-                # a X and s - a Y letters, then c Z letters: the X-mask has s
-                # ones above the last c bits, the Z-mask the last s - a + c
-                values = self._x_mask_coefficients(((1 << s) - 1) << c)
-                for a in range(s + 1):
-                    value = values[(1 << (s - a + c)) - 1]
-                    if s + c and abs(value) > COEFF_TOL:
-                        classes[a, s - a, c] = value
-        return classes
+        # a X and s - a Y letters, then c Z letters: the X-mask has s ones
+        # above the last c bits, the Z-mask the last s - a + c
+        reads = [((a, s - a, c), ((1 << s) - 1) << c, (1 << (s - a + c)) - 1)
+                 for c in range(n + 1) for s in range(n + 1 - c) if s + c for a in range(s + 1)]
+        wanted = {}
+        for _, x, z in reads:
+            wanted.setdefault(x, []).append(z)
+        value = {}
+        for xs, values in self._x_mask_coefficients(np.array(list(wanted))):
+            for x, row in zip(xs.tolist(), values):
+                for z in wanted[x]:
+                    value[x, z] = row[z]
+        return {key: value[x, z] for key, x, z in reads if abs(value[x, z]) > COEFF_TOL}
 
 
 @functools.cache
@@ -179,9 +189,6 @@ def decompose(target: QubitPureState) -> PauliDecomposition:
 # letter digit of a Pauli string: X 0, Y 1, Z 2 (its axis's place in "xyz"), I 3
 _LETTER_DIGITS = np.full(256, 255, dtype=np.uint8)
 _LETTER_DIGITS[list(b"XYZI")] = range(4)
-# largest block of a greedy plan's packed candidate table, and of the
-# estimator's per-setting outcome weights, in bytes
-_BLOCK_BYTES = 2**18
 
 
 def _letter_digits(strings: list, n: int) -> np.ndarray:
@@ -308,7 +315,7 @@ def _candidate_masks(strings: list, n: int) -> list[int]:
     digits = _letter_digits(strings, n)
     width = -(-len(strings) // 8)
     lead = 0
-    while 3 ** (n - lead) * width > _BLOCK_BYTES:
+    while 3 ** (n - lead) * width > BLOCK_BYTES:
         lead += 1
     rest = n - lead
     place = 3 ** np.arange(rest - 1, -1, -1)
@@ -474,7 +481,7 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     a few big-integer ANDs instead of a scan of every candidate.  The
     bitmasks come from a packed byte table that numpy fills for all strings
     with the same number of identity letters at once, converted to ints in
-    blocks of at most ``_BLOCK_BYTES`` so that the table and the ints never
+    blocks of at most ``BLOCK_BYTES`` so that the table and the ints never
     both hold every candidate.  Raises
     ValueError above ``MAX_GREEDY_QUBITS`` qubits, where plans grow too
     large to sample (the eight-qubit Dicke state takes 2,012 settings).
@@ -549,14 +556,13 @@ def _covered_weights(decomp: PauliDecomposition, plan: SettingPlan):
     """Yield each assignment with its covered strings' outcome weights,
     sum_P c_P (-1)^popcount(outcome & support(P)) over the strings P.
 
-    Settings are taken in blocks whose weights fit in ``_BLOCK_BYTES``.
+    Settings are taken in blocks whose weights fit in ``BLOCK_BYTES``.
     String j of every setting in a block that has one is added in one step,
     j = 0, 1, ..., so each setting sums its strings in covered order, as a
     loop over one setting's strings would.
     """
     n = decomp.num_qubits
-    outcomes = np.arange(2**n)
-    block = max(1, _BLOCK_BYTES // (8 * 2**n))
+    block = max(1, BLOCK_BYTES // (8 * 2**n))
     for start in range(0, plan.num_settings, block):
         assignments = plan.assignments[start:start + block]
         strings = [string for assignment in assignments for string in assignment.covered]
@@ -568,8 +574,8 @@ def _covered_weights(decomp: PauliDecomposition, plan: SettingPlan):
         weights = np.zeros((len(sizes), 2**n))
         for j in range(max(sizes)):
             rows = np.flatnonzero(position == j)
-            signs = (-1.0) ** _POPCOUNT[outcomes & supports[rows, None]]
-            weights[owner[rows]] += coeffs[rows, None] * signs
+            # row z of the Hadamard matrix is (-1)^popcount(z & outcome), exactly +-1
+            weights[owner[rows]] += coeffs[rows, None] * _hadamard(n)[supports[rows]]
         yield from zip(assignments, weights)
 
 

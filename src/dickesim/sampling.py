@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import SpdcConfig, threshold_counts
+from .fock import N_SPATIAL, SpdcConfig, threshold_counts
 from .states import (
     MeasurementSetting,
     QubitDensity,
     QubitPureState,
-    outcome_distribution,
+    outcome_distributions,
 )
 
 def stream_generator(seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -61,22 +61,34 @@ class ExperimentPlan:
         object.__setattr__(self, "settings", settings)
 
 
-def outcome_probabilities(source, setting: MeasurementSetting) -> np.ndarray:
-    """Outcome distribution for either a qubit state or an optical source.
+def outcome_probabilities(source, settings) -> np.ndarray:
+    """(S, 2^N) outcome distributions of a stack of settings, for either a
+    qubit state or an optical source; row k belongs to ``settings[k]``.
 
-    An optical source is an :class:`SpdcConfig`, the down-conversion
-    source behind the six-arm splitter; it goes through the
-    threshold-detector model and returns the distribution conditioned on
-    a valid sixfold event.
+    A qubit state goes through ``states.outcome_distributions`` once for
+    the whole stack.  An optical source is an :class:`SpdcConfig`, the
+    down-conversion source behind the six-arm splitter; each setting goes
+    through the threshold-detector model, which returns the distribution
+    conditioned on a valid sixfold event.
     """
     if isinstance(source, (QubitPureState, QubitDensity)):
-        return outcome_distribution(source, setting)
+        return outcome_distributions(source, settings)
     if isinstance(source, SpdcConfig):
-        probs, p_event = threshold_counts(source, setting)
-        if p_event <= 0.0:
-            raise ValueError("the optical source produces no valid events")
-        return probs
+        rows = []
+        for setting in settings:
+            probs, p_event = threshold_counts(source, setting)
+            if p_event <= 0.0:
+                raise ValueError("the optical source produces no valid events")
+            rows.append(probs)
+        return np.array(rows).reshape(-1, 2**N_SPATIAL)
     raise TypeError(f"cannot sample from {type(source)!r}")
+
+
+def _draw(setting, probs, n_events: int, seed: int, stream_index: int) -> CoincidenceHistogram:
+    """Histogram of ``n_events`` multinomial draws from ``probs`` on stream
+    (seed, stream_index)."""
+    counts = stream_generator(seed, stream_index).multinomial(n_events, probs)
+    return CoincidenceHistogram(setting, counts.astype(np.int64), n_events)
 
 
 def sample(
@@ -85,22 +97,39 @@ def sample(
     """Multinomial histogram of ``n_events`` draws from one setting."""
     if n_events < 1:
         raise ValueError("n_events must be positive")
-    probs = outcome_probabilities(source, setting)
-    counts = stream_generator(seed, stream_index).multinomial(int(n_events), probs)
-    return CoincidenceHistogram(setting, counts.astype(np.int64), int(n_events))
+    probs = outcome_probabilities(source, (setting,))[0]
+    return _draw(setting, probs, int(n_events), seed, stream_index)
 
 
 def run_plan(source, plan: ExperimentPlan) -> list[CoincidenceHistogram]:
-    """One histogram per plan setting, with per-setting random streams."""
+    """One histogram per plan setting.
+
+    The outcome distributions of all settings come from one call of
+    ``outcome_probabilities``, and row k is drawn from its own stream
+    SeedSequence((seed, k)), so histogram k equals
+    ``sample(source, plan.settings[k], ..., stream_index=k)``.
+    """
+    probs = outcome_probabilities(source, plan.settings)
+    n_events = int(plan.events_per_setting)
     return [
-        sample(source, setting, plan.events_per_setting, plan.seed, stream_index=k)
-        for k, setting in enumerate(plan.settings)
+        _draw(setting, row, n_events, plan.seed, k)
+        for k, (setting, row) in enumerate(zip(plan.settings, probs))
     ]
 
 
 def histograms_to_table(histograms) -> dict:
-    """Outcome counts per setting label, the input of ``lms.fidelity_from_counts``."""
-    return {hist.setting.label(): hist.counts for hist in histograms}
+    """Outcome counts per setting label, the input of ``lms.fidelity_from_counts``.
+
+    Raises ValueError when two histograms share a label: the table could
+    keep only one of them, and an estimator would read it twice.
+    """
+    table = {}
+    for hist in histograms:
+        label = hist.setting.label()
+        if label in table:
+            raise ValueError(f"two histograms share the setting label {label!r}")
+        table[label] = hist.counts
+    return table
 
 
 def _csv_field(text: str) -> str:

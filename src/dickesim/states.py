@@ -24,6 +24,9 @@ NORM_TOL = 1e-9
 HERMITICITY_TOL = 1e-9
 EIGENVALUE_TOL = 1e-8
 IMPOSSIBLE_OUTCOME_TOL = 1e-12
+# largest intermediate of a blocked computation over a stack (settings,
+# X-masks, estimator weights), in bytes
+BLOCK_BYTES = 2**18
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -350,44 +353,80 @@ class MeasurementSetting:
 
 
 def outcome_distribution(state: State, setting: MeasurementSetting) -> np.ndarray:
-    """Probabilities over the 2^N outcome bitstrings of a product measurement.
+    """Probabilities over the 2^N outcome bitstrings of a product measurement:
+    the one-row call of ``outcome_distributions``."""
+    return outcome_distributions(state, (setting,))[0]
 
-    Outcome bit 0 on a qubit means the +1 eigenvector of that qubit's axis.
 
-    Only the diagonal p(b) is computed; no rotated state is built.  Each
-    qubit's eigenbras R_q[b, i] are contracted into the state in turn,
-    with the qubits already measured folded into a leading outcome axis.
-    A pure state costs about 2N * 2^N; a density contracts qubit q's row
-    and column axes with R_q[b, i] * conj(R_q[b, j]), which halves the
-    tensor each time, for about 4 * 4^N in all and a peak of half the
-    matrix's memory.
+def outcome_distributions(state: State, settings) -> np.ndarray:
+    """(S, 2^N) outcome probabilities of S product measurements on one state.
+
+    Row k is the distribution of ``settings[k]``; outcome bit 0 on a qubit
+    means the +1 eigenvector of that qubit's axis.  Only the diagonals p(b)
+    are computed; no rotated state is built.  One rotation is built per
+    distinct axis of the whole stack (three for a greedy plan) and
+    gathered into an (S, N, 2, 2) array.  Each qubit's eigenbras R_q[b, i]
+    are contracted into the state in turn, with the qubits already
+    measured folded into a leading outcome axis: a pure state costs about
+    2N * 2^N per row, one ``matmul`` per qubit for the whole block; a
+    density contracts qubit q's row and column axes with
+    R_q[b, i] * conj(R_q[b, j]), which halves the tensor each time, for
+    about 4 * 4^N per row in all.  Rows are taken in blocks whose first
+    intermediate fits in ``BLOCK_BYTES`` (at least one row), so a density
+    at ``MAX_QUBITS`` holds one row's half of the matrix at a time.  Every
+    row is computed by the same arithmetic whatever the stack's size.
     """
     n = state.num_qubits
-    if setting.num_qubits != n:
+    settings = tuple(settings)
+    if any(setting.num_qubits != n for setting in settings):
         raise ValueError("setting covers a different number of qubits")
-    by_axis = {}
-    for q, axis in enumerate(setting.axes):
-        if axis not in by_axis:
-            by_axis[axis] = setting.rotation(q)
-    rotations = [by_axis[axis] for axis in setting.axes]
-    if isinstance(state, QubitPureState):
-        amps = state.amplitudes
-        for q, rot in enumerate(rotations):
-            amps = np.matmul(rot, amps.reshape(2**q, 2, 2 ** (n - q - 1)))
-        probs = np.abs(amps.reshape(-1)) ** 2
-    else:
-        tensor = state.matrix
-        for q, rot in enumerate(rotations):
-            rest = 2 ** (n - q - 1)
-            block = rot[:, :, None] * rot.conj()[:, None, :]
-            tensor = np.einsum(
-                "bij,aixjy->abxy", block, tensor.reshape(2**q, 2, rest, 2, rest)
-            )
-        probs = tensor.reshape(-1).real
-    if probs.min() < -NORM_TOL or abs(probs.sum() - 1.0) > NORM_TOL:
+    ids = {}
+    rotations = []
+    index = np.empty((len(settings), n), dtype=np.intp)
+    for k, setting in enumerate(settings):
+        for q, axis in enumerate(setting.axes):
+            if axis not in ids:
+                ids[axis] = len(rotations)
+                rotations.append(setting.rotation(q))
+            index[k, q] = ids[axis]
+    rotations = np.array(rotations, dtype=complex).reshape(-1, 2, 2)[index]
+    dim = 2**n
+    pure = isinstance(state, QubitPureState)
+    # bytes of one row's largest intermediate: the amplitudes, or half the matrix
+    row_bytes = 16 * dim if pure else 8 * dim * dim
+    rows = max(1, BLOCK_BYTES // row_bytes)
+    probs = np.empty((len(settings), dim))
+    for start in range(0, len(settings), rows):
+        block = rotations[start:start + rows]
+        probs[start:start + rows] = (
+            _pure_block(state.amplitudes, block) if pure else _density_block(state.matrix, block)
+        )
+    if probs.min(initial=0.0) < -NORM_TOL or (np.abs(probs.sum(axis=1) - 1.0) > NORM_TOL).any():
         raise ValueError("outcome distribution failed sanity check")
     probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _pure_block(amps: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """|amplitudes|^2 in the bases of an (S, N, 2, 2) block of rotations."""
+    count, n = rotations.shape[:2]
+    for q in range(n):
+        amps = np.matmul(rotations[:, None, q], amps.reshape(-1, 2**q, 2, 2 ** (n - q - 1)))
+    return np.abs(amps.reshape(count, -1)) ** 2
+
+
+def _density_block(matrix: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """Diagonals of a density in the bases of an (S, N, 2, 2) block of rotations."""
+    count, n = rotations.shape[:2]
+    tensor = matrix
+    for q in range(n):
+        rest = 2 ** (n - q - 1)
+        rot = rotations[:, q]
+        block = rot[:, :, :, None] * rot.conj()[:, :, None, :]
+        tensor = np.einsum(
+            "sbij,saixjy->sabxy", block, tensor.reshape(-1, 2**q, 2, rest, 2, rest)
+        )
+    return tensor.reshape(count, -1).real
 
 
 def apply_local(state: State, unitaries) -> State:

@@ -10,6 +10,8 @@ from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.lms import (
+    _PHASES,
+    COEFF_TOL,
     MAX_GREEDY_QUBITS,
     CoverageError,
     FidelityEstimate,
@@ -18,6 +20,7 @@ from dickesim.lms import (
     SettingPlan,
     _counts_vector,
     _designs,
+    _hadamard,
     _symmetric_correlators,
     check_plan_covers,
     decompose,
@@ -28,6 +31,7 @@ from dickesim.lms import (
 from dickesim.references import REFERENCE_VALUES
 from dickesim.states import (
     _POPCOUNT,
+    BLOCK_BYTES,
     MeasurementSetting,
     QubitDensity,
     QubitPureState,
@@ -104,6 +108,64 @@ def test_decompose_matches_per_string_expectations(state):
     decomp = decompose(state)
     assert [s for _, s in decomp.terms] == [s for _, s in expected]
     assert_allclose([c for c, _ in decomp.terms], [c for c, _ in expected], rtol=0, atol=1e-15)
+
+
+def per_x_mask_terms(decomp):
+    """Pauli expansion with one Walsh-Hadamard transform per X-mask, in a
+    Python loop over the X-masks: the reference for the stacked transform."""
+    psi = decomp.target.amplitudes
+    n = decomp.num_qubits
+    masks = np.arange(psi.size)
+    high, low = _hadamard(n // 2), _hadamard(n - n // 2)
+    letters = {}
+    for x in masks:
+        product = (psi[masks ^ x].conj() * psi).reshape(len(high), len(low))
+        transform = (high @ product @ low).reshape(-1)
+        values = (_PHASES[_POPCOUNT[masks & x] % 4] * transform).real / psi.size
+        for z in np.flatnonzero(np.abs(values) > COEFF_TOL):
+            # qubit k's letter from its X and Z bits; product order sorts the strings
+            string = "".join("IZXY"[2 * ((x >> (n - 1 - k)) & 1) + ((z >> (n - 1 - k)) & 1)]
+                             for k in range(n))
+            letters[string.translate(PRODUCT_ORDER)] = (float(values[z]), string)
+    return tuple(letters[key] for key in sorted(letters))
+
+
+# "IXYZ" sorts as "ABCD", so sorted keys give itertools.product("IXYZ") order
+PRODUCT_ORDER = str.maketrans("IXYZ", "ABCD")
+TERMS_ORACLE_TARGETS = (
+    [random_pure_state(n, 60 + n) for n in range(1, 8)]
+    + [dicke(n, n // 2) for n in range(1, 11)]
+    + [ghz(n) for n in range(2, 11)]
+    + [w_state(8)]
+)
+
+
+@pytest.mark.parametrize("state", TERMS_ORACLE_TARGETS, ids=lambda s: s.label)
+def test_terms_match_the_per_x_mask_loop(state):
+    decomp = decompose(state)
+    assert decomp.terms == per_x_mask_terms(decomp)
+
+
+def test_terms_memory_at_the_qubit_cap():
+    # D(10, 5): 131,584 terms.  The transform takes the X-masks in blocks
+    # whose complex temporaries fit in BLOCK_BYTES and peaks near five
+    # blocks; one stack of all 1,024 X-masks takes 16 MB per temporary.
+    # terms as a whole peaks while it turns keys into strings: 36.6 MB, as
+    # with the per-X-mask loop
+    decomp = decompose(dicke(10, 5))
+    tracemalloc.start()
+    try:
+        for _ in decomp._x_mask_coefficients(np.arange(2**10)):
+            pass
+        blocks = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        terms = decomp.terms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 131584
+    assert blocks < 8 * BLOCK_BYTES
+    assert peak < 150 * BLOCK_BYTES
 
 
 def test_greedy_plan_rejects_large_registers():

@@ -19,6 +19,7 @@ from dickesim.sampling import (
     write_csv,
 )
 from dickesim.states import MeasurementSetting, outcome_distribution
+from test_states import per_setting_distribution, random_density, random_settings
 
 
 def zbasis(n):
@@ -34,15 +35,19 @@ def test_stream_generator_is_reproducible_and_independent():
 
 
 def test_outcome_probabilities_dispatch():
-    probs = outcome_probabilities(dicke(4, 2), zbasis(4))
-    assert_allclose(probs, outcome_distribution(dicke(4, 2), zbasis(4)), atol=1e-12)
-    probs = outcome_probabilities(SpdcConfig(lam=0.5, max_order=3), zbasis(6))
+    settings = (zbasis(4), MeasurementSetting("xyzx"))
+    probs = outcome_probabilities(dicke(4, 2), settings)
+    assert probs.shape == (2, 16)
+    for row, setting in zip(probs, settings):
+        assert np.array_equal(row, outcome_distribution(dicke(4, 2), setting))
+    probs = outcome_probabilities(SpdcConfig(lam=0.5, max_order=3), (zbasis(6),))
+    assert probs.shape == (1, 64)
     assert_allclose(probs.sum(), 1.0, atol=1e-10)
     with pytest.raises(TypeError):
-        outcome_probabilities(np.eye(4), zbasis(2))
+        outcome_probabilities(np.eye(4), (zbasis(2),))
     # two pairs carry too few photons for a sixfold coincidence
     with pytest.raises(ValueError):
-        outcome_probabilities(SpdcConfig(lam=0.5, max_order=2), zbasis(6))
+        outcome_probabilities(SpdcConfig(lam=0.5, max_order=2), (zbasis(6),))
 
 
 def test_sample_matches_distribution():
@@ -84,6 +89,28 @@ def test_run_plan_streams_are_distinct_and_reproducible():
         assert np.array_equal(h1.counts, h2.counts)
     # same setting, different stream index: different draws
     assert not np.array_equal(first[0].counts, first[1].counts)
+
+
+@pytest.mark.parametrize("source", ["dicke_5_2", "density_4"])
+def test_run_plan_draws_row_k_of_the_oracle_from_stream_k(source):
+    rng = np.random.default_rng(8)
+    state = dicke(5, 2) if source == "dicke_5_2" else random_density(4, rng)
+    settings = random_settings(12, state.num_qubits, "mixed", rng)
+    hists = run_plan(state, ExperimentPlan(tuple(settings), events_per_setting=5000, seed=13))
+    assert [hist.setting for hist in hists] == settings
+    for k, (setting, hist) in enumerate(zip(settings, hists)):
+        expected = stream_generator(13, k).multinomial(5000, per_setting_distribution(state, setting))
+        assert hist.total == 5000
+        assert np.array_equal(hist.counts, expected)
+        assert np.array_equal(sample(state, setting, 5000, seed=13, stream_index=k).counts, expected)
+
+
+def test_run_plan_on_an_optical_source_matches_per_setting_samples():
+    source = SpdcConfig(lam=0.5, max_order=3)
+    settings = (zbasis(6), MeasurementSetting("xyzxyz"), MeasurementSetting.direction(0.4, 1.0, 6))
+    hists = run_plan(source, ExperimentPlan(settings, events_per_setting=3000, seed=4))
+    for k, (setting, hist) in enumerate(zip(settings, hists)):
+        assert np.array_equal(hist.counts, sample(source, setting, 3000, seed=4, stream_index=k).counts)
 
 
 def test_csv_round_trip(tmp_path):
@@ -144,3 +171,14 @@ def test_histograms_to_table_totals():
     table = histograms_to_table(hists)
     assert set(table) == {zbasis(4).label()}
     assert table[zbasis(4).label()].sum() == 400
+
+
+def test_histograms_to_table_rejects_a_repeated_label():
+    # one table entry per label: a second histogram of the same setting would
+    # replace the first, and an estimator would read the survivor twice
+    plan = ExperimentPlan((zbasis(4), MeasurementSetting("xxxx"), zbasis(4)),
+                          events_per_setting=10, seed=0)
+    hists = run_plan(dicke(4, 2), plan)
+    with pytest.raises(ValueError, match="z,z,z,z"):
+        histograms_to_table(hists)
+    assert set(histograms_to_table(hists[:2])) == {"z,z,z,z", "x,x,x,x"}

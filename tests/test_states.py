@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dickesim.dicke_states import dicke, ghz
+
 from dickesim.states import (
     ImpossibleOutcomeError,
     MeasurementSetting,
@@ -15,7 +17,9 @@ from dickesim.states import (
     expectation,
     fidelity,
     load_state,
+    BLOCK_BYTES,
     outcome_distribution,
+    outcome_distributions,
     partial_trace,
     project,
     save_state,
@@ -242,6 +246,114 @@ def test_outcome_distribution_on_ten_qubits_stays_below_the_matrix_size():
     for _ in range(9):
         expected = np.kron(expected, single)
     assert_allclose(probs, expected, atol=1e-12)
+
+
+def per_setting_distribution(state, setting):
+    """One setting's outcome distribution by a contraction of its own, qubit
+    by qubit: the reference that every row of ``outcome_distributions``
+    matches bit for bit."""
+    n = state.num_qubits
+    by_axis = {}
+    for q, axis in enumerate(setting.axes):
+        if axis not in by_axis:
+            by_axis[axis] = setting.rotation(q)
+    rotations = [by_axis[axis] for axis in setting.axes]
+    if isinstance(state, QubitPureState):
+        amps = state.amplitudes
+        for q, rot in enumerate(rotations):
+            amps = np.matmul(rot, amps.reshape(2**q, 2, 2 ** (n - q - 1)))
+        probs = np.abs(amps.reshape(-1)) ** 2
+    else:
+        tensor = state.matrix
+        for q, rot in enumerate(rotations):
+            rest = 2 ** (n - q - 1)
+            block = rot[:, :, None] * rot.conj()[:, None, :]
+            tensor = np.einsum("bij,aixjy->abxy", block, tensor.reshape(2**q, 2, rest, 2, rest))
+        probs = tensor.reshape(-1).real
+    assert probs.min() >= -1e-9 and abs(probs.sum() - 1.0) <= 1e-9
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+AXIS_KINDS = {
+    "pauli": ["x", "y", "z"],
+    "bloch": [("n", 0.7, 1.9), ("n", math.pi / 2, 0.3), ("n", math.pi / 2 + 1.2, math.pi / 2),
+              ("n", 2.9, -1.1)],
+}
+AXIS_KINDS["mixed"] = AXIS_KINDS["pauli"] + AXIS_KINDS["bloch"]
+
+
+def random_settings(count, num_qubits, kind, rng):
+    """``count`` settings with per-qubit axes drawn from AXIS_KINDS[kind];
+    under "uniform", one random Bloch direction for every qubit."""
+    if kind == "uniform":
+        return [MeasurementSetting.direction(*rng.uniform(0.0, math.pi, size=2), num_qubits)
+                for _ in range(count)]
+    axes = AXIS_KINDS[kind]
+    return [MeasurementSetting([axes[k] for k in rng.integers(len(axes), size=num_qubits)])
+            for _ in range(count)]
+
+
+def stack_state(name):
+    if name == "dicke_6_3":
+        return dicke(6, 3)
+    if name == "ghz_8":
+        return ghz(8)
+    return random_density(6, np.random.default_rng(23))
+
+
+@pytest.mark.parametrize("kind", ["pauli", "bloch", "mixed", "uniform"])
+@pytest.mark.parametrize("name", ["dicke_6_3", "ghz_8", "density_6"])
+def test_outcome_distributions_rows_match_the_per_setting_oracle(name, kind):
+    state = stack_state(name)
+    n = state.num_qubits
+    rng = np.random.default_rng(len(name) + len(kind))
+    for count in (1, 2, 3, 8, 9, 105):
+        settings = random_settings(count, n, kind, rng)
+        stack = outcome_distributions(state, settings)
+        assert stack.shape == (count, 2**n)
+        for row, setting in zip(stack, settings):
+            assert np.array_equal(row, per_setting_distribution(state, setting))
+
+
+@pytest.mark.parametrize("name", ["dicke_6_3", "ghz_8", "density_6"])
+def test_a_stack_row_equals_the_one_setting_call_at_every_stack_size(name):
+    # a block holds 256 pure rows at six qubits, 64 at eight and 8 density
+    # rows at six, so these sizes end the stack within and across blocks
+    state = stack_state(name)
+    settings = random_settings(140, state.num_qubits, "mixed", np.random.default_rng(3))
+    single = [outcome_distribution(state, setting) for setting in settings]
+    for count in list(range(1, 34)) + [63, 64, 65, 105, 128, 129, 140]:
+        stack = outcome_distributions(state, settings[:count])
+        for k in range(count):
+            assert np.array_equal(stack[k], single[k]), (count, k)
+
+
+def test_outcome_distributions_checks_every_setting():
+    state = dicke(4, 2)
+    assert outcome_distributions(state, []).shape == (0, 16)
+    with pytest.raises(ValueError, match="different number of qubits"):
+        outcome_distributions(state, [MeasurementSetting("zzzz"), MeasurementSetting("zzz")])
+
+
+def test_outcome_distributions_memory_on_a_ten_qubit_density():
+    # a block is the rows whose first intermediate, half the matrix, fits in
+    # BLOCK_BYTES: at ten qubits that is 8 MB, so one row.  A row peaks at
+    # 1.5 times that (its first two intermediates); four rows at once would
+    # take 48 MB
+    rho = QubitPureState(10, np.full(2**10, 2.0**-5)).density()
+    settings = [MeasurementSetting.direction(0.4, 0.3 + k, 10) for k in range(4)]
+    row_bytes = rho.matrix.nbytes // 2
+    assert row_bytes > BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        probs = outcome_distributions(rho, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * row_bytes
+    for row, setting in zip(probs, settings):
+        assert np.array_equal(row, per_setting_distribution(rho, setting))
 
 
 def test_apply_local_requires_unitaries():
