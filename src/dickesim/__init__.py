@@ -2,7 +2,7 @@
 
 Covers dense qubit-register primitives, Dicke-state construction and
 measurement navigation, collective-spin entanglement witnesses with
-see-saw biseparable bounds, Pauli decompositions with measurement-
+biseparable bounds, Pauli decompositions with measurement-
 setting planning and fidelity estimation, a closed-form model of the
 down-conversion source, networking protocols, deterministic count
 sampling, and published reference values.

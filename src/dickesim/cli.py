@@ -742,7 +742,7 @@ _HELP = {
     "state": "construct a named state, optionally navigating by measurements",
     "simulate": "run the down-conversion source model end to end",
     "witness": "evaluate the collective-spin witness on an ideal state",
-    "bound": "optimize the biseparable bound (see-saw), optionally over a grid",
+    "bound": "optimize the biseparable bound, optionally over a grid",
     "scan": "sweep the full-product correlator over a measurement plane",
     "lms": "decompose a projector and plan measurement settings",
     "sample": "sample counts and estimate fidelity from them",

@@ -208,23 +208,30 @@ def fidelity(state: State, target: QubitPureState) -> float:
 
 
 def partial_trace(state: State, keep) -> QubitDensity:
-    """Reduced density matrix on the kept qubits, in the order given."""
+    """Reduced density matrix on the kept qubits, in the order given.
+
+    A pure state is reshaped with the kept qubits first into a
+    2^k x 2^(N-k) matrix A, and the result is A A^dagger, so the 2^N x 2^N
+    density matrix is never built.
+    """
     n = state.num_qubits
     keep = tuple(int(k) for k in keep)
     if len(keep) != len(set(keep)):
         raise ValueError(f"duplicate indices in keep={keep}")
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep={keep} out of range for {n} qubits")
-    rho = _as_density_matrix(state)
     traced = [q for q in range(n) if q not in keep]
-    tensor = rho.reshape([2] * (2 * n))
+    d = 2 ** len(keep)
+    if isinstance(state, QubitPureState):
+        amps = state.amplitudes.reshape([2] * n).transpose(keep + tuple(traced)).reshape(d, -1)
+        return QubitDensity(len(keep), amps @ amps.conj().T)
+    tensor = state.matrix.reshape([2] * (2 * n))
     # shared einsum index on the row/column axes of each traced qubit
     row = list(range(n))
     col = list(range(n, 2 * n))
     for q in traced:
         col[q] = row[q]
     reduced = np.einsum(tensor, row + col, [row[q] for q in keep] + [col[q] for q in keep])
-    d = 2 ** len(keep)
     return QubitDensity(len(keep), reduced.reshape(d, d))
 
 
@@ -280,7 +287,10 @@ def _axis_entry(axis):
         raise ValueError(f"unknown axis label {axis!r}")
     if len(axis) != 3 or str(axis[0]).lower() != "n":
         raise ValueError(f"unknown axis {axis!r}; expected 'x', 'y', 'z' or ('n', theta, phi)")
-    return ("n", float(axis[1]), float(axis[2]))
+    theta, phi = float(axis[1]), float(axis[2])
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"axis {axis!r} has a non-finite angle")
+    return ("n", theta, phi)
 
 
 @dataclass(frozen=True)

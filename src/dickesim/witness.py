@@ -5,7 +5,9 @@ J_i = (1/2) sum_k sigma_i^(k); its value is read from three collective
 settings, every qubit along x, y or z.  Genuine multipartite entanglement is
 signalled when a measured witness value exceeds the maximum attainable
 by states that are product across some bipartition; those maxima are
-estimated by an alternating top-eigenvector (see-saw) search.
+found by a one-dimensional maximum over one qubit's polar angle when a side
+holds one qubit, and by an alternating top-eigenvector (see-saw) search
+otherwise.
 
 W(alpha) depends only on the collective spin, so the bound over a
 bipartition A|B depends only on k = min(|A|, |B|): one search per size
@@ -16,7 +18,7 @@ pair, so each search runs on spin-j matrices of dimension
 (2 j_A + 1)(2 j_B + 1) rather than on the 2^N operator and stays exact
 (G. Toth et al., New J. Phys. 11, 083002 (2009)).
 
-The search draws no random numbers: side A starts in spin-coherent
+The search draws no random numbers: side A is searched over spin-coherent
 states at polar angles in [0, pi/2], which suffice because W commutes with
 rotations about z and with the pi rotation about x (G. Toth, JOSA B 24,
 275 (2007)).
@@ -50,6 +52,12 @@ from .states import (
 # SEESAW_TOL, or after MAX_ITER iterations
 MAX_ITER = 500
 SEESAW_TOL = 1e-10
+# the |A| = 1 class evaluates its top eigenvalue on GRID_POINTS polar angles
+# spaced evenly over [0, pi/2] (pi/64 apart), then refines each grid local
+# maximum until a step moves the angle by at most THETA_TOL radians (or its
+# slope is below rounding, see _polar_maxima), or after MAX_ITER steps
+GRID_POINTS = 33
+THETA_TOL = 1e-9
 
 
 def _embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -104,14 +112,15 @@ def witness_value(state: State, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Biseparable bound by see-saw
+# Biseparable bound: one-dimensional maximum for |A| = 1, see-saw otherwise
 
 
 @dataclass(frozen=True)
 class SeeSawOptions:
-    """``restarts`` polar starts per sector pair, at least 3 (the pole and
-    the equator alone can stop a class below its maximum, e.g. the 3|3
-    class at N=6, alpha=-10); ``seed`` is ignored."""
+    """``restarts`` polar starts per sector pair of the classes with
+    |A| >= 2, at least 3 (the pole and the equator alone can stop a class
+    below its maximum, e.g. the 3|3 class at N=6, alpha=-10); the |A| = 1
+    class does not read it, and ``seed`` is ignored."""
 
     restarts: int = 50
     seed: int = 0
@@ -123,8 +132,12 @@ class SeeSawOptions:
 
 @dataclass(frozen=True)
 class SizeClassSearch:
-    """See-saw outcome for the bipartitions whose smaller side has ``size``
-    qubits; ``iterations`` and ``converged`` belong to the best restart."""
+    """Search outcome for the bipartitions whose smaller side has ``size``
+    qubits.  For ``size`` >= 2, ``iterations`` and ``converged`` belong to
+    the see-saw restart that set ``value``; for ``size`` == 1 they are the
+    refinement steps of the grid maximum that set it, and whether it met
+    its tolerance (a last step of at most ``THETA_TOL``, or a slope that
+    rounding cannot resolve; see ``_polar_maxima``)."""
 
     size: int
     bipartitions: int
@@ -209,8 +222,96 @@ def _polar_starts(dim: int, count: int) -> np.ndarray:
     return scale * np.cos(half) ** (dim - 1 - down) * np.sin(half) ** down
 
 
+def _polar_maxima(w4):
+    """Local maxima over theta in [0, pi/2] of f(theta) = lambda_max(M(theta))
+    for a one-qubit side A, from the (2, d_b, 2, d_b) sector witness.
+
+    Side A in |theta> = cos(theta/2)|0> + sin(theta/2)|1> leaves side B the
+    matrix M(theta) = M0 + cos(theta) Mc + sin(theta) Ms, with M0 = (W00 +
+    W11) / 2, Mc = (W00 - W11) / 2 and Ms = (W01 + W10) / 2 by the
+    half-angle identities.  f is the maximum over unit v of v^T M(theta) v,
+    each a smooth function of theta, so its kinks are convex and every local
+    maximum is a smooth stationary point of the top eigenvalue, where the
+    Hellmann-Feynman derivative f' = v^T M'(theta) v vanishes.  One
+    stacked ``eigvalsh`` evaluates f on ``GRID_POINTS`` angles; f is even
+    about 0 and pi/2 (theta ~ -theta ~ pi - theta), so each end compares
+    with its one neighbour.  Every grid local maximum, and the grid's
+    argmax, then takes safeguarded Newton steps on f', all candidates in
+    one ``eigh`` per step: f'' comes from second-order perturbation theory,
+    each step's sign of f' shrinks the bracket between the candidate's
+    grid neighbours, and a step that leaves it, or meets f'' >= 0, is a
+    bisection instead.  A candidate stops once its step is at most
+    ``THETA_TOL``, or once the gain that its slope and curvature allow
+    over its bracket of width w, |f'| w + max(f'', 0) w^2 / 2, is below
+    the rounding error of f (d_b * eps times the largest entries of M0, Mc
+    and Ms, summed): where f'' varies little on the bracket, no angle in it
+    beats the current value by more than that, so no further step can be
+    told from rounding.  At alpha = 1, W = J^2 and f is constant; its slope
+    is rounding noise, and bisecting it to ``THETA_TOL`` would cost about
+    26 steps per candidate.  The ends are built exactly (W00 at 0, M0 + Ms
+    at pi/2): cos(pi/2) is 6e-17, and M0 + Mc differs from W00 by
+    rounding; near |alpha| = 1e12 either slip moves entries of M by 1e-5
+    to 1e-3.
+    Returns per-candidate (values, iterations, converged); each value is f
+    at an evaluated angle, the best along that candidate's path.
+    """
+    w00, w11 = w4[0, :, 0, :], w4[1, :, 1, :]
+    m0, mc = (w00 + w11) / 2.0, (w00 - w11) / 2.0
+    ms = (w4[0, :, 1, :] + w4[1, :, 0, :]) / 2.0
+    rounding = len(w00) * np.finfo(float).eps * sum(np.abs(x).max() for x in (m0, mc, ms))
+
+    def at(theta):
+        """(M(theta), cos(theta), sin(theta)) stacked over the angles."""
+        cos = np.where(theta == np.pi / 2, 0.0, np.cos(theta))[:, None, None]
+        sin = np.sin(theta)[:, None, None]
+        m = np.where((theta == 0.0)[:, None, None], w00, m0 + cos * mc + sin * ms)
+        return m, cos, sin
+
+    grid = np.linspace(0.0, np.pi / 2, GRID_POINTS)
+    f = np.linalg.eigvalsh(at(grid)[0])[:, -1]
+    mirrored = np.concatenate((f[1:2], f, f[-2:-1]))
+    peaks = (f > mirrored[:-2]) & (f >= mirrored[2:])
+    peaks[np.argmax(f)] = True
+    k = np.flatnonzero(peaks)
+    theta, values = grid[k], f[k]
+    lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, GRID_POINTS - 1)]
+    iterations = np.full(len(k), MAX_ITER)
+    converged = np.zeros(len(k), dtype=bool)
+    active = np.arange(len(k))
+    for it in range(1, MAX_ITER + 1):
+        t = theta[active]
+        m, cos, sin = at(t)
+        vals, vecs = np.linalg.eigh(m)
+        top = vecs[:, :, -1:]
+        slope = (cos * ms - sin * mc) @ top  # M'(theta) v
+        grad = (top * slope).sum(axis=(1, 2))
+        coupling = (vecs[:, :, :-1] * slope).sum(axis=1)
+        gaps = vals[:, -1:] - vals[:, :-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # f'' = v^T M'' v + 2 sum_k (u_k^T M' v)^2 / (lambda_max - lambda_k)
+            curv = (top * (-(cos * mc + sin * ms) @ top)).sum(axis=(1, 2))
+            curv = curv + 2.0 * (coupling**2 / gaps).sum(axis=1)
+            newton = t - grad / curv
+        values[active] = np.maximum(values[active], vals[:, -1])
+        low = np.where(grad > 0, t, lo[active])
+        high = np.where(grad < 0, t, hi[active])
+        lo[active], hi[active] = low, high
+        inside = (curv < 0) & (low <= newton) & (newton <= high)
+        theta[active] = new = np.where(inside, newton, (low + high) / 2.0)
+        width = high - low
+        gain = np.abs(grad) * width + np.maximum(curv, 0.0) * width**2 / 2.0
+        done = (np.abs(new - t) <= THETA_TOL) | (gain <= rounding)
+        iterations[active[done]] = it
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+    return values, iterations, converged
+
+
 def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
-    """See-saw over the spin sectors of the bipartitions with |A| = size.
+    """Search the spin sectors of the bipartitions with |A| = size: the
+    see-saw for size >= 2, the one-dimensional ``_polar_maxima`` for 1.
 
     Sector pairs are visited symmetric first; a lower pair is skipped when
     its unconstrained top eigenvalue cannot beat the best value so far.
@@ -224,7 +325,10 @@ def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
             skipped += 1
             continue
         searched += 1
-        values, iterations, converged = _seesaw(w4, _polar_starts(d_a, opts.restarts))
+        if size == 1:
+            values, iterations, converged = _polar_maxima(w4)
+        else:
+            values, iterations, converged = _seesaw(w4, _polar_starts(d_a, opts.restarts))
         r = int(np.argmax(values))
         if values[r] > best[0]:
             best = (float(values[r]), int(iterations[r]), bool(converged[r]))
@@ -244,21 +348,39 @@ def biseparable_bound(
     and j_B = (N-k)/2, ...; W commutes with J_A^2 and J_B^2, so with one
     side fixed the other side's optimum lies in a single sector, and some
     product optimum is pure in one sector pair.  The search therefore
-    runs the see-saw on W built from spin-j_A and spin-j_B matrices, of
-    dimension (2 j_A + 1)(2 j_B + 1), which is exact for every alpha.
+    works on W built from spin-j_A and spin-j_B matrices, of dimension
+    (2 j_A + 1)(2 j_B + 1), which is exact for every alpha.  In every
+    class, sector pairs are visited symmetric first, and a pair whose
+    unconstrained top eigenvalue cannot beat the best value so far is
+    skipped.
 
-    Each searched sector pair starts side A in the spin-coherent states at
-    ``options.restarts`` polar angles in [0, pi/2], azimuth 0: the azimuth
-    is free as W commutes with rotations about z, and theta ~ pi - theta
-    as W is invariant under the pi rotation about x.  W is real in the m
-    basis and some optimum is real (a joint z rotation zeroes the other
-    side's <J_y>), so the search runs in real arithmetic; ``options.seed``
-    is not read.  The starts run as one batch: each half-step contracts
-    the witness with every start's other side at once and takes the top
-    eigenvectors of the whole stack in one ``eigh``, so the objective is
-    monotone per start and each start stops on its own increment.
-    ``classes`` reports each class's value, bipartition count, convergence
-    and sector counts; ``value`` is the largest class value.
+    The azimuth of side A is free, as W commutes with joint rotations
+    about z, and theta ~ pi - theta, as W is invariant under the joint pi
+    rotation about x, which maps the spin-coherent |theta, 0> to
+    |pi - theta, 0> up to phase.  W is real in the m basis and some
+    optimum is real (a joint z rotation zeroes the other side's <J_y>),
+    so every search runs in real arithmetic; ``options.seed`` is not read.
+
+    For |A| = 1 no see-saw runs.  Side A is one qubit, so its only sector
+    is spin 1/2, and every pure qubit state is spin-coherent (Arecchi et
+    al., PRA 6, 2211 (1972)); by the two symmetries above it is
+    cos(theta/2)|0> + sin(theta/2)|1> with theta in [0, pi/2].  With side
+    A fixed, the best side B is the top eigenvector of the contracted
+    witness M(theta) = M0 + cos(theta) Mc + sin(theta) Ms, so the class
+    value is max over theta of lambda_max(M(theta)), a one-dimensional
+    maximum: a grid of ``GRID_POINTS`` angles, then a safeguarded Newton
+    refinement of every grid local maximum (``_polar_maxima``).
+    ``options.restarts`` is not read there.
+
+    For |A| >= 2, each searched sector pair runs the see-saw with side A
+    starting in the spin-coherent states at ``options.restarts`` polar
+    angles in [0, pi/2], azimuth 0.  The starts run as one batch: each
+    half-step contracts the witness with every start's other side at once
+    and takes the top eigenvectors of the whole stack in one ``eigh``, so
+    the objective is monotone per start and each start stops on its own
+    increment.  ``classes`` reports each class's value, bipartition count,
+    convergence and sector counts (see ``SizeClassSearch``); ``value`` is
+    the largest class value.
     """
     opts = options or SeeSawOptions()
     n = int(num_qubits)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dickesim.dicke_states import dicke, ghz
+from dickesim.dicke_states import dicke, ghz, w_state
 
 from dickesim.states import (
     ImpossibleOutcomeError,
@@ -124,6 +124,43 @@ def test_partial_trace_of_product_state():
     assert_allclose(reduced.matrix, np.outer(KET_V, KET_V), atol=1e-12)
 
 
+def einsum_partial_trace(rho, keep):
+    """Oracle: the kept qubits' reduced matrix by one einsum over the
+    density tensor ``rho``, tracing each other qubit's row and column axes
+    together."""
+    n = rho.num_qubits
+    tensor = rho.matrix.reshape([2] * (2 * n))
+    row, col = list(range(n)), list(range(n, 2 * n))
+    for q in range(n):
+        if q not in keep:
+            col[q] = row[q]
+    out = np.einsum(tensor, row + col, [row[q] for q in keep] + [col[q] for q in keep])
+    return out.reshape(2 ** len(keep), -1)
+
+
+PARTIAL_TRACE_STATES = (
+    [dicke(n, k) for n in (2, 3, 5, 6, 8) for k in sorted({0, 1, n // 2})]
+    + [ghz(n) for n in (2, 4, 7, 8)]
+    + [w_state(n) for n in (3, 6, 8)]
+    + [random_pure(n, np.random.default_rng(100 + n)) for n in (2, 5, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "state", PARTIAL_TRACE_STATES, ids=lambda s: s.label or f"random_{s.num_qubits}"
+)
+def test_pure_partial_trace_matches_density_oracle(state):
+    n = state.num_qubits
+    keeps = [(0,), (n - 1,), (0, 1), (1, 0), (n - 1, 0)]
+    if n >= 3:
+        keeps += [(0, 1, 2), (n - 1, 1, 0), (1, n - 1, 0)]
+    rho = state.density()
+    for keep in keeps:
+        got = partial_trace(state, keep)
+        assert got.num_qubits == len(keep)
+        assert_allclose(got.matrix, einsum_partial_trace(rho, keep), rtol=0, atol=1e-15)
+
+
 def test_project_returns_outcome_probability():
     psi = QubitPureState(2, np.kron(KET_PLUS, KET_H))
     post, prob = project(psi, 0, KET_H)
@@ -161,6 +198,19 @@ def test_setting_constructors_round_trip():
             MeasurementSetting((axis,))
     with pytest.raises(ValueError):
         MeasurementSetting.from_label("xy:0.3")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_setting_rejects_non_finite_angles(bad):
+    # a NaN angle gave an all-NaN distribution and inf a bare math domain
+    # error; both are refused where the axis is read, naming it
+    for axis in (("n", bad, 0.0), ("n", 0.3, bad)):
+        with pytest.raises(ValueError, match="non-finite angle"):
+            MeasurementSetting((axis, "z"))
+    with pytest.raises(ValueError, match="non-finite angle"):
+        MeasurementSetting.from_label(f"n:{bad!r}:0.0,z")
+    with pytest.raises(ValueError, match="non-finite angle"):
+        MeasurementSetting.from_label(f"z,n:0.3:{bad!r}")
 
 
 def test_general_direction_label_round_trips_and_matches_eigenprojectors():

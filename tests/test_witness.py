@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dickesim.witness import (
     MAX_ITER,
     SEESAW_TOL,
     SeeSawOptions,
+    _polar_maxima,
     _polar_starts,
     _sector_witness,
     _seesaw,
@@ -56,8 +59,9 @@ def _seesaw_once(w4, psi_a, max_iter, tol):
 
 
 def per_restart_class_search(n, size, alpha, opts):
-    """Oracle: the size class search one restart at a time, with the same
-    sector order, skip rule and polar starts as biseparable_bound.
+    """Oracle: the size class search one see-saw restart at a time, with
+    the same sector order and skip rule as biseparable_bound and the polar
+    starts of its see-saw classes.
 
     Returns (value, iterations, converged, searched, skipped).
     """
@@ -234,15 +238,19 @@ def test_biseparable_bound_matches_dense_oracle(n):
         assert est.value == max(c.value for c in est.classes)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+ORACLE_ALPHAS = (-1e12, -1e4, -10.0, -3.0, -1.0, 0.0, 0.5, 1.0, 3.0, 1e4)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
 def test_batched_seesaw_matches_per_restart_oracle_exactly(n):
     # the batched search must reproduce the one-restart-at-a-time see-saw
-    # bit for bit, including the N=4, alpha=-3 class that stops at max_iter
-    for alpha in (-1e12, -1e4, -10.0, -3.0, -1.0, 0.0, 0.5, 1.0, 3.0, 1e4):
+    # bit for bit, including the N=4, alpha=-3 class that stops at max_iter;
+    # the |A| = 1 class has no see-saw (see the polar maxima tests below)
+    for alpha in ORACLE_ALPHAS:
         for restarts in (3, 10):
             opts = SeeSawOptions(restarts=restarts, seed=0)
             est = biseparable_bound(n, alpha, opts)
-            for cls in est.classes:
+            for cls in est.classes[1:]:
                 expected = per_restart_class_search(n, cls.size, alpha, opts)
                 got = (cls.value, cls.iterations, cls.converged,
                        cls.sectors_searched, cls.sectors_skipped)
@@ -250,6 +258,94 @@ def test_batched_seesaw_matches_per_restart_oracle_exactly(n):
     if n == 4:
         slow = biseparable_bound(4, -3.0, SeeSawOptions(restarts=3)).classes[1]
         assert not slow.converged and slow.iterations == 500
+
+
+def fine_grid_maximum(w4, points=10_001):
+    """Oracle: max over ``points`` polar angles in [0, pi/2] of the top
+    eigenvalue left to side B when side A, one qubit, is cos(t/2)|0> +
+    sin(t/2)|1>, contracted as the see-saw does; the ends use the exact
+    amplitudes (1, 0) and (sqrt(1/2), sqrt(1/2))."""
+    half = np.linspace(0.0, np.pi / 4, points)
+    psi = np.stack([np.cos(half), np.sin(half)], axis=1)
+    psi[0] = (1.0, 0.0)
+    psi[-1] = np.sqrt(0.5)
+    m_b = np.einsum("ajbk,ra,rb->rjk", w4, psi, psi)
+    return np.linalg.eigvalsh(m_b)[:, -1].max()
+
+
+@functools.lru_cache(maxsize=None)
+def sector_grid_maximum(d_b, alpha):
+    """``fine_grid_maximum`` of the (2, d_b) sector witness, shared by the
+    tests below: the sector does not depend on N."""
+    return fine_grid_maximum(_sector_witness(2, d_b, alpha))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_single_qubit_class_matches_per_restart_oracle(n):
+    # the |A| = 1 class is a one-dimensional maximum over side A's polar
+    # angle: it agrees with the see-saw from every polar start, never falls
+    # below it, visits and skips the same sectors, and reaches the maximum
+    # of a 10,001-point angle grid over every sector
+    for alpha in ORACLE_ALPHAS:
+        grid = max(sector_grid_maximum(d_b, alpha) for d_b in range(n, 0, -2))
+        for restarts in (3, 10):
+            opts = SeeSawOptions(restarts=restarts, seed=0)
+            cls = biseparable_bound(n, alpha, opts).classes[0]
+            value, _, _, searched, skipped = per_restart_class_search(n, 1, alpha, opts)
+            assert cls.size == 1 and cls.converged, (n, alpha, restarts)
+            assert (cls.sectors_searched, cls.sectors_skipped) == (searched, skipped)
+            assert cls.value == pytest.approx(value, rel=1e-9), (n, alpha, restarts)
+            assert cls.value >= value - 1e-12 * abs(value), (n, alpha, restarts)
+            assert cls.value >= grid - 1e-12 * abs(grid), (n, alpha, restarts)
+
+
+@pytest.mark.parametrize("d_b", range(1, 11))
+def test_polar_maxima_reach_a_fine_grid_in_every_sector(d_b):
+    # every side-B sector up to N=10, searched or skipped, on alphas where
+    # some sectors peak inside (0, pi/2) (-3.1623, -2.2) as well as at the ends
+    for alpha in (-1e12, -10.0, -3.1623, -3.0, -2.2, -1.0, 0.0, 0.999, 1.0, 3.0):
+        w4 = _sector_witness(2, d_b, alpha)
+        values, iterations, converged = _polar_maxima(w4)
+        grid = sector_grid_maximum(d_b, alpha)
+        assert converged.all() and iterations.max() <= 8, alpha
+        if alpha == 1.0:
+            # W = J^2 leaves f constant: no candidate bisects on rounding
+            assert (iterations == 1).all()
+        assert values.max() >= grid - 1e-12 * abs(grid), alpha
+        # a value is the top eigenvalue at an angle it evaluated, so it is
+        # attained: never above the unconstrained top eigenvalue
+        top = np.linalg.eigvalsh(w4.reshape(2 * d_b, -1))[-1]
+        assert values.max() <= top + 1e-12 * abs(top), alpha
+
+
+def test_polar_maxima_refine_an_interior_peak():
+    # N=4, alpha=-2.2, |A| = 1 in the spin-3/2 sector: the maximum lies
+    # near theta = 0.77, above both ends, and Newton steps reach it
+    w4 = _sector_witness(2, 4, -2.2)
+    values, iterations, converged = _polar_maxima(w4)
+    best = int(np.argmax(values))
+    grid = sector_grid_maximum(4, -2.2)
+    assert values[best] > fine_grid_maximum(w4, points=2) + 1e-3  # both ends
+    assert values[best] >= grid - 1e-12 * abs(grid)
+    assert converged[best] and 1 < iterations[best] <= 10
+
+
+def test_polar_maxima_build_both_ends_exactly():
+    # next to entries near 1e12, cos(pi/2) = 6e-17 and the rounding of
+    # M0 + Mc against W00 each move the top eigenvalue by about 1e-5; no
+    # sector witness has a non-integer maximum there, so two hand-built
+    # ones do, one peaking at the pole and one at the equator
+    big, top = 1.3e12, math.e
+    pole = np.zeros((2, 2, 2, 2))
+    pole[0, :, 0, :] = np.diag([top, -big])
+    pole[1, :, 1, :] = np.diag([-big, -big])
+    equator = np.zeros((2, 2, 2, 2))
+    equator[0, :, 0, :] = np.diag([-big, -big])
+    equator[1, :, 1, :] = np.diag([big, -big])
+    equator[0, :, 1, :] = equator[1, :, 0, :] = np.diag([top, 0.0])
+    for w4 in (pole, equator):
+        values, _, converged = _polar_maxima(w4)
+        assert values.max() == top and converged.all()
 
 
 @pytest.mark.parametrize("n", range(2, 8))
