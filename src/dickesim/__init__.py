@@ -71,7 +71,6 @@ _EXPORTS = {
     # fock
     "SpdcConfig": "fock",
     "LossConfig": "fock",
-    "threshold_counts": "fock",
     "simulate_experiment": "fock",
     "calibrate": "fock",
     "NoSixfoldEventsError": "fock",

@@ -176,8 +176,8 @@ SCHEMAS = {
         # states.MAX_QUBITS, written out so the schemas load before numpy
         "num_qubits": (_integer(2, 10), 6),
         "alpha": (_number(), 0.0),
-        # each entry is a full bound; restarts x (1 + len(alphas)) is
-        # capped at MAX_BOUND_RESTARTS
+        # each entry is a full bound; from N = 4 on, restarts x
+        # (1 + len(alphas)) is capped at MAX_BOUND_RESTARTS
         "alphas": (_list_of(_number(), max_len=64), None),
         "restarts": (_integer(3, 500), 50),
         "state": (_string(), None),
@@ -393,7 +393,8 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
 
     n = config["num_qubits"]
     runs = 1 + len(config["alphas"] or ())
-    if config["restarts"] * runs > MAX_BOUND_RESTARTS:
+    # below N = 4 the only class is |A| = 1, which starts no see-saw
+    if n // 2 >= 2 and config["restarts"] * runs > MAX_BOUND_RESTARTS:
         raise ConfigError(
             f"config.restarts x (1 + len(config.alphas)) = {config['restarts']} x {runs}"
             f" exceeds the restart budget {MAX_BOUND_RESTARTS}"

@@ -17,13 +17,10 @@ them in closed form.
   of six-qubit Dicke states, and the sixfold threshold-detector event
   probability in the H/V basis, a sum of seven products of power series
   in one variable (H photons or V photons).
-- ``threshold_counts``: the per-basis threshold-detector outcome
-  distribution of the lossless source behind the splitter.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from math import comb, factorial
@@ -31,7 +28,7 @@ from math import comb, factorial
 import numpy as np
 
 from .dicke_states import dicke
-from .states import MeasurementSetting, QubitDensity
+from .states import QubitDensity
 
 N_SPATIAL = 6
 # the even splitter seen from the pumped input mode: a photon reaches each
@@ -92,74 +89,6 @@ def _pair_weights(spdc: SpdcConfig) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Detection
-
-
-def _compositions(total: int, parts: int):
-    """Every ordered way to write ``total`` as ``parts`` positive integers."""
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        yield [b - a for a, b in zip((0, *cuts), (*cuts, total))]
-
-
-def _poly_product(poly: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Row-wise product of polynomials stored as coefficient rows."""
-    out = np.zeros((len(poly), poly.shape[1] + factor.shape[1] - 1), dtype=complex)
-    for r in range(factor.shape[1]):
-        out[:, r : r + poly.shape[1]] += factor[:, r, None] * poly
-    return out
-
-
-def threshold_counts(spdc: SpdcConfig, setting: MeasurementSetting) -> tuple[np.ndarray, float]:
-    """Threshold-detector outcome distribution of the lossless source
-    behind the splitter, in a measurement basis.
-
-    Each arm feeds two threshold detectors through a polarization
-    rotation into the setting's basis.  A valid sixfold event has exactly
-    one of the two detectors click in every arm; multi-photon bunches on
-    one detector still give a single click.  Returns the distribution over
-    the 64 outcomes conditioned on a valid event together with the valid
-    event probability (all zeros and 0.0 when no event can occur).
-
-    The event where arm j sends all of its k_j photons to detector s_j
-    (k a composition of 2n into six positive parts) has amplitude
-
-        (lam^n / norm) n! / prod_j sqrt(k_j!) [x^n] prod_j (alpha_j x + beta_j)^k_j
-
-    with alpha_j = u_j R_j[s_j, 0], beta_j = u_j R_j[s_j, 1] and R_j the
-    setting's rotation of arm j; the power of x counts H photons.
-    Distinct (s, n, k) are orthogonal detector events, so their
-    probabilities add.
-    """
-    if setting.num_qubits != N_SPATIAL:
-        raise ValueError("setting must cover the six spatial modes")
-    patterns = np.array(list(itertools.product((0, 1), repeat=N_SPATIAL)))
-    rotations = np.array([setting.rotation(j) for j in range(N_SPATIAL)])
-    # coeff[s, j, p]: amplitude for a p-polarized photon of the pumped mode
-    # to reach the detector that outcome s names in arm j
-    coeff = ARM_AMPLITUDES[:, None] * rotations[np.arange(N_SPATIAL), patterns]
-    # arm_poly[j, k][s]: coefficients of (alpha_j x + beta_j)^k / sqrt(k!)
-    most = 2 * spdc.max_order - (N_SPATIAL - 1)
-    arm_poly = {}
-    for j in range(N_SPATIAL):
-        alpha, beta = coeff[:, j, 0, None], coeff[:, j, 1, None]
-        for k in range(1, most + 1):
-            r = np.arange(k + 1)
-            binom = np.array([comb(k, i) for i in r]) / math.sqrt(factorial(k))
-            arm_poly[j, k] = binom * alpha**r * beta ** (k - r)
-    probs = np.zeros(2**N_SPATIAL)
-    for n, weight in enumerate(_pair_weights(spdc)):
-        for k in _compositions(2 * n, N_SPATIAL):
-            poly = arm_poly[0, k[0]]
-            for j in range(1, N_SPATIAL):
-                poly = _poly_product(poly, arm_poly[j, k[j]])
-            probs += weight * np.abs(poly[:, n]) ** 2
-    p_event = float(probs.sum())
-    if p_event <= 0.0:
-        return np.zeros(2**N_SPATIAL), 0.0
-    return probs / p_event, p_event
-
-
-# ---------------------------------------------------------------------------
 # Full pipeline and calibration
 
 
@@ -187,7 +116,8 @@ class SimulationResult:
 
 
 def simulate_experiment(spdc: SpdcConfig, loss: LossConfig | None = None) -> SimulationResult:
-    """Compose source, splitter, loss, and both detection models.
+    """Compose source, splitter and loss with exact one-photon-per-arm
+    selection, and the H/V sixfold threshold event probability.
 
     ``p_exact`` is the exact one-photon-per-mode probability normalized
     per three-pair emission (so the lossless max_order=3 pipeline gives

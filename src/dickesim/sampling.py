@@ -1,8 +1,7 @@
 """Deterministic coincidence-count sampling.
 
 Histograms emulate the experiment's count-level data: multinomial draws
-from a state's outcome distribution (or from the threshold-detector
-model of the down-conversion source).  Randomness comes from numpy's
+from a state's outcome distribution.  Randomness comes from numpy's
 PCG64 generator seeded through SeedSequence((seed, setting_index)), so
 identical inputs give byte-identical histograms on any platform.
 """
@@ -15,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import N_SPATIAL, SpdcConfig, threshold_counts
-from .states import (
-    MeasurementSetting,
-    QubitDensity,
-    QubitPureState,
-    outcome_distributions,
-)
+from .states import MeasurementSetting, outcome_distribution, outcome_distributions
+
 
 def stream_generator(seed: int, stream_index: int = 0) -> np.random.Generator:
     """Independent generator for one (seed, stream) pair."""
@@ -61,29 +55,6 @@ class ExperimentPlan:
         object.__setattr__(self, "settings", settings)
 
 
-def outcome_probabilities(source, settings) -> np.ndarray:
-    """(S, 2^N) outcome distributions of a stack of settings, for either a
-    qubit state or an optical source; row k belongs to ``settings[k]``.
-
-    A qubit state goes through ``states.outcome_distributions`` once for
-    the whole stack.  An optical source is an :class:`SpdcConfig`, the
-    down-conversion source behind the six-arm splitter; each setting goes
-    through the threshold-detector model, which returns the distribution
-    conditioned on a valid sixfold event.
-    """
-    if isinstance(source, (QubitPureState, QubitDensity)):
-        return outcome_distributions(source, settings)
-    if isinstance(source, SpdcConfig):
-        rows = []
-        for setting in settings:
-            probs, p_event = threshold_counts(source, setting)
-            if p_event <= 0.0:
-                raise ValueError("the optical source produces no valid events")
-            rows.append(probs)
-        return np.array(rows).reshape(-1, 2**N_SPATIAL)
-    raise TypeError(f"cannot sample from {type(source)!r}")
-
-
 def _draw(setting, probs, n_events: int, seed: int, stream_index: int) -> CoincidenceHistogram:
     """Histogram of ``n_events`` multinomial draws from ``probs`` on stream
     (seed, stream_index)."""
@@ -92,24 +63,24 @@ def _draw(setting, probs, n_events: int, seed: int, stream_index: int) -> Coinci
 
 
 def sample(
-    source, setting: MeasurementSetting, n_events: int, seed: int, stream_index: int = 0
+    state, setting: MeasurementSetting, n_events: int, seed: int, stream_index: int = 0
 ) -> CoincidenceHistogram:
     """Multinomial histogram of ``n_events`` draws from one setting."""
     if n_events < 1:
         raise ValueError("n_events must be positive")
-    probs = outcome_probabilities(source, (setting,))[0]
+    probs = outcome_distribution(state, setting)
     return _draw(setting, probs, int(n_events), seed, stream_index)
 
 
-def run_plan(source, plan: ExperimentPlan) -> list[CoincidenceHistogram]:
+def run_plan(state, plan: ExperimentPlan) -> list[CoincidenceHistogram]:
     """One histogram per plan setting.
 
     The outcome distributions of all settings come from one call of
-    ``outcome_probabilities``, and row k is drawn from its own stream
-    SeedSequence((seed, k)), so histogram k equals
-    ``sample(source, plan.settings[k], ..., stream_index=k)``.
+    ``states.outcome_distributions``, and row k is drawn from its own
+    stream SeedSequence((seed, k)), so histogram k equals
+    ``sample(state, plan.settings[k], ..., stream_index=k)``.
     """
-    probs = outcome_probabilities(source, plan.settings)
+    probs = outcome_distributions(state, plan.settings)
     n_events = int(plan.events_per_setting)
     return [
         _draw(setting, row, n_events, plan.seed, k)

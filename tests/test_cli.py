@@ -5,13 +5,16 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import dickesim
 from dickesim.cli import config_digest, main
 from dickesim.dicke_states import dicke
-from dickesim.lms import decompose
-from dickesim.sampling import read_csv
+from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
+from dickesim.lms import decompose, plan_settings
+from dickesim.sampling import ExperimentPlan, read_csv, run_plan
+from dickesim.states import fidelity
 from dickesim.witness import dephased as dephased_state
 from test_witness import contracted_scan
 
@@ -204,12 +207,22 @@ def test_bound_restart_budget_covers_every_alpha(tmp_path, capsys):
     assert run_cli(["bound", "--config", longest, "--out", str(tmp_path / "c")]) == 0
     capsys.readouterr()
     over = write_config(
-        tmp_path, {"num_qubits": 2, "restarts": 51, "alphas": alphas}, name="over.json"
+        tmp_path, {"num_qubits": 4, "restarts": 51, "alphas": alphas}, name="over.json"
     )
     assert run_cli(["bound", "--config", over, "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
     assert "config.restarts" in err and "config.alphas" in err
     assert not (tmp_path / "b" / "bound.json").exists()
+    # below N = 4 the only class is |A| = 1, which reads no restarts, so
+    # 500 x 11 is not over budget there
+    ten = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 0.9, 0.999]
+    single = write_config(
+        tmp_path, {"num_qubits": 3, "restarts": 500, "alphas": ten}, name="single.json"
+    )
+    assert run_cli(["bound", "--config", single, "--out", str(tmp_path / "d")]) == 0
+    capsys.readouterr()
+    results = load_report(tmp_path / "d", "bound")["results"]
+    assert [cls["size"] for cls in results["classes"]] == [1]
 
 
 def test_scan_closed_form_artifact(tmp_path, capsys):
@@ -399,6 +412,30 @@ def test_sample_estimates_fidelity(tmp_path, capsys):
     assert abs(results["direct_fidelity"] - 1.0) < 1e-9
     assert abs(results["estimate"] - 1.0) <= 5 * results["std_error"]
     assert (out / "fig_histograms.csv").exists()
+
+
+@pytest.mark.parametrize("max_order", [3, 4])
+def test_sample_on_a_simulated_source_draws_from_rho_sim(max_order, tmp_path, capsys):
+    # lossy selection at max_order 3 keeps only three-pair emissions, so
+    # rho_sim is D(6, 3) as a density; at max_order 4 it is a Dicke mixture
+    simulate = {"lambda": 0.85, "max_order": max_order, "eta_H": 0.3, "eta_V": 0.3}
+    config = write_config(tmp_path, {"simulate": simulate, "events": 1000})
+    out = tmp_path / "out"
+    assert run_cli(["sample", "--config", config, "--seed", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    results = load_report(out, "sample")["results"]
+    rho_sim = simulate_experiment(
+        SpdcConfig(lam=0.85, max_order=max_order), LossConfig(eta_h=0.3, eta_v=0.3)
+    ).rho_sim
+    plan = plan_settings(decompose(dicke(6, 3)))
+    expected = run_plan(rho_sim, ExperimentPlan(tuple(plan.settings()), 1000, 5))
+    table = read_csv(out / "fig_histograms.csv")
+    assert list(table) == [hist.setting.label() for hist in expected]
+    for hist in expected:
+        assert np.array_equal(table[hist.setting.label()], hist.counts)
+    # reports keep 12 significant digits
+    direct = fidelity(rho_sim, dicke(6, 3))
+    assert results["direct_fidelity"] == float(format(direct, ".12g"))
 
 
 def test_sample_reports_are_deterministic(tmp_path, capsys):

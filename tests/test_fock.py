@@ -18,9 +18,8 @@ from dickesim.fock import (
     order_weight,
     pick_calibration,
     simulate_experiment,
-    threshold_counts,
 )
-from dickesim.states import MeasurementSetting, fidelity
+from dickesim.states import fidelity
 
 CALIBRATION_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "calibration.json")
 
@@ -126,27 +125,6 @@ def _propagated(lam, max_order):
     keys, amps = _substitute(keys, amps, subs)
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-9
     return keys, amps
-
-
-def _threshold_oracle(spdc, setting):
-    """Rotate every arm's polarization into the setting's basis and read
-    one click per arm off the rotated occupations."""
-    keys, amps = _propagated(spdc.lam, spdc.max_order)
-    occ = _occupations(keys)
-    occupied = np.all(occ[:, 0::2] + occ[:, 1::2] > 0, axis=1)
-    subs = {}
-    for j in range(6):
-        rot = setting.rotation(j)
-        for p in (0, 1):
-            subs[2 * j + p] = [(2 * j + s, rot[s, p]) for s in (0, 1)]
-    keys, amps = _substitute(keys[occupied], amps[occupied], subs)
-    occ = _occupations(keys)
-    h_click, v_click = occ[:, 0::2] > 0, occ[:, 1::2] > 0
-    valid = np.all(h_click != v_click, axis=1)
-    index = v_click[valid] @ (1 << np.arange(5, -1, -1))
-    probs = np.bincount(index, np.abs(amps[valid]) ** 2, minlength=64)
-    p_event = probs.sum()
-    return (probs / p_event if p_event > 0 else probs), p_event
 
 
 def _loss_branches(psi, loss):
@@ -311,34 +289,6 @@ def test_no_sixfold_events_raises():
         simulate_experiment(
             SpdcConfig(lam=0.2, max_order=3), LossConfig(eta_h=1e-9, eta_v=1e-9)
         )
-
-
-def test_threshold_counts_distribution_is_normalized():
-    # two pairs carry four photons, too few for a sixfold coincidence
-    probs, p_raw = threshold_counts(SpdcConfig(lam=0.5, max_order=2), MeasurementSetting.uniform("z", 6))
-    assert p_raw == 0.0 and not probs.any()
-    probs, p_event = threshold_counts(SpdcConfig(lam=0.5, max_order=3), MeasurementSetting.uniform("z", 6))
-    assert probs.shape == (64,)
-    assert_allclose(probs.sum(), 1.0, atol=1e-10)
-    assert p_event > 0.0
-
-
-@pytest.mark.parametrize("max_order", [3, 4, 5])
-@pytest.mark.parametrize(
-    "setting",
-    [
-        MeasurementSetting.uniform("z", 6),
-        MeasurementSetting.direction(0.7, 1.3, 6),
-        MeasurementSetting(tuple("xyzxyz")),
-    ],
-    ids=["z", "tilted", "xyzxyz"],
-)
-def test_threshold_counts_matches_substitution_oracle(setting, max_order):
-    spdc = SpdcConfig(lam=0.7, max_order=max_order)
-    probs, p_event = threshold_counts(spdc, setting)
-    expected, expected_event = _threshold_oracle(spdc, setting)
-    assert_allclose(probs, expected, rtol=0, atol=1e-12)
-    assert_allclose(p_event, expected_event, rtol=1e-9, atol=0)
 
 
 def test_simulation_report_keys(noisy_simulation):

@@ -3,15 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke
-from dickesim.fock import SpdcConfig
 from dickesim.sampling import (
     CoincidenceHistogram,
     ExperimentPlan,
     histograms_to_table,
-    outcome_probabilities,
     read_csv,
     run_plan,
     sample,
@@ -32,22 +29,6 @@ def test_stream_generator_is_reproducible_and_independent():
     c = stream_generator(7, 1).integers(0, 1000, size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_outcome_probabilities_dispatch():
-    settings = (zbasis(4), MeasurementSetting("xyzx"))
-    probs = outcome_probabilities(dicke(4, 2), settings)
-    assert probs.shape == (2, 16)
-    for row, setting in zip(probs, settings):
-        assert np.array_equal(row, outcome_distribution(dicke(4, 2), setting))
-    probs = outcome_probabilities(SpdcConfig(lam=0.5, max_order=3), (zbasis(6),))
-    assert probs.shape == (1, 64)
-    assert_allclose(probs.sum(), 1.0, atol=1e-10)
-    with pytest.raises(TypeError):
-        outcome_probabilities(np.eye(4), (zbasis(2),))
-    # two pairs carry too few photons for a sixfold coincidence
-    with pytest.raises(ValueError):
-        outcome_probabilities(SpdcConfig(lam=0.5, max_order=2), (zbasis(6),))
 
 
 def test_sample_matches_distribution():
@@ -103,14 +84,6 @@ def test_run_plan_draws_row_k_of_the_oracle_from_stream_k(source):
         assert hist.total == 5000
         assert np.array_equal(hist.counts, expected)
         assert np.array_equal(sample(state, setting, 5000, seed=13, stream_index=k).counts, expected)
-
-
-def test_run_plan_on_an_optical_source_matches_per_setting_samples():
-    source = SpdcConfig(lam=0.5, max_order=3)
-    settings = (zbasis(6), MeasurementSetting("xyzxyz"), MeasurementSetting.direction(0.4, 1.0, 6))
-    hists = run_plan(source, ExperimentPlan(settings, events_per_setting=3000, seed=4))
-    for k, (setting, hist) in enumerate(zip(settings, hists)):
-        assert np.array_equal(hist.counts, sample(source, setting, 3000, seed=4, stream_index=k).counts)
 
 
 def test_csv_round_trip(tmp_path):
