@@ -252,6 +252,7 @@ def write_report(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: list, rows) -> None:
+    """Write a table: floats at 12 significant digits, every other cell through ``csv.writer``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -481,7 +482,7 @@ def cmd_lms(config: dict, ctx: Context) -> dict:
 
 def cmd_sample(config: dict, ctx: Context) -> dict:
     from .lms import decompose, fidelity_from_counts
-    from .sampling import ExperimentPlan, histograms_to_table, run_plan, write_csv
+    from .sampling import ExperimentPlan, histograms_to_table, run_plan
     from .states import fidelity
 
     if config["simulate"] is not None:
@@ -513,7 +514,12 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
         if estimate.std_error > 0
         else None
     )
-    write_csv(histograms, ctx.path("fig_histograms.csv"))
+    n = target.num_qubits
+    _write_csv(
+        ctx.path("fig_histograms.csv"),
+        ["setting"] + [format(i, f"0{n}b") for i in range(2**n)],
+        ([hist.setting.label()] + hist.counts.tolist() for hist in histograms),
+    )
     return {
         "target": target_label,
         "source": source_desc,

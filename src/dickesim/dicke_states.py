@@ -41,6 +41,7 @@ OUTCOME_KETS = {
 def dicke(num_qubits: int, excitations: int) -> QubitPureState:
     """Equal-weight symmetric state with a fixed number of |V> qubits."""
     n, m = int(num_qubits), int(excitations)
+    _check_num_qubits(n)
     if not 0 <= m <= n:
         raise ValueError(f"excitations must satisfy 0 <= m <= {n}, got {m}")
     amps = np.zeros(2**n, dtype=complex)

@@ -8,8 +8,6 @@ identical inputs give byte-identical histograms on any platform.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,55 +100,3 @@ def histograms_to_table(histograms) -> dict:
         table[label] = hist.counts
     return table
 
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it inside a row, quoted if it must be."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([text, ""])
-    return buf.getvalue()[: -len(",\r\n")]
-
-
-def write_csv(histograms, path) -> None:
-    """Write histograms as CSV rows (setting, outcome bitstring, count).
-
-    All 2^N outcomes of a setting are written in index order; bit 0 of
-    the bitstring is the first qubit's outcome (0 = +1 eigenvector).  The
-    bytes are those of ``csv.writer``, but each label is quoted once and
-    each width's bitstrings are formatted once, so a setting's rows are
-    built in one join.
-    """
-    bitstrings = {}
-    with open(path, "w", newline="") as fh:
-        fh.write("setting,outcome,count\r\n")
-        for hist in histograms:
-            label, counts = hist.setting.label(), hist.counts.tolist()
-            size = len(counts)
-            if size not in bitstrings:
-                bitstrings[size] = [f"{i:0{size.bit_length() - 1}b}," for i in range(size)]
-            head = _csv_field(label) + ","
-            fh.write("".join(
-                f"{head}{bits}{count}\r\n" for bits, count in zip(bitstrings[size], counts)
-            ))
-
-
-def read_csv(path) -> dict:
-    """Rebuild the counts per setting label from the CSV layout written by write_csv."""
-    rows: dict[str, dict[int, int]] = {}
-    widths: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["setting", "outcome", "count"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for label, bits, count in reader:
-            widths.setdefault(label, len(bits))
-            if len(bits) != widths[label]:
-                raise ValueError(f"inconsistent outcome width for setting {label!r}")
-            rows.setdefault(label, {})[int(bits, 2)] = int(count)
-    table = {}
-    for label, entries in rows.items():
-        vec = np.zeros(2 ** widths[label], dtype=np.int64)
-        for index, count in entries.items():
-            vec[index] = count
-        table[label] = vec
-    return table

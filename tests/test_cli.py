@@ -13,7 +13,7 @@ from dickesim.cli import config_digest, main
 from dickesim.dicke_states import dicke
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.lms import decompose, plan_settings
-from dickesim.sampling import ExperimentPlan, read_csv, run_plan
+from dickesim.sampling import ExperimentPlan, run_plan
 from dickesim.states import fidelity
 from dickesim.witness import dephased as dephased_state
 from test_witness import contracted_scan
@@ -38,6 +38,13 @@ def load_csv(path):
     """Data rows of a CSV artifact as dicts keyed by its header."""
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def load_histograms(path):
+    """Counts per setting label from ``fig_histograms.csv`` (one row per setting)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return {row[0]: np.array(row[1:], int) for row in rows}
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -429,7 +436,13 @@ def test_sample_on_a_simulated_source_draws_from_rho_sim(max_order, tmp_path, ca
     ).rho_sim
     plan = plan_settings(decompose(dicke(6, 3)))
     expected = run_plan(rho_sim, ExperimentPlan(tuple(plan.settings()), 1000, 5))
-    table = read_csv(out / "fig_histograms.csv")
+    lines = (out / "fig_histograms.csv").read_text().splitlines()
+    # a header of the outcome bitstrings in index order, bit 0 = qubit 0,
+    # then one row per setting with its label written once
+    assert lines[0] == "setting," + ",".join(format(i, "06b") for i in range(64))
+    assert len(lines) == results["num_settings"] + 1
+    assert lines[1].startswith('"' + expected[0].setting.label() + '",')
+    table = load_histograms(out / "fig_histograms.csv")
     assert list(table) == [hist.setting.label() for hist in expected]
     for hist in expected:
         assert np.array_equal(table[hist.setting.label()], hist.counts)
@@ -460,8 +473,8 @@ def test_sample_seed_changes_counts(tmp_path, capsys):
     assert run_cli(["sample", "--config", config, "--seed", "1", "--out", str(out_a)]) == 0
     assert run_cli(["sample", "--config", config, "--seed", "2", "--out", str(out_b)]) == 0
     capsys.readouterr()
-    hist_a = read_csv(out_a / "fig_histograms.csv")
-    hist_b = read_csv(out_b / "fig_histograms.csv")
+    hist_a = load_histograms(out_a / "fig_histograms.csv")
+    hist_b = load_histograms(out_b / "fig_histograms.csv")
     assert {k: v.tolist() for k, v in hist_a.items()} != {k: v.tolist() for k, v in hist_b.items()}
 
 
@@ -609,6 +622,14 @@ def test_state_label_other_than_the_canonical_one_exits_two(command, label, tmp_
     assert run_cli([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert "config.state" in capsys.readouterr().err
     assert not (tmp_path / "o" / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("label", ["dicke_40_20", "w_40"])
+def test_oversized_state_label_exits_two(label, tmp_path, capsys):
+    # rejected before the 2^40 amplitudes are allocated
+    config = write_config(tmp_path, {"state": label})
+    assert run_cli(["state", "--config", config, "--out", str(tmp_path / "o")]) == 2
+    assert "num_qubits" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

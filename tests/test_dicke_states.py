@@ -35,6 +35,9 @@ def test_dicke_edge_cases():
         dicke(4, 5)
     with pytest.raises(ValueError):
         dicke(0, 0)
+    # the register size is checked before 2^40 amplitudes are allocated
+    with pytest.raises(ValueError, match="num_qubits"):
+        dicke(40, 20)
 
 
 def test_w_state_is_single_excitation_dicke():

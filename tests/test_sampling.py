@@ -1,6 +1,3 @@
-import csv
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -9,11 +6,9 @@ from dickesim.sampling import (
     CoincidenceHistogram,
     ExperimentPlan,
     histograms_to_table,
-    read_csv,
     run_plan,
     sample,
     stream_generator,
-    write_csv,
 )
 from dickesim.states import MeasurementSetting, outcome_distribution
 from test_states import per_setting_distribution, random_density, random_settings
@@ -84,58 +79,6 @@ def test_run_plan_draws_row_k_of_the_oracle_from_stream_k(source):
         assert hist.total == 5000
         assert np.array_equal(hist.counts, expected)
         assert np.array_equal(sample(state, setting, 5000, seed=13, stream_index=k).counts, expected)
-
-
-def test_csv_round_trip(tmp_path):
-    plan = ExperimentPlan(
-        (zbasis(4), MeasurementSetting("xyzx")), events_per_setting=300, seed=1
-    )
-    hists = run_plan(dicke(4, 2), plan)
-    path = tmp_path / "counts.csv"
-    write_csv(hists, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "setting,outcome,count"
-    # every outcome row appears, including zero-count bitstrings
-    assert len(text) == 1 + 2 * 16
-    back = read_csv(path)
-    for hist in hists:
-        assert np.array_equal(back[hist.setting.label()], hist.counts)
-
-
-def test_count_rows_match_the_csv_writer_byte_for_byte(tmp_path):
-    rng = np.random.default_rng(4)
-    rows = [
-        ("z,z,z", rng.integers(0, 1000, size=8)),
-        (MeasurementSetting((("n", 0.3, 1.1), "x", ("n", 1.2, 0.0))).label(), rng.integers(0, 9, size=8)),
-        ('odd "label"', [0, 7]),
-        ("x", [3, 4]),
-        (MeasurementSetting("xyzxyzxy").label(), rng.integers(0, 50, size=256)),
-    ]
-    expected = tmp_path / "expected.csv"
-    with open(expected, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "outcome", "count"])
-        for label, counts in rows:
-            width = len(counts).bit_length() - 1
-            for index, count in enumerate(counts):
-                writer.writerow([label, format(index, f"0{width}b"), int(count)])
-    # stand-ins for histograms, so that labels no setting produces (quotes,
-    # bare commas) are written too
-    hists = [
-        SimpleNamespace(setting=SimpleNamespace(label=lambda label=label: label),
-                        counts=np.asarray(counts, dtype=np.int64))
-        for label, counts in rows
-    ]
-    written = tmp_path / "written.csv"
-    write_csv(hists, written)
-    assert written.read_bytes() == expected.read_bytes()
-
-
-def test_read_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n")
-    with pytest.raises(ValueError):
-        read_csv(path)
 
 
 def test_histograms_to_table_totals():
