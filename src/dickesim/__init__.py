@@ -34,6 +34,7 @@ _EXPORTS = {
     "MeasurementSetting": "states",
     "ImpossibleOutcomeError": "states",
     "expectation": "states",
+    "expectations": "states",
     "fidelity": "states",
     "partial_trace": "states",
     "project": "states",

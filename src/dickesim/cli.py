@@ -1,7 +1,10 @@
 """Batch command-line front end.
 
+Usage: dickesim COMMAND [--config PATH] [--seed U64] [--out DIR] [--threads N]
+
 One verb per activity: state | simulate | witness | bound | scan | lms |
-sample | protocols | qss | compare.  Every command reads an optional
+sample | protocols | qss | compare; the flags may come before or after
+it, and ``-h`` lists every command.  Every command reads an optional
 JSON config (schema-validated, unknown keys rejected) and writes a JSON
 report of summary values embedding the config hash and package version.
 A command with tabular output writes its rows once, to a plot-ready CSV
@@ -760,24 +763,29 @@ _HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON config file")
-    common.add_argument("--seed", type=int, default=0, metavar="U64")
-    common.add_argument("--out", default="out", metavar="DIR")
-    common.add_argument(
+    """One flat parser: the command and the four flags, in any order."""
+    width = max(map(len, HANDLERS))
+    commands = "\n".join(f"  {name:<{width}}  {_HELP[name]}" for name in HANDLERS)
+    parser = argparse.ArgumentParser(
+        prog="dickesim",
+        usage="%(prog)s COMMAND [--config PATH] [--seed U64] [--out DIR] [--threads N]",
+        description="Batch computations for symmetric multiphoton states.",
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "command", choices=HANDLERS, metavar="COMMAND", help="one of the commands below"
+    )
+    parser.add_argument("--config", metavar="PATH", help="JSON config file")
+    parser.add_argument("--seed", type=int, default=0, metavar="U64")
+    parser.add_argument("--out", default="out", metavar="DIR")
+    parser.add_argument(
         "--threads",
         type=int,
         default=None,
         metavar="N",
         help="cap numerical thread pools (default: library defaults)",
     )
-    parser = argparse.ArgumentParser(
-        prog="dickesim",
-        description="Batch computations for symmetric multiphoton states.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        sub.add_parser(name, parents=[common], help=_HELP[name])
     return parser
 
 

@@ -23,7 +23,7 @@ from .states import (
     QubitDensity,
     QubitPureState,
     _as_density_matrix,
-    expectation,
+    expectations,
     fidelity,
     outcome_distribution,
     partial_trace,
@@ -75,7 +75,7 @@ def maximal_singlet_fraction(state, restarts=None, seed=None) -> MsfResult:
     """
     if state.num_qubits != 2:
         raise ValueError("maximal singlet fraction is defined for two qubits")
-    t = np.array([[expectation(state, a + b) for b in "XYZ"] for a in "XYZ"])
+    t = expectations(state, [a + b for a in "XYZ" for b in "XYZ"]).reshape(3, 3)
     s1, s2, s3 = np.linalg.svd(t, compute_uv=False)
     value = (1.0 + s1 + s2 - np.sign(np.linalg.det(t)) * s3) / 4.0
     return MsfResult(value=float(min(max(value, 0.25), 1.0)))

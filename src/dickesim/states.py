@@ -140,14 +140,20 @@ def _as_density_matrix(state: State) -> np.ndarray:
 def check_pauli_string(letters: str, num_qubits: int) -> str:
     letters = str(letters).upper()
     if len(letters) != num_qubits:
-        raise ValueError(f"Pauli string length {len(letters)} != {num_qubits} qubits")
+        raise ValueError(
+            f"Pauli string {letters!r} has length {len(letters)}, not {num_qubits} qubits"
+        )
     bad = set(letters) - set("IXYZ")
     if bad:
-        raise ValueError(f"invalid Pauli letters {sorted(bad)!r}")
+        raise ValueError(f"Pauli string {letters!r} has invalid letters {sorted(bad)!r}")
     return letters
 
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(2**MAX_QUBITS)], dtype=np.int64)
+# (-1)^popcount(b) for every index, and i^k for every Y count a string can
+# have, each computed as the scalar (1j) ** k
+_PARITY_SIGNS = (-1.0) ** _POPCOUNT
+_I_POWERS = np.array([(1j) ** k for k in range(MAX_QUBITS + 1)])
 
 
 def _pauli_masks(letters: str, n: int):
@@ -171,25 +177,48 @@ def _pauli_masks(letters: str, n: int):
 
 
 def expectation(state: State, letters: str) -> float:
-    """Real expectation value <P> = tr(rho P) of a Pauli string on a state.
+    """Real expectation value <P> = tr(rho P) of a Pauli string on a state:
+    the one-string call of ``expectations``."""
+    return float(expectations(state, (letters,))[0])
 
-    This is the one place that contracts a Pauli product with a state;
+
+def expectations(state: State, strings) -> np.ndarray:
+    """(K,) real expectation values tr(rho P_k) of K Pauli strings on one state.
+
+    This is the one place that contracts Pauli products with a state;
     correlator scans and two-qubit correlation matrices are built on it.
+    String k acts as P|b> = phase_k(b) |b ^ flip_k>, so a pure state gives
+    sum_b conj(a[b ^ flip_k]) phase_k(b) a[b] and a density
+    sum_b phase_k(b) rho[b, b ^ flip_k].  The terms of a block of strings
+    form one (rows, 2^N) array summed along its rows; blocks keep each
+    complex temporary within ``BLOCK_BYTES`` (at least one row).  Every
+    value is computed by the same arithmetic whatever the list's length.
+    Raises ValueError naming the first string that is not N letters from
+    IXYZ, or whose value has an imaginary part above 1e-9.
     """
     n = state.num_qubits
-    letters = check_pauli_string(letters, n)
-    flip, sign, n_y = _pauli_masks(letters, n)
-    idx = np.arange(2**n)
-    phase = (1j) ** n_y * (-1.0) ** _POPCOUNT[idx & sign]
-    if isinstance(state, QubitPureState):
-        amps = state.amplitudes
-        val = np.sum(amps.conj()[idx ^ flip] * phase * amps)
-    else:
-        # P|b> = phase(b) |b ^ flip>, so tr(rho P) = sum_b phase(b) rho[b, b ^ flip]
-        val = np.sum(state.matrix[idx, idx ^ flip] * phase)
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"expectation has imaginary part {val.imag}")
-    return float(val.real)
+    strings = [check_pauli_string(letters, n) for letters in strings]
+    masks = np.array([_pauli_masks(letters, n) for letters in strings], dtype=np.int64)
+    flip, sign, n_y = masks.reshape(-1, 3).T
+    dim = 2**n
+    idx = np.arange(dim)
+    rows = max(1, BLOCK_BYTES // (16 * dim))
+    values = np.empty(len(strings), dtype=complex)
+    for start in range(0, len(strings), rows):
+        block = slice(start, start + rows)
+        phase = _I_POWERS[n_y[block], None] * _PARITY_SIGNS[idx & sign[block, None]]
+        cols = idx ^ flip[block, None]
+        if isinstance(state, QubitPureState):
+            amps = state.amplitudes
+            terms = amps.conj()[cols] * phase * amps
+        else:
+            terms = state.matrix[idx, cols] * phase
+        values[block] = np.sum(terms, axis=1)
+    bad = np.flatnonzero(np.abs(values.imag) > 1e-9)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"expectation of {strings[k]} has imaginary part {values[k].imag}")
+    return values.real.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from .states import (
     State,
     _as_density_matrix,
     apply_local,
-    expectation,
+    expectations,
     fidelity,
     outcome_distribution,
 )
@@ -412,15 +412,16 @@ def correlator_scan(state: State, plane: str, thetas) -> np.ndarray:
     partner A of sigma_z.  Expanding the product gives the polynomial
     sum_k cos(t)^(N-k) sin(t)^k E_k, where E_k sums <P> over the C(N, k)
     strings with Z on k qubits and A on the rest, so the N + 1 sums come
-    from 2^N ``expectation`` calls once and any grid costs O(N) per angle.
+    from one ``expectations`` call on all 2^N strings and any grid costs
+    O(N) per angle.  Each sum adds its strings' values in string order.
     """
     if plane not in ("xz", "yz"):
         raise ValueError(f"plane must be 'xz' or 'yz', got {plane!r}")
     partner = "X" if plane == "xz" else "Y"
     n = state.num_qubits
+    strings = ["".join(letters) for letters in itertools.product((partner, "Z"), repeat=n)]
     sums = np.zeros(n + 1)
-    for letters in itertools.product((partner, "Z"), repeat=n):
-        sums[letters.count("Z")] += expectation(state, "".join(letters))
+    np.add.at(sums, [letters.count("Z") for letters in strings], expectations(state, strings))
     thetas = np.asarray(thetas, dtype=float)[:, None]
     k = np.arange(n + 1)
     return (np.cos(thetas) ** (n - k) * np.sin(thetas) ** k) @ sums

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dickesim
-from dickesim.cli import config_digest, main
+from dickesim.cli import _HELP, HANDLERS, config_digest, main
 from dickesim.dicke_states import dicke
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.lms import decompose, plan_settings
@@ -52,6 +52,61 @@ def test_unknown_subcommand_exits_two(capsys):
         run_cli(["frobnicate"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [["-h"], ["sample", "-h"], ["--help", "bound"]])
+def test_help_lists_every_command(args, capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(args)
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: dickesim COMMAND [--config PATH] [--seed U64]")
+    for name in HANDLERS:
+        assert f"  {name}" in out and _HELP[name] in out, name
+
+
+def test_missing_command_exits_two(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(["--seed", "1"])
+    assert info.value.code == 2
+    assert "COMMAND" in capsys.readouterr().err
+
+
+def test_flags_before_the_command_write_the_same_report(tmp_path, capsys):
+    config = write_config(tmp_path, {"state": "dicke_4_2", "events": 500})
+    after, before = tmp_path / "after", tmp_path / "before"
+    assert run_cli(["sample", "--config", config, "--seed", "7", "--out", str(after)]) == 0
+    assert run_cli(["--seed", "7", "--out", str(before), "--config", config, "sample"]) == 0
+    capsys.readouterr()
+    for name in ("sample.json", "fig_histograms.csv"):
+        assert (after / name).read_bytes() == (before / name).read_bytes(), name
+
+
+def test_nonpositive_threads_exits_two(tmp_path, capsys):
+    assert run_cli(["witness", "--threads", "0", "--out", str(tmp_path / "o")]) == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+PARSE_WITHOUT_NUMPY = """
+import sys
+from dickesim.cli import build_parser
+args = build_parser().parse_args(["--threads", "1", "sample", "--seed", "3"])
+assert (args.command, args.seed, args.threads) == ("sample", 3, 1), args
+print("numpy" in sys.modules)
+"""
+
+
+def test_parsing_loads_no_numpy():
+    # --threads must be set in the environment before numpy loads
+    src = os.path.dirname(os.path.dirname(dickesim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", PARSE_WITHOUT_NUMPY],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_state_report_envelope(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz, w_state
+from dickesim.lms import pauli_matrix
 
 from dickesim.states import (
     ImpossibleOutcomeError,
@@ -15,6 +17,7 @@ from dickesim.states import (
     QubitPureState,
     apply_local,
     expectation,
+    expectations,
     fidelity,
     load_state,
     BLOCK_BYTES,
@@ -103,6 +106,46 @@ def test_expectation_checks_pauli_string():
         expectation(psi, "XY Z")
     with pytest.raises(ValueError):
         expectation(psi, "XYZ")  # wrong length
+
+
+def all_strings(num_qubits):
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=num_qubits)]
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+def test_expectations_match_dense_trace_on_every_string(num_qubits):
+    rng = np.random.default_rng(100 + num_qubits)
+    strings = all_strings(num_qubits)
+    for state in (random_pure(num_qubits, rng), random_density(num_qubits, rng)):
+        rho = state.density().matrix if isinstance(state, QubitPureState) else state.matrix
+        direct = [np.trace(rho @ pauli_matrix(letters)).real for letters in strings]
+        values = expectations(state, strings)
+        assert values.shape == (4**num_qubits,)
+        assert_allclose(values, direct, rtol=0, atol=1e-12)
+        # bit for bit the one-string call
+        assert values.tolist() == [expectation(state, letters) for letters in strings]
+
+
+def test_expectations_over_several_blocks_equal_the_per_string_values():
+    # at N=10 one string's complex terms take 16 KiB, so a block holds 16
+    num_qubits = 10
+    rows = BLOCK_BYTES // (16 * 2**num_qubits)
+    rng = np.random.default_rng(21)
+    strings = ["".join(rng.choice(list("IXYZ"), num_qubits)) for _ in range(3 * rows + 5)]
+    for state in (random_pure(num_qubits, rng), dicke(10, 5).density()):
+        values = expectations(state, strings)
+        assert values.tolist() == [expectation(state, letters) for letters in strings]
+
+
+def test_expectations_of_no_strings_is_empty():
+    values = expectations(dicke(4, 2), [])
+    assert values.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", ["XQZ", "XYZZ", "XY"])
+def test_expectations_name_the_bad_string(bad):
+    with pytest.raises(ValueError, match=f"Pauli string {bad!r} "):
+        expectations(dicke(3, 1), ["ZZZ", "XYI", bad, "III"])
 
 
 def test_fidelity_pure_and_mixed_agree():
