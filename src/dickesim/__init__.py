@@ -67,6 +67,7 @@ _EXPORTS = {
     "SettingPlan": "lms",
     "plan_settings": "lms",
     "fidelity_from_counts": "lms",
+    "fidelity_from_matrix": "lms",
     "FidelityEstimate": "lms",
     "reference_lms_table": "lms",
     # fock
@@ -89,6 +90,7 @@ _EXPORTS = {
     "ExperimentPlan": "sampling",
     "sample": "sampling",
     "run_plan": "sampling",
+    "count_matrix": "sampling",
     # references
     "REFERENCE_VALUES": "references",
     "reference_table": "references",

@@ -254,15 +254,23 @@ def write_report(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    """Write a table: floats at 12 significant digits, every other cell through ``csv.writer``."""
+def _write_csv(path: str, header: list, columns: list) -> None:
+    """Write a table given column by column through ``csv.writer``.
+
+    A numpy float array is written at 12 significant digits, as ``_fmt``
+    writes each value; any other column's cells as ``csv.writer`` writes
+    them (strings quoted where needed, ints as digits, None empty).  The
+    kind of a column is read once, not cell by cell.
+    """
+    cells = [
+        list(map(_fmt, column.tolist()))
+        if hasattr(column, "dtype") and column.dtype.kind == "f" else column
+        for column in columns
+    ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_fmt(v) if isinstance(v, float) else v for v in row]
-            )
+        writer.writerows(zip(*cells))
 
 
 @dataclass(frozen=True)
@@ -393,6 +401,8 @@ def cmd_witness(config: dict, ctx: Context) -> dict:
 
 
 def cmd_bound(config: dict, ctx: Context) -> dict:
+    import numpy as np
+
     from .witness import SeeSawOptions, biseparable_bound, bound_curve, witness_value
 
     n = config["num_qubits"]
@@ -424,12 +434,12 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
         results["state_value"] = value
         results["gap"] = estimate.value - value
     if config["alphas"]:
-        curve = bound_curve(n, config["alphas"], options)
-        header = ["alpha", "biseparable_bound"]
+        alphas, bounds = np.array(bound_curve(n, config["alphas"], options)).T
+        header, columns = ["alpha", "biseparable_bound"], [alphas, bounds]
         if state is not None:
             header.append("state_value")
-            curve = [(alpha, bound, witness_value(state, alpha)) for alpha, bound in curve]
-        _write_csv(ctx.path("fig_bound_curve.csv"), header, curve)
+            columns.append(np.array([witness_value(state, alpha) for alpha in alphas.tolist()]))
+        _write_csv(ctx.path("fig_bound_curve.csv"), header, columns)
         results["table_file"] = "fig_bound_curve.csv"
     return results
 
@@ -460,8 +470,7 @@ def cmd_scan(config: dict, ctx: Context) -> dict:
         header.append("closed_form")
         columns.append(closed)
         results["max_closed_form_deviation"] = float(np.abs(values - closed).max())
-    _write_csv(ctx.path("fig_correlator_scan.csv"), header,
-               zip(*(column.tolist() for column in columns)))
+    _write_csv(ctx.path("fig_correlator_scan.csv"), header, columns)
     return results
 
 
@@ -484,8 +493,8 @@ def cmd_lms(config: dict, ctx: Context) -> dict:
 
 
 def cmd_sample(config: dict, ctx: Context) -> dict:
-    from .lms import decompose, fidelity_from_counts
-    from .sampling import ExperimentPlan, histograms_to_table, run_plan
+    from .lms import decompose, fidelity_from_matrix
+    from .sampling import ExperimentPlan, count_matrix
     from .states import fidelity
 
     if config["simulate"] is not None:
@@ -509,8 +518,8 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
         events_per_setting=config["events"],
         seed=ctx.seed,
     )
-    histograms = run_plan(source, experiment)
-    estimate = fidelity_from_counts(decomp, plan, histograms_to_table(histograms))
+    counts = count_matrix(source, experiment)
+    estimate = fidelity_from_matrix(decomp, plan, counts)
     direct = fidelity(source, target)
     deviation = (
         abs(estimate.value - direct) / estimate.std_error
@@ -518,10 +527,11 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
         else None
     )
     n = target.num_qubits
+    # each setting's label is computed once, by the estimate
     _write_csv(
         ctx.path("fig_histograms.csv"),
         ["setting"] + [format(i, f"0{n}b") for i in range(2**n)],
-        ([hist.setting.label()] + hist.counts.tolist() for hist in histograms),
+        [[setting.label for setting in estimate.per_setting], *counts.T.tolist()],
     )
     return {
         "target": target_label,
@@ -539,6 +549,8 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
 
 
 def cmd_protocols(config: dict, ctx: Context) -> dict:
+    import numpy as np
+
     from .dicke_states import dicke
     from .protocols import (
         odt_report,
@@ -569,7 +581,9 @@ def cmd_protocols(config: dict, ctx: Context) -> dict:
     _write_csv(
         ctx.path("fig_pair_teleport_fidelity.csv"),
         ["first_qubit", "second_qubit", "f_max", "ideal_value", "classical_threshold"],
-        [[i, j, value, ideal, classical] for (i, j), value in pairs],
+        [[i for (i, _), _ in pairs], [j for (_, j), _ in pairs],
+         np.array([value for _, value in pairs]),
+         np.full(len(pairs), ideal), np.full(len(pairs), classical)],
     )
     return {
         "num_qubits": n,
@@ -708,28 +722,14 @@ def cmd_compare(config: dict, ctx: Context) -> dict:
             "no comparable values found; run other subcommands into this "
             "output directory first or pass config.reports"
         )
+    # numbers at 12 significant digits, a missing uncertainty or sigma empty
+    fields = ["computed", "computed_error", "reference", "reference_error", "deviation", "sigma"]
     _write_csv(
         ctx.path("compare.csv"),
-        [
-            "key",
-            "computed",
-            "computed_error",
-            "reference",
-            "reference_error",
-            "deviation",
-            "sigma",
-        ],
-        [
-            [
-                r.key,
-                r.computed,
-                "" if r.computed_error is None else r.computed_error,
-                r.reference,
-                "" if r.reference_error is None else r.reference_error,
-                r.deviation,
-                "" if r.sigma is None else r.sigma,
-            ]
-            for r in rows
+        ["key", *fields],
+        [[r.key for r in rows]] + [
+            ["" if getattr(r, name) is None else _fmt(getattr(r, name)) for r in rows]
+            for name in fields
         ],
     )
     return {"sources": used, "table_file": "compare.csv"}

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .references import REFERENCE_VALUES
-from .states import _POPCOUNT, BLOCK_BYTES, PAULI, MeasurementSetting, QubitPureState
+from .states import _POPCOUNT, BLOCK_BYTES, MeasurementSetting, QubitPureState
 
 COEFF_TOL = 1e-12
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -50,13 +50,6 @@ _PHASES = np.array([1, 1j, -1, -1j])
 MAX_GREEDY_QUBITS = 8
 # largest weight residual a uniform-direction plan may leave before it is refused
 SYMMETRIC_RESIDUAL_TOL = 1e-10
-
-
-def pauli_matrix(letters: str) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for ch in letters:
-        out = np.kron(out, PAULI[ch])
-    return out
 
 
 @dataclass(frozen=True)
@@ -91,13 +84,6 @@ class PauliDecomposition:
     def nonidentity_strings(self) -> list[str]:
         identity = "I" * self.num_qubits
         return [s for _, s in self.terms if s != identity]
-
-    def reconstruct(self) -> np.ndarray:
-        dim = 2**self.num_qubits
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self.terms:
-            out += coeff * pauli_matrix(string)
-        return out
 
     @functools.cached_property
     def terms(self) -> tuple:
@@ -418,7 +404,8 @@ def _symmetric_weights(classes: dict, settings: list) -> tuple[np.ndarray, float
     residual = 0.0
     for m in range(1, n + 1):
         monomials = [(a, b, m - a - b) for a in range(m + 1) for b in range(m + 1 - a)]
-        design = np.array([np.prod(vectors**mono, axis=1) for mono in monomials])
+        # (monomials, settings): one product over the three axes per entry
+        design = np.prod(vectors ** np.array(monomials)[:, None, :], axis=2)
         rhs = np.array([classes.get(mono, 0.0) for mono in monomials])
         solution = np.linalg.lstsq(design, rhs, rcond=None)[0]
         residual = max(residual, float(np.abs(design @ solution - rhs).max()))
@@ -520,6 +507,8 @@ class FidelityEstimate:
 
 
 def _counts_vector(counts, key: str, dim: int) -> np.ndarray:
+    """Setting ``key``'s outcome counts from a label-keyed dict, as floats;
+    raises for a missing label or a wrong length."""
     try:
         raw = counts[key]
     except KeyError:
@@ -527,11 +516,25 @@ def _counts_vector(counts, key: str, dim: int) -> np.ndarray:
     vec = np.asarray(raw, dtype=float).reshape(-1)
     if vec.size != dim:
         raise ValueError(f"setting {key!r} needs {dim} outcome counts, got {vec.size}")
-    if not np.isfinite(vec).all() or vec.min() < 0:
-        raise ValueError(f"negative or non-finite count in setting {key!r}")
-    if vec.sum() <= 0:
-        raise ValueError(f"zero total counts for setting {key!r}")
     return vec
+
+
+def _count_totals(plan: SettingPlan, counts: np.ndarray) -> np.ndarray:
+    """Row totals of a count matrix in plan order, checked all at once.
+
+    Raises ValueError naming the first setting, in plan order, with a
+    negative or non-finite count, or with zero counts in all.
+    """
+    totals = counts.sum(axis=1)
+    invalid = ~np.isfinite(counts).all(axis=1) | (counts < 0).any(axis=1)
+    bad = np.flatnonzero(invalid | (totals <= 0))
+    if bad.size:
+        k = int(bad[0])
+        key = plan.assignments[k].setting.label()
+        if invalid[k]:
+            raise ValueError(f"negative or non-finite count in setting {key!r}")
+        raise ValueError(f"zero total counts for setting {key!r}")
+    return totals
 
 
 def _symmetric_correlators(n: int) -> np.ndarray:
@@ -552,67 +555,114 @@ def _symmetric_correlators(n: int) -> np.ndarray:
     return table[:, _POPCOUNT[: 2**n]]
 
 
-def _covered_weights(decomp: PauliDecomposition, plan: SettingPlan):
-    """Yield each assignment with its covered strings' outcome weights,
-    sum_P c_P (-1)^popcount(outcome & support(P)) over the strings P.
+def _covered_weights(decomp: PauliDecomposition, plan: SettingPlan) -> np.ndarray:
+    """(S, 2^N) outcome weights of the plan's settings, row k for setting k:
+    sum_P c_P (-1)^popcount(outcome & support(P)) over its covered strings
+    P, plus sum_m w_m e_m for its collective weights.
 
-    Settings are taken in blocks whose weights fit in ``BLOCK_BYTES``.
-    String j of every setting in a block that has one is added in one step,
-    j = 0, 1, ..., so each setting sums its strings in covered order, as a
-    loop over one setting's strings would.
+    A setting's strings are summed by one ``np.add.reduce`` over their
+    rows, in covered order, so the only temporary is that setting's
+    (strings, 2^N) block.  The collective parts of all settings are one
+    stacked vector-matrix product, row by row the same as a loop of
+    ``w @ correlators``.
     """
     n = decomp.num_qubits
-    block = max(1, BLOCK_BYTES // (8 * 2**n))
-    for start in range(0, plan.num_settings, block):
-        assignments = plan.assignments[start:start + block]
-        strings = [string for assignment in assignments for string in assignment.covered]
-        sizes = [len(assignment.covered) for assignment in assignments]
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        position = np.arange(len(strings)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    weights = np.zeros((plan.num_settings, 2**n))
+    strings = [string for assignment in plan.assignments for string in assignment.covered]
+    if strings:
         supports = (_letter_digits(strings, n) != 3) @ (1 << np.arange(n - 1, -1, -1))
-        coeffs = np.array([decomp.coefficient(string) for string in strings])
-        weights = np.zeros((len(sizes), 2**n))
-        for j in range(max(sizes)):
-            rows = np.flatnonzero(position == j)
-            # row z of the Hadamard matrix is (-1)^popcount(z & outcome), exactly +-1
-            weights[owner[rows]] += coeffs[rows, None] * _hadamard(n)[supports[rows]]
-        yield from zip(assignments, weights)
+        coeffs = np.array([decomp.coefficient(string) for string in strings])[:, None]
+        # row z of the Hadamard matrix is (-1)^popcount(z & outcome), exactly +-1
+        hadamard = _hadamard(n)
+        start = 0
+        for k, assignment in enumerate(plan.assignments):
+            if assignment.covered:
+                rows = slice(start, start + len(assignment.covered))
+                weights[k] = np.add.reduce(coeffs[rows] * hadamard[supports[rows]], axis=0)
+                start = rows.stop
+    collective = [k for k, assignment in enumerate(plan.assignments)
+                  if assignment.collective_weights]
+    if collective:
+        solved = np.array([plan.assignments[k].collective_weights for k in collective])
+        weights[collective] += np.matmul(solved[:, None, :], _symmetric_correlators(n))[:, 0]
+    return weights
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] for every row k, as one stacked ``matmul`` that computes
+    each row exactly as a 1-D ``a[k] @ b[k]`` does."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def fidelity_from_matrix(
+    decomp: PauliDecomposition, plan: SettingPlan, counts
+) -> FidelityEstimate:
+    """Estimate fidelity = sum_P c_P <P> from an (S, 2^N) count matrix.
+
+    Row k of ``counts`` holds the 2^N outcome counts of plan setting k
+    (bit 0 of an outcome = +1 eigenvector, qubit 0 = MSB), as
+    ``sampling.count_matrix`` draws them.  The identity term enters
+    analytically.  Settings are treated as independent multinomial
+    samples; the returned standard error adds their plug-in variances.
+    Every setting's mean and variance is one row of a few stacked array
+    operations, bit for bit what a loop over the settings computes.
+    """
+    check_plan_covers(plan, decomp)
+    counts = np.asarray(counts)
+    shape = (plan.num_settings, 2**decomp.num_qubits)
+    if counts.shape != shape:
+        raise ValueError(f"counts need shape {shape}, got {counts.shape}")
+    return _estimate(decomp, plan, counts)
 
 
 def fidelity_from_counts(
     decomp: PauliDecomposition, plan: SettingPlan, counts
 ) -> FidelityEstimate:
-    """Estimate fidelity = sum_P c_P <P> from per-setting outcome counts.
+    """``fidelity_from_matrix`` on counts keyed by setting label.
 
-    ``counts`` maps each plan setting's label() to its 2^N outcome counts
-    (bit 0 of an outcome = +1 eigenvector, qubit 0 = MSB).  The identity
-    term enters analytically.  Settings are treated as independent
-    multinomial samples; the returned standard error adds their plug-in
-    variances.
+    ``counts`` maps each plan setting's label() to its 2^N outcome counts.
+    The dict becomes the count matrix in plan order; a setting whose label
+    is missing or whose counts have the wrong length raises once the
+    settings before it have passed the count checks, so the error names
+    the first bad setting in plan order.
     """
     check_plan_covers(plan, decomp)
-    n = decomp.num_qubits
-    dim = 2**n
-    correlators = _symmetric_correlators(n)
+    dim = 2**decomp.num_qubits
+    rows = []
+    for assignment in plan.assignments:
+        try:
+            rows.append(_counts_vector(counts, assignment.setting.label(), dim))
+        except (TypeError, ValueError):
+            _count_totals(plan, np.reshape(rows, (len(rows), dim)))
+            raise
+    return _estimate(decomp, plan, np.reshape(rows, (len(rows), dim)))
+
+
+def _estimate(
+    decomp: PauliDecomposition, plan: SettingPlan, counts: np.ndarray
+) -> FidelityEstimate:
+    """The estimate from a count matrix of the right shape, the core of
+    ``fidelity_from_matrix`` and ``fidelity_from_counts``."""
+    totals = _count_totals(plan, counts)
+    weights = _covered_weights(decomp, plan)
+    probs = counts / totals[:, None]
+    means = _row_dots(probs, weights)
+    # two-pass variance, centred first on one counted outcome's weight:
+    # a setting whose counted outcomes share one weight has exactly zero;
+    # the weights are not read again, so they are centred in place
+    spread = weights
+    spread -= np.take_along_axis(weights, np.argmax(counts, axis=1)[:, None], axis=1)
+    spread -= _row_dots(probs, spread)[:, None]
+    variances = _row_dots(probs, np.square(spread, out=spread)) / totals
     value = decomp.identity_coefficient
     variance = 0.0
     per_setting = []
-    for assignment, weights in _covered_weights(decomp, plan):
-        key = assignment.setting.label()
-        vec = _counts_vector(counts, key, dim)
-        if assignment.collective_weights:
-            weights += np.asarray(assignment.collective_weights) @ correlators
-        total = vec.sum()
-        probs = vec / total
-        mean = float(probs @ weights)
-        # two-pass variance, centred first on one counted outcome's weight:
-        # a setting whose counted outcomes share one weight has exactly zero
-        spread = weights - weights[np.argmax(vec)]
-        spread -= probs @ spread
-        var = float(probs @ spread**2) / total
+    for assignment, total, mean, var in zip(
+        plan.assignments, totals.tolist(), means.tolist(), variances.tolist()
+    ):
         value += mean
         variance += var
-        per_setting.append(SettingEstimate(key, float(total), mean, var))
+        per_setting.append(SettingEstimate(assignment.setting.label(), float(total), mean, var))
     return FidelityEstimate(
         value=float(value),
         std_error=math.sqrt(variance),

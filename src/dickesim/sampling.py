@@ -1,9 +1,13 @@
 """Deterministic coincidence-count sampling.
 
-Histograms emulate the experiment's count-level data: multinomial draws
-from a state's outcome distribution.  Randomness comes from numpy's
-PCG64 generator seeded through SeedSequence((seed, setting_index)), so
-identical inputs give byte-identical histograms on any platform.
+Counts emulate the experiment's count-level data: multinomial draws from
+a state's outcome distribution.  Randomness comes from numpy's PCG64
+generator seeded through SeedSequence((seed, setting_index)), so
+identical inputs give byte-identical counts on any platform.
+
+A plan's counts are one (S, 2^N) int64 matrix, row k for setting k in
+plan order (``count_matrix``); ``lms.fidelity_from_matrix`` reads it as
+it is, and ``run_plan`` wraps its rows as ``CoincidenceHistogram``s.
 """
 
 from __future__ import annotations
@@ -53,36 +57,41 @@ class ExperimentPlan:
         object.__setattr__(self, "settings", settings)
 
 
-def _draw(setting, probs, n_events: int, seed: int, stream_index: int) -> CoincidenceHistogram:
-    """Histogram of ``n_events`` multinomial draws from ``probs`` on stream
-    (seed, stream_index)."""
-    counts = stream_generator(seed, stream_index).multinomial(n_events, probs)
-    return CoincidenceHistogram(setting, counts.astype(np.int64), n_events)
-
-
 def sample(
     state, setting: MeasurementSetting, n_events: int, seed: int, stream_index: int = 0
 ) -> CoincidenceHistogram:
-    """Multinomial histogram of ``n_events`` draws from one setting."""
+    """Multinomial histogram of ``n_events`` draws from one setting, on
+    stream (seed, stream_index)."""
     if n_events < 1:
         raise ValueError("n_events must be positive")
     probs = outcome_distribution(state, setting)
-    return _draw(setting, probs, int(n_events), seed, stream_index)
+    counts = stream_generator(seed, stream_index).multinomial(int(n_events), probs)
+    return CoincidenceHistogram(setting, counts, int(n_events))
 
 
-def run_plan(state, plan: ExperimentPlan) -> list[CoincidenceHistogram]:
-    """One histogram per plan setting.
+def count_matrix(state, plan: ExperimentPlan) -> np.ndarray:
+    """(S, 2^N) int64 outcome counts of every plan setting, row k for
+    ``plan.settings[k]``.
 
     The outcome distributions of all settings come from one call of
     ``states.outcome_distributions``, and row k is drawn from its own
-    stream SeedSequence((seed, k)), so histogram k equals
+    stream SeedSequence((seed, k)), so it equals the counts of
     ``sample(state, plan.settings[k], ..., stream_index=k)``.
     """
     probs = outcome_distributions(state, plan.settings)
     n_events = int(plan.events_per_setting)
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for k, row in enumerate(probs):
+        counts[k] = stream_generator(plan.seed, k).multinomial(n_events, row)
+    return counts
+
+
+def run_plan(state, plan: ExperimentPlan) -> list[CoincidenceHistogram]:
+    """One histogram per plan setting: the rows of ``count_matrix``."""
+    total = int(plan.events_per_setting)
     return [
-        _draw(setting, row, n_events, plan.seed, k)
-        for k, (setting, row) in enumerate(zip(plan.settings, probs))
+        CoincidenceHistogram(setting, row, total)
+        for setting, row in zip(plan.settings, count_matrix(state, plan))
     ]
 
 
@@ -99,4 +108,3 @@ def histograms_to_table(histograms) -> dict:
             raise ValueError(f"two histograms share the setting label {label!r}")
         table[label] = hist.counts
     return table
-

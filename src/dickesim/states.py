@@ -372,10 +372,6 @@ class MeasurementSetting:
         minus = np.array([-s, c * np.exp(1j * phi)])
         return np.array([plus.conj(), minus.conj()])
 
-    def observable(self, qubit: int) -> np.ndarray:
-        nx, ny, nz = self.bloch_vector(qubit)
-        return nx * PAULI["X"] + ny * PAULI["Y"] + nz * PAULI["Z"]
-
     def label(self) -> str:
         # repr keeps every bit, so from_label rebuilds the same angles
         return ",".join(

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import dickesim
-from dickesim.cli import _HELP, HANDLERS, config_digest, main
+from dickesim.cli import _HELP, HANDLERS, _write_csv, config_digest, main
 from dickesim.dicke_states import dicke
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.lms import decompose, plan_settings
 from dickesim.sampling import ExperimentPlan, run_plan
-from dickesim.states import fidelity
+from dickesim.states import MeasurementSetting, fidelity
 from dickesim.witness import dephased as dephased_state
 from test_witness import contracted_scan
 
@@ -550,6 +550,65 @@ TABULAR_RUNS = {
     "sample": {"state": "dicke_4_1", "events": 500},
     "compare": {},
 }
+
+
+def cell_by_cell_csv(path, header, rows):
+    """The table writer the column writer replaced: floats at 12 significant
+    digits, every other cell handed to ``csv.writer`` as it is."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".12g") if isinstance(v, float) else v for v in row])
+
+
+def _csv_tables():
+    """(name, header, columns, rows) of one table of each shape the CLI writes."""
+    rng = np.random.default_rng(12)
+    labels = ([MeasurementSetting(axes).label() for axes in ("xyz", "zzz", "yxz")]
+              + [MeasurementSetting.direction(0.3 * k, 1.1 + k / 7, 3).label() for k in range(3)])
+    counts = rng.integers(0, 10**6, size=(len(labels), 8))
+    floats = np.array([1 / 3, -0.0, 1e-20, 123456789012.5, 2.0**0.5 * 1e300, -7.0,
+                       0.1 + 0.2, 5e-324, 1234567.890123456, -2.5e-7])
+    alphas = np.array([-3.0, 0.5, 2.0, 0.999])
+    bounds = np.sqrt(alphas + 4.0) * 3.0
+    pairs = [(0, 1), (0, 2), (1, 2), (10, 11)]
+    fmax = rng.random(len(pairs))
+    text = ['say "hi"', "a,b", "line\nbreak", "", "plain", " lead", "tab\tcell", "n:0.1:0.2"]
+    maybe = [0.25, None, 1e-13, None, 3.0, None, -1.5, 2.0 / 3.0]
+    return [
+        ("histograms", ["setting"] + [format(i, "03b") for i in range(8)],
+         [labels, *counts.T.tolist()],
+         [[label, *row] for label, row in zip(labels, counts.tolist())]),
+        ("scan", ["theta", "correlator", "closed_form"],
+         [floats, floats[::-1].copy(), np.cos(floats)],
+         list(zip(floats.tolist(), floats[::-1].tolist(), np.cos(floats).tolist()))),
+        ("bound_curve", ["alpha", "biseparable_bound"], [alphas, bounds],
+         list(zip(alphas.tolist(), bounds.tolist()))),
+        ("pair_teleport", ["first_qubit", "second_qubit", "f_max", "ideal_value", "classical"],
+         [[i for i, _ in pairs], [j for _, j in pairs], fmax, np.full(4, 2 / 3), np.full(4, 0.5)],
+         [[i, j, f, 2 / 3, 0.5] for (i, j), f in zip(pairs, fmax.tolist())]),
+        ("compare", ["key", "computed", "count", "none"],
+         [text, ["" if v is None else format(v, ".12g") for v in maybe], np.arange(8) * 10**13,
+          [None, 1, None, 2, None, 3, None, 4]],
+         [[key, "" if v is None else v, 10**13 * k, None if k % 2 == 0 else k // 2 + 1]
+          for k, (key, v) in enumerate(zip(text, maybe))]),
+        ("one_column", ["only"], [["", "x,y", None]], [[""], ["x,y"], [None]]),
+    ]
+
+
+@pytest.mark.parametrize("table", _csv_tables(), ids=lambda table: table[0])
+def test_column_writer_writes_the_cell_by_cell_bytes(table, tmp_path):
+    name, header, columns, rows = table
+    _write_csv(tmp_path / "columns.csv", header, columns)
+    cell_by_cell_csv(tmp_path / "cells.csv", header, rows)
+    written = (tmp_path / "columns.csv").read_bytes()
+    assert written == (tmp_path / "cells.csv").read_bytes()
+    with open(tmp_path / "columns.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == len(rows) + 1
+    if name == "histograms":
+        # Pauli and Bloch-direction labels hold commas, so they are quoted
+        assert b'"x,y,z",' in written and b'"n:0.3:' in written
 
 
 @pytest.mark.parametrize("command", list(TABULAR_RUNS))

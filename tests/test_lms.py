@@ -25,10 +25,13 @@ from dickesim.lms import (
     check_plan_covers,
     decompose,
     fidelity_from_counts,
+    fidelity_from_matrix,
     plan_settings,
     reference_lms_table,
 )
+from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.references import REFERENCE_VALUES
+from dickesim.sampling import ExperimentPlan, count_matrix, histograms_to_table, run_plan
 from dickesim.states import (
     _POPCOUNT,
     BLOCK_BYTES,
@@ -38,6 +41,7 @@ from dickesim.states import (
     expectation,
     outcome_distribution,
 )
+from test_states import observable, pauli_matrix
 
 # greedy setting counts are deterministic; frozen after exhaustive runs
 GREEDY_COUNTS = {
@@ -46,6 +50,15 @@ GREEDY_COUNTS = {
     "dicke_4_1": 23,
     "ghz_4": 9,
 }
+
+
+def reconstruct(decomp):
+    """The projector rebuilt from its Pauli terms as dense matrices."""
+    dim = 2**decomp.num_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for coeff, string in decomp.terms:
+        out += coeff * pauli_matrix(string)
+    return out
 
 
 def exact_counts(state, plan, events=1e6):
@@ -70,7 +83,7 @@ def test_decomposition_reconstructs_projector():
     psi = dicke(4, 2)
     decomp = decompose(psi)
     projector = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    assert_allclose(decomp.reconstruct(), projector, atol=1e-12)
+    assert_allclose(reconstruct(decomp), projector, atol=1e-12)
 
 
 def test_known_coefficient_value():
@@ -658,7 +671,7 @@ def symmetric_operator(plan, decomp):
     for assignment in plan.assignments:
         orders = [np.eye(1, dtype=complex)]
         for q in range(n):
-            a_q = assignment.setting.observable(q)
+            a_q = observable(assignment.setting, q)
             grown = [np.kron(op, np.eye(2)) for op in orders] + [np.zeros((2 ** (q + 1),) * 2)]
             for m, op in enumerate(orders):
                 grown[m + 1] = grown[m + 1] + np.kron(op, a_q)
@@ -675,7 +688,7 @@ def test_symmetric_plan_matches_dense_oracle(state):
     plan = plan_settings(decomp)
     assert plan.method == "symmetric"
     check_plan_covers(plan, decomp)
-    assert_allclose(symmetric_operator(plan, decomp), decomp.reconstruct(), atol=1e-12)
+    assert_allclose(symmetric_operator(plan, decomp), reconstruct(decomp), atol=1e-12)
     est = fidelity_from_counts(decomp, plan, exact_counts(state, plan))
     assert_allclose(est.value, 1.0, atol=1e-9)
     mixed = QubitDensity(n, np.eye(2**n) / 2**n)
@@ -692,7 +705,7 @@ def test_symmetric_plan_adds_a_ring_when_the_first_design_falls_short():
     decomp = decompose(state)
     plan = plan_settings(decomp)
     assert (plan.method, plan.num_settings) == ("symmetric", 16)
-    assert_allclose(symmetric_operator(plan, decomp), decomp.reconstruct(), atol=1e-12)
+    assert_allclose(symmetric_operator(plan, decomp), reconstruct(decomp), atol=1e-12)
 
 
 def test_symmetric_plan_counts():
@@ -872,6 +885,116 @@ def test_estimator_on_maximally_mixed_state():
     mixed = QubitDensity(4, np.eye(16) / 16.0)
     est = fidelity_from_counts(decomp, plan, exact_counts(mixed, plan))
     assert_allclose(est.value, 1.0 / 16.0, atol=1e-9)
+
+
+COUNT_MATRIX_CASES = {
+    "greedy-dicke_7_1": (lambda: dicke(7, 1), lambda: dicke(7, 1), "greedy"),
+    "ghz_special-ghz_8": (lambda: ghz(8), lambda: ghz(8), "ghz_special"),
+    "symmetric-dicke_6_3": (lambda: dicke(6, 3), lambda: dicke(6, 3), "symmetric"),
+    "lossless-simulated-dicke_6_3": (
+        lambda: simulate_experiment(SpdcConfig(lam=0.65, max_order=4), LossConfig()).rho_sim,
+        lambda: dicke(6, 3),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(COUNT_MATRIX_CASES))
+def test_count_matrix_run_plan_dict_path_and_row_core_agree_bit_for_bit(case):
+    source_of, target_of, strategy = COUNT_MATRIX_CASES[case]
+    source, target = source_of(), target_of()
+    decomp = decompose(target)
+    plan = plan_settings(decomp, strategy=strategy)
+    experiment = ExperimentPlan(tuple(plan.settings()), events_per_setting=100000, seed=21)
+    counts = count_matrix(source, experiment)
+    histograms = run_plan(source, experiment)
+    assert counts.dtype == np.int64
+    assert counts.shape == (plan.num_settings, 2**decomp.num_qubits)
+    assert np.array_equal(counts, np.array([hist.counts for hist in histograms]))
+    assert all(hist.total == 100000 for hist in histograms)
+    table = histograms_to_table(histograms)
+    from_matrix = fidelity_from_matrix(decomp, plan, counts)
+    assert from_matrix == fidelity_from_counts(decomp, plan, table)
+    assert from_matrix == per_string_fidelity(decomp, plan, table)
+    assert [e.label for e in from_matrix.per_setting] == list(table)
+
+
+def per_setting_count_error(plan, counts, dim):
+    """The message the setting-by-setting estimator raised for a bad count
+    table: the first setting in plan order, each setting checked for its
+    label, its length, its values and its total in turn."""
+    for assignment in plan.assignments:
+        key = assignment.setting.label()
+        if key not in counts:
+            return f"missing counts for setting {key!r}"
+        vec = np.asarray(counts[key], dtype=float).reshape(-1)
+        if vec.size != dim:
+            return f"setting {key!r} needs {dim} outcome counts, got {vec.size}"
+        if not np.isfinite(vec).all() or vec.min() < 0:
+            return f"negative or non-finite count in setting {key!r}"
+        if vec.sum() <= 0:
+            return f"zero total counts for setting {key!r}"
+    return None
+
+
+def _missing(table, key):
+    del table[key]
+
+
+def _short(table, key):
+    table[key] = table[key][:-1]
+
+
+def _set(value, at=3):
+    def plant(table, key):
+        table[key] = table[key].copy()
+        table[key][at] = value
+    return plant
+
+
+def _zero(table, key):
+    table[key] = np.zeros_like(table[key])
+
+
+COUNT_ERRORS = {"missing": _missing, "wrong_length": _short, "negative": _set(-1.0),
+                "nan": _set(np.nan), "inf": _set(np.inf), "zero_total": _zero}
+
+
+@pytest.mark.parametrize("later", [None, *COUNT_ERRORS])
+@pytest.mark.parametrize("first", list(COUNT_ERRORS))
+def test_count_errors_name_the_first_bad_setting_as_the_per_setting_loop(first, later):
+    state = dicke(4, 2)
+    decomp = decompose(state)
+    plan = plan_settings(decomp, strategy="greedy")
+    labels = [assignment.setting.label() for assignment in plan.assignments]
+    table = {key: np.asarray(row, dtype=float) for key, row in
+             zip(labels, count_matrix(state, ExperimentPlan(tuple(plan.settings()), 500, 4)))}
+    # the first error at setting 5, another one further on
+    COUNT_ERRORS[first](table, labels[5])
+    if later is not None:
+        COUNT_ERRORS[later](table, labels[11])
+    expected = per_setting_count_error(plan, table, 16)
+    assert expected is not None and repr(labels[5]) in expected
+    with pytest.raises(ValueError) as info:
+        fidelity_from_counts(decomp, plan, table)
+    assert str(info.value) == expected
+    if first in ("missing", "wrong_length") or later in ("missing", "wrong_length"):
+        return
+    # the same table as a matrix in plan order: the same message
+    matrix = np.array([table[key] for key in labels])
+    with pytest.raises(ValueError) as info:
+        fidelity_from_matrix(decomp, plan, matrix)
+    assert str(info.value) == expected
+
+
+def test_count_matrix_must_match_the_plan():
+    decomp = decompose(dicke(4, 2))
+    plan = plan_settings(decomp)
+    counts = np.ones((plan.num_settings, 16), dtype=np.int64)
+    assert fidelity_from_matrix(decomp, plan, counts).value == pytest.approx(1.0 / 16.0)
+    for shape in ((plan.num_settings - 1, 16), (plan.num_settings, 8), (plan.num_settings * 16,)):
+        with pytest.raises(ValueError, match=r"counts need shape"):
+            fidelity_from_matrix(decomp, plan, np.ones(shape, dtype=np.int64))
 
 
 def test_estimator_input_validation():

@@ -8,8 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz, w_state
-from dickesim.lms import pauli_matrix
-
 from dickesim.states import (
     ImpossibleOutcomeError,
     MeasurementSetting,
@@ -106,6 +104,20 @@ def test_expectation_checks_pauli_string():
         expectation(psi, "XY Z")
     with pytest.raises(ValueError):
         expectation(psi, "XYZ")  # wrong length
+
+
+def pauli_matrix(letters: str) -> np.ndarray:
+    """Dense Kronecker product of the Pauli letters."""
+    out = np.eye(1, dtype=complex)
+    for ch in letters:
+        out = np.kron(out, PAULI[ch])
+    return out
+
+
+def observable(setting, qubit):
+    """n . sigma for the setting's axis on ``qubit``."""
+    nx, ny, nz = setting.bloch_vector(qubit)
+    return nx * PAULI["X"] + ny * PAULI["Y"] + nz * PAULI["Z"]
 
 
 def all_strings(num_qubits):
@@ -273,7 +285,7 @@ def test_general_direction_label_round_trips_and_matches_eigenprojectors():
     probs = outcome_distribution(rho, setting)
     # outcome bit 0 on a qubit selects the +1 eigenprojector of its observable
     projectors = [
-        [(np.eye(2) + sign * setting.observable(q)) / 2.0 for sign in (1.0, -1.0)]
+        [(np.eye(2) + sign * observable(setting, q)) / 2.0 for sign in (1.0, -1.0)]
         for q in range(3)
     ]
     expected = []
