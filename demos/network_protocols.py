@@ -62,7 +62,7 @@ def main():
           f"QBER = {_qber(ideal)}")
 
     noisy = werner(6, 0.5, base=dicke(6, 3))
-    run = qss_run(noisy, rounds=args.rounds, seed=args.seed, reference=dicke(6, 3))
+    run = qss_run(noisy, rounds=args.rounds, seed=args.seed)
     print(f"secret sharing, half-visibility noise: QBER = {_qber(run)} "
           f"(white noise predicts 0.25)")
 

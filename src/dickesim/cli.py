@@ -122,15 +122,9 @@ def _nested(schema):
     return check
 
 
-def _navigation_step(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object with qubit and outcome")
-    step = validate(
-        value,
-        {"qubit": (_integer(0, 9), _REQUIRED), "outcome": (_string({"H", "V", "+", "-"}), _REQUIRED)},
-        path,
-    )
-    return step
+_navigation_step = _nested(
+    {"qubit": (_integer(0, 9), _REQUIRED), "outcome": (_string({"H", "V", "+", "-"}), _REQUIRED)}
+)
 
 
 def validate(config, schema, path="config") -> dict:
@@ -612,12 +606,11 @@ def cmd_qss(config: dict, ctx: Context) -> dict:
     from .protocols import qss_run, werner
 
     state = _parse_state_label(config["state"])
-    reference = state
     if config["visibility"] is not None:
         source = werner(state.num_qubits, config["visibility"], base=state)
     else:
         source = state
-    run = qss_run(source, config["rounds"], seed=ctx.seed, reference=reference)
+    run = qss_run(source, config["rounds"], seed=ctx.seed)
     qber_error = (
         math.sqrt(max(run.qber * (1.0 - run.qber), 0.0) / run.sifted_bits)
         if run.sifted_bits

@@ -21,7 +21,6 @@ import numpy as np
 
 from .states import (
     ImpossibleOutcomeError,
-    QubitDensity,
     QubitPureState,
     State,
     _check_num_qubits,

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .references import REFERENCE_VALUES
-from .states import _POPCOUNT, BLOCK_BYTES, MeasurementSetting, QubitPureState
+from .states import _PARITY_SIGNS, _POPCOUNT, BLOCK_BYTES, MeasurementSetting, QubitPureState
 
 COEFF_TOL = 1e-12
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -156,7 +156,7 @@ def _hadamard(bits: int) -> np.ndarray:
     """Sylvester Hadamard matrix, entry (z, j) = (-1)^popcount(z & j); one
     read-only copy per size."""
     idx = np.arange(2**bits)
-    out = 1.0 - 2.0 * (_POPCOUNT[idx[:, None] & idx] & 1)
+    out = _PARITY_SIGNS[idx[:, None] & idx]
     out.flags.writeable = False
     return out
 

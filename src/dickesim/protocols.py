@@ -4,8 +4,12 @@ Covers the two-party channel obtained by tracing a multiqubit state down
 to a pair, teleportation figures of merit (the maximal singlet fraction
 in closed form), open-destination pair distillation by measuring the
 other parties, and a parity-based secret-sharing round trip whose kept
-rounds and errors are drawn as binomial counts.  Everything here runs on
-numpy alone.
+rounds and errors are drawn as binomial counts.  The pair channel and the
+heralded pairs read the same per-pattern blocks of the kept pair
+(``states._pattern_blocks``): the channel is their sum, and each heralded
+pair is one block.  Secret sharing grades every round against the
+sampled state's own majority parity.  Everything here runs on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .states import (
     QubitDensity,
     QubitPureState,
     _as_density_matrix,
+    _pattern_blocks,
     expectations,
     fidelity,
     outcome_distribution,
@@ -30,7 +35,6 @@ from .states import (
 )
 
 PSI_PLUS = QubitPureState(2, np.array([0, 1, 1, 0]) / math.sqrt(2), label="psi_plus")
-PSI_MINUS = QubitPureState(2, np.array([0, 1, -1, 0]) / math.sqrt(2), label="psi_minus")
 
 # outcome patterns below this weight are reported with zero fidelity
 ZERO_PATTERN_TOL = 1e-12
@@ -40,8 +44,6 @@ SYMMETRY_TOL = 1e-12
 
 def pair_channel(state, first: int, second: int) -> QubitDensity:
     """Marginal of ``state`` on the ordered qubit pair (first, second)."""
-    if first == second:
-        raise ValueError("pair qubits must differ")
     return partial_trace(state, (first, second))
 
 
@@ -146,21 +148,6 @@ class OdtResult:
     channel_consistency: float
 
 
-def _pair_blocks(state, keep) -> np.ndarray:
-    """Unnormalized kept-pair blocks, one per H/V pattern of the measured
-    qubits: shape (2^(N-2), 4, 4), patterns in ``itertools.product`` order
-    and the pair basis ordered by the (first, second) bit values."""
-    n = state.num_qubits
-    order = [q for q in range(n) if q not in keep] + list(keep)
-    count = 2 ** (n - 2)
-    if isinstance(state, QubitPureState):
-        amps = state.amplitudes.reshape([2] * n).transpose(order).reshape(count, 4)
-        return amps[:, :, None] * amps.conj()[:, None, :]
-    tensor = state.matrix.reshape([2] * (2 * n))
-    tensor = tensor.transpose(order + [n + q for q in order]).reshape(count, 4, count, 4)
-    return np.moveaxis(np.diagonal(tensor, axis1=0, axis2=2), -1, 0)
-
-
 def odt_report(state, keep: tuple[int, int] = (0, 1)) -> OdtResult:
     """Measure every qubit outside ``keep`` in the H/V basis and grade all
     outcome patterns of the heralded pair.
@@ -170,7 +157,9 @@ def odt_report(state, keep: tuple[int, int] = (0, 1)) -> OdtResult:
     the kept pair exactly onto (HV + VH)/sqrt(2).  The probability-
     weighted fidelity over all patterns reproduces the pair marginal's
     Bell fraction, reported as channel_consistency.  Pure and mixed
-    inputs share one grading path over the stack of pair blocks.
+    inputs share one grading path over the stack of the pair's H/V pattern
+    blocks (``states._pattern_blocks``, patterns in ``itertools.product``
+    order), whose sum is the marginal that ``pair_channel`` returns.
     """
     n = state.num_qubits
     if n < 3:
@@ -178,7 +167,7 @@ def odt_report(state, keep: tuple[int, int] = (0, 1)) -> OdtResult:
     i, j = keep
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid kept pair {keep} for {n} qubits")
-    blocks = _pair_blocks(state, (i, j))
+    blocks = _pattern_blocks(state, (i, j))
     bell = PSI_PLUS.amplitudes
     probs = np.einsum("paa->p", blocks).real
     bell_mass = np.einsum("a,pab,b->p", bell.conj(), blocks, bell).real
@@ -224,33 +213,35 @@ def _odd_parity_mass(state, axis: str) -> float:
     return float(probs[_POPCOUNT[: len(probs)] % 2 == 1].sum())
 
 
-def qss_run(state, rounds: int, seed: int = 0, reference=None) -> QssResult:
+def qss_run(state, rounds: int, seed: int = 0) -> QssResult:
     """Simulate secret-sharing rounds with per-party random x/y bases.
 
     Every party measures in x or y chosen uniformly; only rounds where
     all parties picked the same basis are kept (rate 2**(1-N)).  Outcomes
     map +1 to bit 0, and a kept round errs when the parity of all bits
-    differs from the reference state's more likely parity in that basis.
-    The ideal reference defaults to the state itself.
+    differs from the state's own more likely parity in that basis.
 
     Rounds are independent, so the counts are drawn directly: the kept
     rounds from B(rounds, 2**(1-N)), the x-basis share of them from
     B(kept, 1/2), and each basis's errors from B(basis kept, p_err) with
-    p_err the basis's wrong-parity mass.
+    p_err = min(odd, 1 - odd) the basis's wrong-parity mass.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
     n = state.num_qubits
-    reference = state if reference is None else reference
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     sifted = int(rng.binomial(rounds, 2.0 ** (1 - n)))
     kept_x = int(rng.binomial(sifted, 0.5))
     per_basis = {}
     for axis, kept in (("x", kept_x), ("y", sifted - kept_x)):
         odd = _odd_parity_mass(state, axis)
-        p_err = odd if _odd_parity_mass(reference, axis) <= 0.5 else 1.0 - odd
-        # rounding can leave the mass a few ulps outside [0, 1]
-        p_err = min(max(p_err, 0.0), 1.0)
+        p_err = min(odd, 1.0 - odd)
+        # a parity correlator of 0 or +-1 leaves the mass a few ulps off
+        # 1/2 or 0, and a p of exactly 0 draws no random numbers; snap it
+        # so that equal states draw equal counts
+        for exact in (0.0, 0.5):
+            if abs(p_err - exact) <= ZERO_PATTERN_TOL:
+                p_err = exact
         per_basis[axis] = {"kept": kept, "errors": int(rng.binomial(kept, p_err))}
     errors = per_basis["x"]["errors"] + per_basis["y"]["errors"]
     return QssResult(

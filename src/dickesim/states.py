@@ -237,31 +237,39 @@ def fidelity(state: State, target: QubitPureState) -> float:
 
 
 def partial_trace(state: State, keep) -> QubitDensity:
-    """Reduced density matrix on the kept qubits, in the order given.
-
-    A pure state is reshaped with the kept qubits first into a
-    2^k x 2^(N-k) matrix A, and the result is A A^dagger, so the 2^N x 2^N
-    density matrix is never built.
-    """
+    """Reduced density matrix on the kept qubits, in the order given: the
+    sum of the kept qubits' H/V pattern blocks, so the 2^N x 2^N density
+    matrix of a pure state is never built."""
     n = state.num_qubits
     keep = tuple(int(k) for k in keep)
     if len(keep) != len(set(keep)):
         raise ValueError(f"duplicate indices in keep={keep}")
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep={keep} out of range for {n} qubits")
-    traced = [q for q in range(n) if q not in keep]
-    d = 2 ** len(keep)
+    return QubitDensity(len(keep), _pattern_blocks(state, keep).sum(axis=0))
+
+
+def _pattern_blocks(state: State, keep) -> np.ndarray:
+    """Unnormalised (2^(N-k), 2^k, 2^k) blocks of the k kept qubits, one
+    per H/V pattern of the other qubits.
+
+    Patterns run in ``itertools.product`` order over the other qubits in
+    ascending order, and each block's basis in that order over ``keep``
+    as given.  The blocks sum to the marginal on ``keep``; with nothing
+    kept they are the populations.
+    """
+    n = state.num_qubits
+    order = [q for q in range(n) if q not in keep] + list(keep)
+    count, d = 2 ** (n - len(keep)), 2 ** len(keep)
     if isinstance(state, QubitPureState):
-        amps = state.amplitudes.reshape([2] * n).transpose(keep + tuple(traced)).reshape(d, -1)
-        return QubitDensity(len(keep), amps @ amps.conj().T)
-    tensor = state.matrix.reshape([2] * (2 * n))
-    # shared einsum index on the row/column axes of each traced qubit
-    row = list(range(n))
-    col = list(range(n, 2 * n))
-    for q in traced:
-        col[q] = row[q]
-    reduced = np.einsum(tensor, row + col, [row[q] for q in keep] + [col[q] for q in keep])
-    return QubitDensity(len(keep), reduced.reshape(d, d))
+        amps = state.amplitudes.reshape([2] * n).transpose(order).reshape(count, d)
+        return amps[:, :, None] * amps.conj()[:, None, :]
+    # every other qubit's row and column axes share a label that the output
+    # keeps, so einsum reads the blocks off the matrix without copying it
+    col = [n + q if q in keep else q for q in range(n)]
+    blocks = np.einsum(state.matrix.reshape([2] * (2 * n)), list(range(n)) + col,
+                       order + [n + q for q in keep])
+    return blocks.reshape(count, d, d)
 
 
 def project(state: State, qubit: int, outcome_ket) -> tuple[State, float]:

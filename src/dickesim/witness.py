@@ -41,7 +41,7 @@ from .states import (
     QubitDensity,
     QubitPureState,
     State,
-    _as_density_matrix,
+    _pattern_blocks,
     apply_local,
     expectations,
     fidelity,
@@ -429,8 +429,8 @@ def correlator_scan(state: State, plane: str, thetas) -> np.ndarray:
 
 def dephased(state: State) -> QubitDensity:
     """Populations-only copy of a state in the computational basis."""
-    rho = _as_density_matrix(state)
-    return QubitDensity(state.num_qubits, np.diag(rho.diagonal().real.astype(complex)))
+    populations = _pattern_blocks(state, ()).reshape(-1)
+    return QubitDensity(state.num_qubits, np.diag(populations.real.astype(complex)))
 
 
 # ---------------------------------------------------------------------------

@@ -641,6 +641,23 @@ def test_qss_with_visibility(tmp_path, capsys):
     assert abs(results["qber"] - 0.25) <= 4 * results["qber_error"]
 
 
+@pytest.mark.parametrize("label", ["w_4", "ghz_3"])
+def test_qss_at_full_visibility_reports_the_counts_of_the_state_itself(label, tmp_path, capsys):
+    # each state has a zero parity correlator in some basis, whose
+    # wrong-parity mass the state and its v = 1 Werner mixture compute a
+    # few ulps apart around 1/2
+    results = {}
+    for name, payload in (("pure", {"state": label}), ("v1", {"state": label, "visibility": 1.0})):
+        out = tmp_path / name
+        config = write_config(tmp_path, payload, f"{name}.json")
+        assert run_cli(["qss", "--config", config, "--out", str(out)]) == 0
+        results[name] = load_report(out, "qss")["results"]
+    capsys.readouterr()
+    assert results["pure"].pop("visibility") is None
+    assert results["v1"].pop("visibility") == 1.0
+    assert results["pure"] == results["v1"]
+
+
 def test_compare_collects_reports(tmp_path, capsys):
     out = tmp_path / "out"
     lms_config = write_config(tmp_path, {"state": "dicke_4_2"}, "lms.json")

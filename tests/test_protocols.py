@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz
 from dickesim.protocols import (
-    PSI_MINUS,
     PSI_PLUS,
     maximal_singlet_fraction,
     odt_report,
@@ -28,6 +27,8 @@ from dickesim.states import (
     partial_trace,
 )
 from dickesim.witness import dephased
+
+PSI_MINUS = QubitPureState(2, np.array([0, 1, -1, 0]) / math.sqrt(2), label="psi_minus")
 
 
 def dicke_pair(n):

@@ -8,6 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz, w_state
+from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
+from dickesim.protocols import werner
 from dickesim.states import (
     ImpossibleOutcomeError,
     MeasurementSetting,
@@ -214,6 +216,36 @@ def test_pure_partial_trace_matches_density_oracle(state):
         got = partial_trace(state, keep)
         assert got.num_qubits == len(keep)
         assert_allclose(got.matrix, einsum_partial_trace(rho, keep), rtol=0, atol=1e-15)
+
+
+def _lossy_rho_sim():
+    return simulate_experiment(
+        SpdcConfig(lam=0.85, max_order=4), LossConfig(eta_h=0.3, eta_v=0.22)
+    ).rho_sim
+
+
+DENSITY_PARTIAL_TRACE_STATES = {
+    **{
+        f"random_{n}": lambda n=n: random_density(n, np.random.default_rng(200 + n))
+        for n in range(2, 7)
+    },
+    "lossy rho_sim": _lossy_rho_sim,
+    "werner": lambda: werner(5, 0.6, base=w_state(5)),
+}
+
+
+@pytest.mark.parametrize("name", DENSITY_PARTIAL_TRACE_STATES)
+def test_density_partial_trace_matches_einsum_oracle_for_every_keep_order(name):
+    rho = DENSITY_PARTIAL_TRACE_STATES[name]()
+    n = rho.num_qubits
+    for k in range(1, n + 1):
+        for keep in itertools.permutations(range(n), k):
+            got = partial_trace(rho, keep)
+            assert got.num_qubits == k
+            assert_allclose(
+                got.matrix, einsum_partial_trace(rho, keep), rtol=0, atol=1e-15,
+                err_msg=f"{name} keep={keep}",
+            )
 
 
 def test_project_returns_outcome_probability():

@@ -8,7 +8,14 @@ from numpy.testing import assert_allclose
 
 from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.protocols import werner
-from dickesim.states import PAULI, QubitPureState, _as_density_matrix, apply_local, fidelity
+from dickesim.states import (
+    PAULI,
+    QubitDensity,
+    QubitPureState,
+    _as_density_matrix,
+    apply_local,
+    fidelity,
+)
 from dickesim.witness import (
     MAX_ITER,
     SEESAW_TOL,
@@ -446,6 +453,30 @@ def test_dephased_correlator_closed_form():
     noisy = dephased(dicke(6, 3))
     values = correlator_scan(noisy, "xz", thetas)
     assert_allclose(values, -np.sin(thetas) ** 6, atol=1e-10)
+
+
+def _random_states(n, rng):
+    """A random pure state and a random full-rank density, both complex."""
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = g @ g.conj().T
+    return (
+        QubitPureState(n, amps / np.linalg.norm(amps), label=f"random_pure_{n}"),
+        QubitDensity(n, rho / np.trace(rho).real, label=f"random_density_{n}"),
+    )
+
+
+@pytest.mark.parametrize(
+    "state",
+    [dicke(6, 3), w_state(5), werner(4, 0.7, base=dicke(4, 1)),
+     *_random_states(5, np.random.default_rng(3))],
+    ids=lambda s: s.label,
+)
+def test_dephased_is_the_diagonal_of_the_density_bit_for_bit(state):
+    expected = np.diag(_as_density_matrix(state).diagonal().real.astype(complex))
+    got = dephased(state).matrix
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_dephased_keeps_populations():
