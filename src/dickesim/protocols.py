@@ -7,9 +7,11 @@ other parties, and a parity-based secret-sharing round trip whose kept
 rounds and errors are drawn as binomial counts.  The pair channel and the
 heralded pairs read the same per-pattern blocks of the kept pair
 (``states._pattern_blocks``): the channel is their sum, and each heralded
-pair is one block.  Secret sharing grades every round against the
-sampled state's own majority parity.  Everything here runs on numpy
-alone.
+pair is one block.  Telecloning reads every pair channel from one stack of
+these sums, whose singlet fractions come from stacked correlators, ``svd``
+and ``det``; no per-pair state is built or validated.  Secret sharing
+grades every round against the sampled state's own majority parity.
+Everything here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .states import (
     QubitDensity,
     QubitPureState,
     _as_density_matrix,
+    _density_expectations,
     _pattern_blocks,
-    expectations,
     fidelity,
     outcome_distribution,
     partial_trace,
@@ -63,6 +65,21 @@ class MsfResult:
     value: float
 
 
+# the nine two-qubit correlators T_ij = <sigma_i sigma_j>, row-major in i, j
+_CORRELATORS = [a + b for a in "XYZ" for b in "XYZ"]
+
+
+def _singlet_fractions(marginals: np.ndarray) -> np.ndarray:
+    """(P,) maximal singlet fractions of a (P, 4, 4) stack of two-qubit
+    density matrices: one stacked read of the correlators, one stacked
+    ``svd`` and ``det``, and the closed form of
+    ``maximal_singlet_fraction`` per row."""
+    t = _density_expectations(marginals, _CORRELATORS).real.reshape(-1, 3, 3)
+    s = np.linalg.svd(t, compute_uv=False)
+    value = (1.0 + s[:, 0] + s[:, 1] - np.sign(np.linalg.det(t)) * s[:, 2]) / 4.0
+    return np.clip(value, 0.25, 1.0)
+
+
 def maximal_singlet_fraction(state, restarts=None, seed=None) -> MsfResult:
     """Largest singlet overlap reachable by local unitaries on both qubits.
 
@@ -77,10 +94,7 @@ def maximal_singlet_fraction(state, restarts=None, seed=None) -> MsfResult:
     """
     if state.num_qubits != 2:
         raise ValueError("maximal singlet fraction is defined for two qubits")
-    t = expectations(state, [a + b for a in "XYZ" for b in "XYZ"]).reshape(3, 3)
-    s1, s2, s3 = np.linalg.svd(t, compute_uv=False)
-    value = (1.0 + s1 + s2 - np.sign(np.linalg.det(t)) * s3) / 4.0
-    return MsfResult(value=float(min(max(value, 0.25), 1.0)))
+    return MsfResult(value=float(_singlet_fractions(_as_density_matrix(state)[None])[0]))
 
 
 @dataclass(frozen=True)
@@ -99,6 +113,11 @@ class TelecloningReport:
 def telecloning_report(state) -> TelecloningReport:
     """Teleportation fidelity bound for every qubit pair used as channel.
 
+    All C(N, 2) pair marginals are read from one (P, 4, 4) stack, each the
+    sum of its pair's H/V pattern blocks (``states._pattern_blocks``), as
+    ``pair_channel`` computes it; no marginal leaves the function, so none
+    is validated as a ``QubitDensity``.  The singlet fractions of the whole
+    stack come from one correlator read, one ``svd`` and one ``det``.
     ``symmetric`` records whether all pair marginals coincide to
     ``SYMMETRY_TOL`` (as for a permutation-symmetric input).
     ``ideal_threshold`` is the pair value of the half-excited Dicke state
@@ -108,22 +127,15 @@ def telecloning_report(state) -> TelecloningReport:
     n = state.num_qubits
     if n < 4:
         raise ValueError("telecloning needs at least four qubits")
-    marginals = {
-        pair: pair_channel(state, *pair) for pair in itertools.combinations(range(n), 2)
-    }
-    first = next(iter(marginals.values()))
+    pairs = list(itertools.combinations(range(n), 2))
+    marginals = np.stack([_pattern_blocks(state, pair).sum(axis=0) for pair in pairs])
+    fidelities = teleport_fidelity_max(_singlet_fractions(marginals))
     return TelecloningReport(
         num_qubits=n,
-        pair_fidelity={
-            pair: teleport_fidelity_max(maximal_singlet_fraction(rho).value)
-            for pair, rho in marginals.items()
-        },
+        pair_fidelity=dict(zip(pairs, fidelities.tolist())),
         ideal_threshold=(2.0 * n - 1.0) / (3.0 * (n - 1.0)),
         classical_threshold=2.0 / 3.0,
-        symmetric=all(
-            np.abs(rho.matrix - first.matrix).max() <= SYMMETRY_TOL
-            for rho in marginals.values()
-        ),
+        symmetric=bool(np.abs(marginals - marginals[0]).max() <= SYMMETRY_TOL),
     )
 
 

@@ -176,6 +176,29 @@ def _pauli_masks(letters: str, n: int):
     return flip, sign, n_y
 
 
+def _pauli_action(strings, n: int):
+    """(phase, cols), each (K, 2^N), of K checked strings: string k maps
+    |b> to phase[k, b] |cols[k, b]>."""
+    masks = np.array([_pauli_masks(letters, n) for letters in strings], dtype=np.int64)
+    flip, sign, n_y = masks.reshape(-1, 3).T
+    idx = np.arange(2**n)
+    return _I_POWERS[n_y, None] * _PARITY_SIGNS[idx & sign[:, None]], idx ^ flip[:, None]
+
+
+def _density_expectations(matrices: np.ndarray, strings) -> np.ndarray:
+    """(P, K) complex tr(rho_p P_k) of K checked strings on a (P, 2^N, 2^N)
+    stack of density matrices.
+
+    The (P, K, 2^N) terms are summed as one (P K, 2^N) row sum, so every
+    value is the same bits whatever P: summing the 3-D array over its last
+    axis instead changes the last bit of most pair correlators.
+    """
+    dim = matrices.shape[-1]
+    phase, cols = _pauli_action(strings, dim.bit_length() - 1)
+    terms = matrices[:, np.arange(dim), cols] * phase
+    return np.sum(terms.reshape(-1, dim), axis=1).reshape(len(matrices), len(strings))
+
+
 def expectation(state: State, letters: str) -> float:
     """Real expectation value <P> = tr(rho P) of a Pauli string on a state:
     the one-string call of ``expectations``."""
@@ -198,22 +221,16 @@ def expectations(state: State, strings) -> np.ndarray:
     """
     n = state.num_qubits
     strings = [check_pauli_string(letters, n) for letters in strings]
-    masks = np.array([_pauli_masks(letters, n) for letters in strings], dtype=np.int64)
-    flip, sign, n_y = masks.reshape(-1, 3).T
-    dim = 2**n
-    idx = np.arange(dim)
-    rows = max(1, BLOCK_BYTES // (16 * dim))
+    rows = max(1, BLOCK_BYTES // (16 * 2**n))
     values = np.empty(len(strings), dtype=complex)
     for start in range(0, len(strings), rows):
         block = slice(start, start + rows)
-        phase = _I_POWERS[n_y[block], None] * _PARITY_SIGNS[idx & sign[block, None]]
-        cols = idx ^ flip[block, None]
         if isinstance(state, QubitPureState):
+            phase, cols = _pauli_action(strings[block], n)
             amps = state.amplitudes
-            terms = amps.conj()[cols] * phase * amps
+            values[block] = np.sum(amps.conj()[cols] * phase * amps, axis=1)
         else:
-            terms = state.matrix[idx, cols] * phase
-        values[block] = np.sum(terms, axis=1)
+            values[block] = _density_expectations(state.matrix[None], strings[block])[0]
     bad = np.flatnonzero(np.abs(values.imag) > 1e-9)
     if bad.size:
         k = bad[0]

@@ -16,7 +16,12 @@ splits into spin-j blocks (j_A = k/2, k/2 - 1, ...; j_B = (N-k)/2, ...)
 that W leaves invariant, and a product optimum sits in a single block
 pair, so each search runs on spin-j matrices of dimension
 (2 j_A + 1)(2 j_B + 1) rather than on the 2^N operator and stays exact
-(G. Toth et al., New J. Phys. 11, 083002 (2009)).
+(G. Toth et al., New J. Phys. 11, 083002 (2009)).  A block pair whose top
+eigenvalue cannot beat the best value found so far is skipped, and that
+top has a closed form: on the coupled block, W = J^2 + (alpha - 1) Jz^2
+commutes with J^2, so its eigenvalues are J (J + 1) + (alpha - 1) m^2,
+largest at J = j_A + j_B with m = J for alpha >= 1 and |m| = J mod 1
+otherwise.
 
 The search draws no random numbers: side A is searched over spin-coherent
 states at polar angles in [0, pi/2], which suffice because W commutes with
@@ -183,13 +188,33 @@ def _seesaw(w4, psi_a):
     return values, iterations, converged
 
 
+@lru_cache(maxsize=None)
 def _spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) of spin j = (dim - 1) / 2 in the basis m = j, ..., -j."""
+    """(Jx, Jy, Jz) of spin j = (dim - 1) / 2 in the basis m = j, ..., -j,
+    cached and read-only."""
     j = (dim - 1) / 2.0
     m = j - np.arange(dim)
     raising = np.diag(np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1)), k=1)
     lowering = raising.T
-    return (raising + lowering) / 2.0, (raising - lowering) / 2.0j, np.diag(m)
+    ops = (raising + lowering) / 2.0, (raising - lowering) / 2.0j, np.diag(m)
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
+def _sector_top(d_a: int, d_b: int, alpha: float) -> float:
+    """Top eigenvalue of ``_sector_witness(d_a, d_b, alpha)`` in closed form.
+
+    The coupled spins j_A = (d_a - 1) / 2 and j_B = (d_b - 1) / 2 split into
+    total spins J = |j_A - j_B|, ..., j_A + j_B, and W(alpha) = J^2 +
+    (alpha - 1) Jz^2 commutes with J^2 and Jz, so its eigenvalues are
+    J (J + 1) + (alpha - 1) m^2 with |m| <= J.  The top takes the largest
+    J = (d_a + d_b - 2) / 2 and m = J for alpha >= 1, or the smallest |m|
+    = J mod 1 (0 or 1/2, the same for every J) otherwise.
+    """
+    total = (d_a + d_b - 2) / 2.0
+    m = total if alpha >= 1.0 else total % 1.0
+    return total * (total + 1.0) + (alpha - 1.0) * m * m
 
 
 def _sector_witness(d_a: int, d_b: int, alpha: float) -> np.ndarray:
@@ -315,16 +340,19 @@ def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
 
     Sector pairs are visited symmetric first; a lower pair is skipped when
     its unconstrained top eigenvalue cannot beat the best value so far.
+    That top is the closed form of ``_sector_top`` (W commutes with J^2
+    on the coupled sector), so a sector witness is built only for the
+    pairs that are searched.
     """
     best = (-np.inf, 0, True)
     searched = skipped = 0
     sectors = itertools.product(range(size + 1, 0, -2), range(n - size + 1, 0, -2))
     for d_a, d_b in sectors:
-        w4 = _sector_witness(d_a, d_b, alpha)
-        if searched and np.linalg.eigvalsh(w4.reshape(d_a * d_b, -1))[-1] <= best[0]:
+        if searched and _sector_top(d_a, d_b, alpha) <= best[0]:
             skipped += 1
             continue
         searched += 1
+        w4 = _sector_witness(d_a, d_b, alpha)
         if size == 1:
             values, iterations, converged = _polar_maxima(w4)
         else:
@@ -352,7 +380,10 @@ def biseparable_bound(
     (2 j_A + 1)(2 j_B + 1), which is exact for every alpha.  In every
     class, sector pairs are visited symmetric first, and a pair whose
     unconstrained top eigenvalue cannot beat the best value so far is
-    skipped.
+    skipped.  That top needs no eigensolver: W = J^2 + (alpha - 1) Jz^2
+    commutes with J^2 on the coupled sector, whose total spins run from
+    |j_A - j_B| to J = j_A + j_B, so the top is J (J + 1) + (alpha - 1) m^2
+    with m = J for alpha >= 1 and m = J mod 1 (0 or 1/2) otherwise.
 
     The azimuth of side A is free, as W commutes with joint rotations
     about z, and theta ~ pi - theta, as W is invariant under the joint pi

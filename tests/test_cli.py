@@ -191,6 +191,38 @@ def test_bound_with_curve_artifact(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_bound_curve_state_values_are_the_per_alpha_witness_values(tmp_path, monkeypatch):
+    # the three settings are read once; every alpha's value must still be
+    # the bits that witness_value gives for it
+    from dickesim import cli
+    from dickesim.witness import witness_value
+
+    tables = {}
+
+    def capture(path, header, columns):
+        tables[os.path.basename(path)] = dict(zip(header, columns))
+        _write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    # dicke_5_2 reads <Jx^2> a few ulps off 4.25, so a reordered sum of
+    # the three terms changes the bits of some alphas
+    alphas = [-1e12, -10.0, -3.0, -0.3, 0.0, 0.7, 1.0, 3.0, 1e4]
+    config = cli.validate(
+        {"num_qubits": 5, "state": "dicke_5_2", "alpha": -3.0, "restarts": 3,
+         "alphas": alphas},
+        cli.SCHEMAS["bound"],
+    )
+    results = cli.cmd_bound(config, cli.Context(seed=0, out_dir=str(tmp_path)))
+    state = cli._parse_state_label("dicke_5_2")
+    assert results["state_value"] == witness_value(state, -3.0)
+    curve = tables["fig_bound_curve.csv"]
+    assert curve["state_value"].tolist() == [witness_value(state, a) for a in alphas]
+    rows = load_csv(tmp_path / "fig_bound_curve.csv")
+    assert [row["state_value"] for row in rows] == [
+        cli._fmt(witness_value(state, a)) for a in alphas
+    ]
+
+
 def test_bound_reports_are_deterministic(tmp_path, capsys):
     # the search draws no random numbers: a rerun writes the same bytes,
     # and another --seed changes only the report's seed field

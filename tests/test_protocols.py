@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dickesim.dicke_states import dicke, ghz
+from dickesim.dicke_states import dicke, ghz, w_state
 from dickesim.protocols import (
     PSI_PLUS,
     maximal_singlet_fraction,
@@ -23,6 +23,7 @@ from dickesim.states import (
     QubitDensity,
     QubitPureState,
     apply_local,
+    expectations,
     fidelity,
     partial_trace,
 )
@@ -225,6 +226,54 @@ def test_telecloning_ideal_threshold_is_the_half_excited_pair_value(n, ideal):
     assert_allclose(report.ideal_threshold, ideal, rtol=1e-15)
     for value in report.pair_fidelity.values():
         assert_allclose(value, report.ideal_threshold, rtol=0, atol=1e-12)
+
+
+def per_pair_telecloning_report(state):
+    """Oracle: the telecloning report one pair at a time, each marginal a
+    validated ``pair_channel`` and each singlet fraction from its own
+    correlator read, ``svd`` and ``det``.  Returns (pair_fidelity,
+    symmetric)."""
+    marginals = {
+        pair: pair_channel(state, *pair)
+        for pair in itertools.combinations(range(state.num_qubits), 2)
+    }
+    fidelities = {}
+    for pair, rho in marginals.items():
+        t = expectations(rho, [a + b for a in "XYZ" for b in "XYZ"]).reshape(3, 3)
+        s1, s2, s3 = np.linalg.svd(t, compute_uv=False)
+        value = (1.0 + s1 + s2 - np.sign(np.linalg.det(t)) * s3) / 4.0
+        fidelities[pair] = teleport_fidelity_max(float(min(max(value, 0.25), 1.0)))
+    first = next(iter(marginals.values()))
+    symmetric = all(
+        np.abs(rho.matrix - first.matrix).max() <= 1e-12 for rho in marginals.values()
+    )
+    return fidelities, symmetric
+
+
+def _telecloning_oracle_states():
+    rng = np.random.default_rng(2028)
+    for n in range(4, 9):
+        yield f"dicke_{n}_{n // 2}", dicke(n, n // 2)
+        yield f"dicke_{n}_1", dicke(n, 1)
+        yield f"ghz_{n}", ghz(n)
+        yield f"w_{n}", w_state(n)
+    for n in range(4, 7):
+        for k in range(3):
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            yield f"random pure {n}.{k}", QubitPureState(n, amps / np.linalg.norm(amps))
+            yield f"random density {n}.{k}", QubitDensity(n, _random_full_rank(rng, n))
+    yield "lossy eta_H != eta_V", simulate_experiment(
+        SpdcConfig(lam=0.85, max_order=4), LossConfig(eta_h=0.3, eta_v=0.22)
+    ).rho_sim
+
+
+def test_telecloning_report_matches_the_per_pair_oracle_bit_for_bit():
+    for name, state in _telecloning_oracle_states():
+        fidelities, symmetric = per_pair_telecloning_report(state)
+        report = telecloning_report(state)
+        assert list(report.pair_fidelity) == list(fidelities), name
+        assert report.pair_fidelity == fidelities, name
+        assert report.symmetric == symmetric, name
 
 
 def test_odt_ideal_six_qubits():

@@ -22,6 +22,8 @@ from dickesim.witness import (
     SeeSawOptions,
     _polar_maxima,
     _polar_starts,
+    _search_size_class,
+    _sector_top,
     _sector_witness,
     _seesaw,
     _spin_matrices,
@@ -304,6 +306,54 @@ def test_single_qubit_class_matches_per_restart_oracle(n):
             assert cls.value == pytest.approx(value, rel=1e-9), (n, alpha, restarts)
             assert cls.value >= value - 1e-12 * abs(value), (n, alpha, restarts)
             assert cls.value >= grid - 1e-12 * abs(grid), (n, alpha, restarts)
+
+
+def test_sector_top_matches_eigvalsh():
+    eps = np.finfo(float).eps
+    for d_a, d_b in itertools.product(range(1, 12), repeat=2):
+        for alpha in ORACLE_ALPHAS:
+            w = _sector_witness(d_a, d_b, alpha).reshape(d_a * d_b, -1)
+            top = np.linalg.eigvalsh(w)[-1]
+            tol = d_a * d_b * eps * np.abs(w).max()
+            assert abs(_sector_top(d_a, d_b, alpha) - top) <= tol, (d_a, d_b, alpha)
+
+
+@pytest.mark.parametrize("alpha", [-1e12, -10.0, -3.0, 0.0, 3.0, 1e4])
+def test_closed_form_skip_visits_the_sectors_of_the_eigvalsh_rule(alpha, monkeypatch):
+    # the search builds a sector witness only for the pairs it searches;
+    # replay each class with the eigvalsh skip rule and the same searches
+    n, opts = 8, SeeSawOptions()
+    built = []
+
+    def recording_sector_witness(d_a, d_b, alpha):
+        built.append((d_a, d_b))
+        return _sector_witness(d_a, d_b, alpha)
+
+    monkeypatch.setattr("dickesim.witness._sector_witness", recording_sector_witness)
+    for size in range(1, n // 2 + 1):
+        built.clear()
+        got = _search_size_class(n, size, alpha, opts)
+        best, visited = -np.inf, []
+        for d_a, d_b in itertools.product(range(size + 1, 0, -2), range(n - size + 1, 0, -2)):
+            w4 = _sector_witness(d_a, d_b, alpha)
+            if visited and np.linalg.eigvalsh(w4.reshape(d_a * d_b, -1))[-1] <= best:
+                continue
+            visited.append((d_a, d_b))
+            if size == 1:
+                values = _polar_maxima(w4)[0]
+            else:
+                values = _seesaw(w4, _polar_starts(d_a, opts.restarts))[0]
+            best = max(best, float(values.max()))
+        assert built == visited, (size, built, visited)
+        assert (got.sectors_searched, got.value) == (len(visited), best)
+        assert got.sectors_skipped == (size // 2 + 1) * ((n - size) // 2 + 1) - len(visited)
+
+
+def test_cached_spin_matrices_are_read_only():
+    assert _spin_matrices(4) is _spin_matrices(4)
+    for op in _spin_matrices(4):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("d_b", range(1, 11))
