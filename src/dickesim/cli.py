@@ -15,8 +15,9 @@ are printed with 12 significant digits.
 
 Exit codes: 0 ok, 2 config error (including a setting strategy that does
 not fit the target, a navigation that revisits a qubit, names one out of
-range or leaves none, and a compared report whose values are not
-numbers), 3 numerical failure (no sixfold events, an impossible
+range or leaves none, a compared report whose values are not numbers,
+and a config file, compared report or ``--out`` directory that cannot be
+read or created), 3 numerical failure (no sixfold events, an impossible
 measurement outcome, an arithmetic or linear-algebra error); any other
 exception propagates with its traceback.
 
@@ -379,18 +380,20 @@ def cmd_simulate(config: dict, ctx: Context) -> dict:
 
 
 def cmd_witness(config: dict, ctx: Context) -> dict:
-    from .witness import collective_spin_sq, witness_value
+    from .witness import collective_spin_sq
 
     state = _parse_state_label(config["state"])
     alpha = config["alpha"]
+    # one read of the three settings, summed as witness_value sums them
+    jx2, jy2, jz2 = (collective_spin_sq(state, axis) for axis in "xyz")
     return {
         "state": config["state"],
         "num_qubits": state.num_qubits,
         "alpha": alpha,
-        "witness_value": witness_value(state, alpha),
-        "jx_sq": collective_spin_sq(state, "x"),
-        "jy_sq": collective_spin_sq(state, "y"),
-        "jz_sq": collective_spin_sq(state, "z"),
+        "witness_value": float(jx2 + jy2 + alpha * jz2),
+        "jx_sq": jx2,
+        "jy_sq": jy2,
+        "jz_sq": jz2,
     }
 
 
@@ -691,15 +694,9 @@ def cmd_compare(config: dict, ctx: Context) -> dict:
     computed = {}
     used = []
     for path in paths:
-        if not os.path.exists(path):
-            if optional:
-                continue
-            raise ConfigError(f"config.reports: {path} does not exist")
-        with open(path) as fh:
-            try:
-                report = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        if optional and not os.path.exists(path):
+            continue
+        report = _read_json(path, "config.reports:")
         try:
             extracted = _extract_computed(report)
         except (AttributeError, KeyError, TypeError) as exc:
@@ -785,16 +782,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, name: str):
+    """The JSON value in the file at ``path``.  A file that is missing,
+    unreadable, not UTF-8 or malformed is a config error; ``name`` says
+    what the path is in the message for a missing one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{name} {path} does not exist") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read: {exc.strerror}") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    raw = _read_json(path, "config file")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw
@@ -833,7 +841,10 @@ def main(argv=None) -> int:
     try:
         raw = _load_config(args.config)
         config = validate(raw, SCHEMAS[args.command])
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot be created: {exc.strerror}") from exc
         ctx = Context(seed=args.seed, out_dir=args.out)
         results = HANDLERS[args.command](config, ctx)
     except ConfigError as exc:

@@ -12,7 +12,6 @@ the H/V or +/- bases walks to smaller members of the family:
 
 from __future__ import annotations
 
-import itertools
 import math
 from math import comb
 from typing import NamedTuple
@@ -23,6 +22,7 @@ from .states import (
     ImpossibleOutcomeError,
     QubitPureState,
     State,
+    _POPCOUNT,
     _check_num_qubits,
     project,
 )
@@ -43,11 +43,7 @@ def dicke(num_qubits: int, excitations: int) -> QubitPureState:
     _check_num_qubits(n)
     if not 0 <= m <= n:
         raise ValueError(f"excitations must satisfy 0 <= m <= {n}, got {m}")
-    amps = np.zeros(2**n, dtype=complex)
-    weight = 1.0 / math.sqrt(comb(n, m))
-    for positions in itertools.combinations(range(n), m):
-        index = sum(1 << (n - 1 - q) for q in positions)
-        amps[index] = weight
+    amps = np.where(_POPCOUNT[: 2**n] == m, 1.0 / math.sqrt(comb(n, m)), 0.0).astype(complex)
     return QubitPureState(n, amps, label=f"dicke_{n}_{m}")
 
 

@@ -163,13 +163,29 @@ def test_impossible_navigation_outcome_exits_three(tmp_path, capsys):
     assert "ImpossibleOutcomeError" in capsys.readouterr().err
 
 
-def test_witness_defaults(tmp_path, capsys):
+def test_witness_defaults(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert run_cli(["witness", "--out", str(out)]) == 0
     capsys.readouterr()
     results = load_report(out, "witness")["results"]
     assert abs(results["witness_value"] - 12.0) < 1e-9
     assert abs(results["jz_sq"]) < 1e-9
+    # the three collective settings are read once, and the value keeps the
+    # bits that witness_value gives (dicke_5_2 reads <Jx^2> a few ulps off 4.25)
+    from dickesim import cli, witness
+
+    read = witness.outcome_distribution
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(witness, "outcome_distribution", counted)
+    config = cli.validate({"state": "dicke_5_2", "alpha": -3.0}, cli.SCHEMAS["witness"])
+    results = cli.cmd_witness(config, cli.Context(seed=0, out_dir=str(tmp_path)))
+    assert len(calls) == 3
+    assert results["witness_value"] == witness.witness_value(dicke(5, 2), -3.0)
 
 
 def test_bound_with_curve_artifact(tmp_path, capsys):
@@ -719,6 +735,10 @@ def test_compare_missing_explicit_report(tmp_path, capsys):
     assert run_cli(["compare", "--config", config, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "does not exist" in err
+    # a report path that names a directory cannot be read
+    config = write_config(tmp_path, {"reports": [str(tmp_path)]})
+    assert run_cli(["compare", "--config", config, "--out", str(out)]) == 2
+    assert f"{tmp_path}: cannot be read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -762,6 +782,19 @@ def test_malformed_config_reports_position(tmp_path, capsys):
     assert run_cli(["witness", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "broken.json:1:" in err
+    # a config path that names a directory, and a file that is not UTF-8
+    assert run_cli(["witness", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{tmp_path}: cannot be read" in capsys.readouterr().err
+    path.write_bytes(b'{"state": "dicke_6_3\xff"}')
+    assert run_cli(["witness", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "broken.json: not UTF-8" in capsys.readouterr().err
+
+
+def test_out_that_cannot_be_created_exits_two(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run_cli(["witness", "--out", str(taken)]) == 2
+    assert f"--out {taken}: cannot be created" in capsys.readouterr().err
 
 
 def test_out_of_range_value_exits_two(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +39,16 @@ def test_dicke_edge_cases():
     # the register size is checked before 2^40 amplitudes are allocated
     with pytest.raises(ValueError, match="num_qubits"):
         dicke(40, 20)
+
+
+def test_dicke_amplitudes_match_the_combinations_oracle():
+    # oracle: one amplitude per choice of the excited qubits, bit for bit
+    for n in range(1, 11):
+        for m in range(n + 1):
+            amps = np.zeros(2**n, dtype=complex)
+            for positions in itertools.combinations(range(n), m):
+                amps[sum(1 << (n - 1 - q) for q in positions)] = 1.0 / math.sqrt(math.comb(n, m))
+            assert dicke(n, m).amplitudes.tobytes() == amps.tobytes(), (n, m)
 
 
 def test_w_state_is_single_excitation_dicke():

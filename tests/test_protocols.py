@@ -37,33 +37,25 @@ def dicke_pair(n):
     return partial_trace(dicke(n, n // 2), (0, 1))
 
 
-def _zyz(a, b, g):
-    rz1 = np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)])
-    ry = np.array(
-        [[math.cos(b / 2.0), -math.sin(b / 2.0)], [math.sin(b / 2.0), math.cos(b / 2.0)]]
-    )
-    rz2 = np.diag([np.exp(-0.5j * g), np.exp(0.5j * g)])
-    return rz1 @ ry @ rz2
+# Hill-Wootters magic basis (PRL 78, 5022 (1997)), one column per vector:
+# (|00> + |11>)/sqrt2, i(|00> - |11>)/sqrt2, i(|01> + |10>)/sqrt2, (|01> - |10>)/sqrt2
+MAGIC = np.array([[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]) / math.sqrt(2)
 
 
-def searched_singlet_fraction(rho):
-    """Oracle: singlet overlap maximized over local ZYZ rotations on both
-    qubits (six angles) by Nelder-Mead from the identity plus random starts."""
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    bell = PSI_MINUS.amplitudes
+def magic_basis_singlet_fraction(rho):
+    """Oracle: the singlet overlap maximized over local unitaries, exactly.
 
-    def negative_overlap(angles):
-        vec = np.kron(_zyz(*angles[:3]), _zyz(*angles[3:])).conj().T @ bell
-        return -float(np.real(vec.conj() @ rho @ vec))
-
-    starts = [np.zeros(6), *np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, (7, 6))]
-    return max(
-        -minimize(
-            negative_overlap, x0, method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000},
-        ).fun
-        for x0 in starts
-    )
+    Every maximally entangled two-qubit state is real in the magic basis up
+    to a global phase, so the maximum is the top eigenvalue of
+    Re(M^dagger rho M).  The top eigenvector, mapped back through M, must
+    attain it: its one-qubit marginal is I/2 (a local-unitary image of the
+    singlet) and its overlap with rho is the eigenvalue."""
+    values, vectors = np.linalg.eigh((MAGIC.conj().T @ rho @ MAGIC).real)
+    psi = MAGIC @ vectors[:, -1]
+    qubits = psi.reshape(2, 2)
+    assert np.abs(qubits @ qubits.conj().T - np.eye(2) / 2.0).max() <= 1e-12
+    assert abs(np.vdot(psi, rho @ psi).real - values[-1]) <= 1e-12
+    return values[-1]
 
 
 def _random_full_rank(rng, num_qubits=2):
@@ -186,14 +178,20 @@ def test_singlet_fraction_matches_local_rotation_search():
         "d42 pair": dicke_pair(4).matrix,
         "product, det T = 0": np.diag([1.0, 0.0, 0.0, 0.0]),
         "bell diagonal, det T > 0": _bell_diagonal((0.3, 0.2, 0.1)),
+        "bell diagonal, det T < 0": _bell_diagonal((-0.5, -0.4, -0.3)),
         "werner pair": werner(2, 0.7).matrix,
     }
     for k in range(5):
         cases[f"random full rank {k}"] = _random_full_rank(rng)
+    for rank in range(1, 5):
+        for k in range(8):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            rho = g @ g.conj().T
+            cases[f"random rank {rank}.{k}"] = rho / np.trace(rho).real
     for name, rho in cases.items():
-        expected = searched_singlet_fraction(rho)
+        expected = magic_basis_singlet_fraction(rho)
         got = maximal_singlet_fraction(QubitDensity(2, rho)).value
-        assert abs(got - expected) <= 1e-7, (name, got, expected)
+        assert abs(got - expected) <= 1e-12, (name, got, expected)
 
 
 def test_telecloning_report_six_qubit_ideal():
