@@ -88,7 +88,6 @@ _EXPORTS = {
     # sampling
     "CoincidenceHistogram": "sampling",
     "ExperimentPlan": "sampling",
-    "sample": "sampling",
     "run_plan": "sampling",
     "count_matrix": "sampling",
     # references

@@ -27,6 +27,9 @@ the strings out:
   settings), then ring designs whose size grows quadratically in N;
   ``ghz_special`` is the GHZ design alone.  With no strategy the target
   picks the plan.
+
+Letters are read as digits through the byte table of ``states``, as
+written: a lower-case letter is no letter there.
 """
 
 from __future__ import annotations
@@ -39,7 +42,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .references import REFERENCE_VALUES
-from .states import _PARITY_SIGNS, _POPCOUNT, BLOCK_BYTES, MeasurementSetting, QubitPureState
+from .states import (
+    _PARITY_SIGNS,
+    _POPCOUNT,
+    BLOCK_BYTES,
+    MeasurementSetting,
+    QubitPureState,
+    _letter_digits,
+)
 
 COEFF_TOL = 1e-12
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -170,16 +180,6 @@ def decompose(target: QubitPureState) -> PauliDecomposition:
 
 # ---------------------------------------------------------------------------
 # Setting plans
-
-
-# letter digit of a Pauli string: X 0, Y 1, Z 2 (its axis's place in "xyz"), I 3
-_LETTER_DIGITS = np.full(256, 255, dtype=np.uint8)
-_LETTER_DIGITS[list(b"XYZI")] = range(4)
-
-
-def _letter_digits(strings: list, n: int) -> np.ndarray:
-    """(len(strings), N) letter digits of N-letter Pauli strings."""
-    return _LETTER_DIGITS[np.frombuffer("".join(strings).encode(), dtype=np.uint8)].reshape(-1, n)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ generator seeded through SeedSequence((seed, setting_index)), so
 identical inputs give byte-identical counts on any platform.
 
 A plan's counts are one (S, 2^N) int64 matrix, row k for setting k in
-plan order (``count_matrix``); ``lms.fidelity_from_matrix`` reads it as
-it is, and ``run_plan`` wraps its rows as ``CoincidenceHistogram``s.
+plan order (``count_matrix``, the only draw); ``lms.fidelity_from_matrix``
+reads it as it is, and ``run_plan`` wraps its rows as
+``CoincidenceHistogram``s.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MeasurementSetting, outcome_distribution, outcome_distributions
+from .states import MeasurementSetting, outcome_distributions
 
 
 def stream_generator(seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -57,26 +58,14 @@ class ExperimentPlan:
         object.__setattr__(self, "settings", settings)
 
 
-def sample(
-    state, setting: MeasurementSetting, n_events: int, seed: int, stream_index: int = 0
-) -> CoincidenceHistogram:
-    """Multinomial histogram of ``n_events`` draws from one setting, on
-    stream (seed, stream_index)."""
-    if n_events < 1:
-        raise ValueError("n_events must be positive")
-    probs = outcome_distribution(state, setting)
-    counts = stream_generator(seed, stream_index).multinomial(int(n_events), probs)
-    return CoincidenceHistogram(setting, counts, int(n_events))
-
-
 def count_matrix(state, plan: ExperimentPlan) -> np.ndarray:
     """(S, 2^N) int64 outcome counts of every plan setting, row k for
     ``plan.settings[k]``.
 
     The outcome distributions of all settings come from one call of
-    ``states.outcome_distributions``, and row k is drawn from its own
-    stream SeedSequence((seed, k)), so it equals the counts of
-    ``sample(state, plan.settings[k], ..., stream_index=k)``.
+    ``states.outcome_distributions``, and row k is one multinomial draw of
+    ``plan.events_per_setting`` events from its own stream
+    ``stream_generator(plan.seed, k)``.  This is the package's only draw.
     """
     probs = outcome_distributions(state, plan.settings)
     n_events = int(plan.events_per_setting)

@@ -9,6 +9,12 @@ Conventions used throughout the package:
 States are small (at most ``MAX_QUBITS`` qubits) and stored densely.
 A measurement setting names one axis per qubit, either a Pauli letter
 'x' | 'y' | 'z' or a Bloch direction ('n', theta, phi).
+
+Each operation has one path for both state classes: Pauli strings are
+read through one byte table of letter digits, which ``lms`` reads too,
+and ``project`` and ``apply_local`` contract amplitudes (N axes) and a
+density matrix (N row axes, then N column axes) the same way, the class
+choosing only the axes, the norm or trace, and the class returned.
 """
 
 from __future__ import annotations
@@ -138,7 +144,18 @@ def _as_density_matrix(state: State) -> np.ndarray:
 
 
 def check_pauli_string(letters: str, num_qubits: int) -> str:
-    letters = str(letters).upper()
+    """The string upper-cased; ValueError naming it unless it is
+    ``num_qubits`` letters from IXYZ, upper or lower case.
+
+    A string with a non-ASCII character has invalid letters whatever its
+    length: ``str.upper`` maps some of them into IXYZ (dotless i, U+0131,
+    to 'I').
+    """
+    text = str(letters)
+    if not text.isascii():
+        bad = {c for c in text if not c.isascii() or c.upper() not in set("IXYZ")}
+        raise ValueError(f"Pauli string {text!r} has invalid letters {sorted(bad)!r}")
+    letters = text.upper()
     if len(letters) != num_qubits:
         raise ValueError(
             f"Pauli string {letters!r} has length {len(letters)}, not {num_qubits} qubits"
@@ -154,33 +171,29 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(2**MAX_QUBITS)], dtype=np
 # have, each computed as the scalar (1j) ** k
 _PARITY_SIGNS = (-1.0) ** _POPCOUNT
 _I_POWERS = np.array([(1j) ** k for k in range(MAX_QUBITS + 1)])
+# letter digit of a Pauli string's byte: X 0, Y 1, Z 2 (its axis's place in
+# "xyz"), I 3, anything else 255; lower case is not a letter here
+_LETTER_DIGITS = np.full(256, 255, dtype=np.uint8)
+_LETTER_DIGITS[list(b"XYZI")] = range(4)
 
 
-def _pauli_masks(letters: str, n: int):
-    """Bit masks implementing P|b> = phase(b) |b ^ flip>.
-
-    phase(b) = i^(#Y) * (-1)^popcount(b & sign_mask), with Y and Z letters
-    contributing sign flips on set bits and X/Y letters flipping bits.
-    """
-    flip = 0
-    sign = 0
-    n_y = 0
-    for k, letter in enumerate(letters):
-        bit = 1 << (n - 1 - k)
-        if letter in "XY":
-            flip |= bit
-        if letter in "YZ":
-            sign |= bit
-        if letter == "Y":
-            n_y += 1
-    return flip, sign, n_y
+def _letter_digits(strings, n: int) -> np.ndarray:
+    """(len(strings), N) letter digits of N-letter Pauli strings."""
+    return _LETTER_DIGITS[np.frombuffer("".join(strings).encode(), dtype=np.uint8)].reshape(-1, n)
 
 
 def _pauli_action(strings, n: int):
     """(phase, cols), each (K, 2^N), of K checked strings: string k maps
-    |b> to phase[k, b] |cols[k, b]>."""
-    masks = np.array([_pauli_masks(letters, n) for letters in strings], dtype=np.int64)
-    flip, sign, n_y = masks.reshape(-1, 3).T
+    |b> to phase[k, b] |cols[k, b]>.
+
+    phase(b) = i^(#Y) * (-1)^popcount(b & sign), where X and Y letters set
+    the bits of ``flip`` and Y and Z letters those of ``sign``.
+    """
+    digits = _letter_digits(strings, n)
+    bits = 1 << np.arange(n - 1, -1, -1)
+    flip = (digits < 2) @ bits
+    sign = ((digits == 1) | (digits == 2)) @ bits
+    n_y = (digits == 1).sum(axis=1)
     idx = np.arange(2**n)
     return _I_POWERS[n_y, None] * _PARITY_SIGNS[idx & sign[:, None]], idx ^ flip[:, None]
 
@@ -293,8 +306,10 @@ def project(state: State, qubit: int, outcome_ket) -> tuple[State, float]:
     """Project one qubit onto a single-qubit ket and drop it.
 
     Returns the renormalized post-measurement state on the remaining
-    qubits together with the outcome probability.  Probabilities below
-    ``IMPOSSIBLE_OUTCOME_TOL`` raise :class:`ImpossibleOutcomeError`.
+    qubits, of the input's class, together with the outcome probability:
+    <k| is contracted with the qubit's axis, and for a density |k> with
+    its column axis too.  Probabilities below ``IMPOSSIBLE_OUTCOME_TOL``
+    raise :class:`ImpossibleOutcomeError`.
     """
     n = state.num_qubits
     if not 0 <= qubit < n:
@@ -304,27 +319,19 @@ def project(state: State, qubit: int, outcome_ket) -> tuple[State, float]:
     ket = np.asarray(outcome_ket, dtype=complex).reshape(2)
     if abs(np.linalg.norm(ket) - 1.0) > NORM_TOL:
         raise ValueError("outcome ket must be normalized")
-    if isinstance(state, QubitPureState):
-        tensor = state.amplitudes.reshape([2] * n)
-        new = np.tensordot(ket.conj(), tensor, axes=[[0], [qubit]])
-        p = float(np.vdot(new, new).real)
-        if p < IMPOSSIBLE_OUTCOME_TOL:
-            raise ImpossibleOutcomeError(
-                f"outcome probability {p:.3e} below {IMPOSSIBLE_OUTCOME_TOL}"
-            )
-        return QubitPureState(n - 1, new.reshape(-1) / math.sqrt(p)), p
-    tensor = state.matrix.reshape([2] * (2 * n))
-    half = np.tensordot(ket.conj(), tensor, axes=[[0], [qubit]])
-    # row qubit axis is gone; the matching column axis moved to n-1+qubit
-    new = np.tensordot(half, ket, axes=[[n - 1 + qubit], [0]])
-    d = 2 ** (n - 1)
-    mat = new.reshape(d, d)
-    p = float(np.trace(mat).real)
+    pure = isinstance(state, QubitPureState)
+    array = state.amplitudes if pure else state.matrix
+    new = np.tensordot(ket.conj(), array.reshape([2] * (n * array.ndim)), axes=[[0], [qubit]])
+    if not pure:
+        # row qubit axis is gone; the matching column axis moved to n-1+qubit
+        new = np.tensordot(new, ket, axes=[[n - 1 + qubit], [0]])
+    new = new.reshape([2 ** (n - 1)] * array.ndim)
+    p = float(np.vdot(new, new).real if pure else np.trace(new).real)
     if p < IMPOSSIBLE_OUTCOME_TOL:
         raise ImpossibleOutcomeError(
             f"outcome probability {p:.3e} below {IMPOSSIBLE_OUTCOME_TOL}"
         )
-    return QubitDensity(n - 1, mat / p), p
+    return type(state)(n - 1, new / (math.sqrt(p) if pure else p)), p
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +497,8 @@ def _density_block(matrix: np.ndarray, rotations: np.ndarray) -> np.ndarray:
 
 
 def apply_local(state: State, unitaries) -> State:
-    """Apply one 2x2 unitary per qubit."""
+    """Apply one 2x2 unitary per qubit: U|psi>, or U rho U^dagger for a
+    density, as one contraction loop over the qubits."""
     n = state.num_qubits
     us = [np.asarray(u, dtype=complex) for u in unitaries]
     if len(us) != n:
@@ -498,17 +506,13 @@ def apply_local(state: State, unitaries) -> State:
     for u in us:
         if u.shape != (2, 2) or np.abs(u @ u.conj().T - np.eye(2)).max() > 1e-9:
             raise ValueError("entries must be 2x2 unitaries")
-    if isinstance(state, QubitPureState):
-        tensor = state.amplitudes.reshape([2] * n)
-        for q, u in enumerate(us):
-            tensor = np.moveaxis(np.tensordot(u, tensor, axes=[[1], [q]]), 0, q)
-        return QubitPureState(n, tensor.reshape(-1))
-    tensor = state.matrix.reshape([2] * (2 * n))
+    array = state.amplitudes if isinstance(state, QubitPureState) else state.matrix
+    tensor = array.reshape([2] * (n * array.ndim))
     for q, u in enumerate(us):
-        tensor = np.moveaxis(np.tensordot(u, tensor, axes=[[1], [q]]), 0, q)
-        tensor = np.moveaxis(np.tensordot(u.conj(), tensor, axes=[[1], [n + q]]), 0, n + q)
-    d = 2**n
-    return QubitDensity(n, tensor.reshape(d, d))
+        # a density takes u on its row axis q, then conj(u) on its column axis n + q
+        for axis, op in ((q, u), (n + q, u.conj()))[: array.ndim]:
+            tensor = np.moveaxis(np.tensordot(op, tensor, axes=[[1], [axis]]), 0, axis)
+    return type(state)(n, tensor.reshape(array.shape))
 
 
 # ---------------------------------------------------------------------------

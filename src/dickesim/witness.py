@@ -452,7 +452,8 @@ def correlator_scan(state: State, plane: str, thetas) -> np.ndarray:
     n = state.num_qubits
     strings = ["".join(letters) for letters in itertools.product((partner, "Z"), repeat=n)]
     sums = np.zeros(n + 1)
-    np.add.at(sums, [letters.count("Z") for letters in strings], expectations(state, strings))
+    # string i has Z where i has a set bit
+    np.add.at(sums, _POPCOUNT[: 2**n], expectations(state, strings))
     thetas = np.asarray(thetas, dtype=float)[:, None]
     k = np.arange(n + 1)
     return (np.cos(thetas) ** (n - k) * np.sin(thetas) ** k) @ sums

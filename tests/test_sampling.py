@@ -5,9 +5,9 @@ from dickesim.dicke_states import dicke
 from dickesim.sampling import (
     CoincidenceHistogram,
     ExperimentPlan,
+    count_matrix,
     histograms_to_table,
     run_plan,
-    sample,
     stream_generator,
 )
 from dickesim.states import MeasurementSetting, outcome_distribution
@@ -26,27 +26,32 @@ def test_stream_generator_is_reproducible_and_independent():
     assert not np.array_equal(a, c)
 
 
-def test_sample_matches_distribution():
-    hist = sample(dicke(4, 2), zbasis(4), 200000, seed=5, stream_index=0)
-    assert hist.total == 200000
-    assert hist.counts.sum() == 200000
-    freqs = hist.counts / hist.total
+def test_count_matrix_matches_distribution():
+    counts = count_matrix(dicke(4, 2), ExperimentPlan((zbasis(4),), 200000, seed=5))
+    assert counts.shape == (1, 16)
+    assert counts.sum() == 200000
+    freqs = counts[0] / 200000
     probs = outcome_distribution(dicke(4, 2), zbasis(4))
     # multinomial: three sigma per bin
     sigma = np.sqrt(probs * (1 - probs) / 200000)
     assert np.all(np.abs(freqs - probs) <= 3 * sigma + 1e-9)
 
 
-def test_sample_is_deterministic_per_seed_and_stream():
-    a = sample(dicke(4, 2), zbasis(4), 1000, seed=9, stream_index=2)
-    b = sample(dicke(4, 2), zbasis(4), 1000, seed=9, stream_index=2)
-    c = sample(dicke(4, 2), zbasis(4), 1000, seed=9, stream_index=3)
-    assert np.array_equal(a.counts, b.counts)
-    assert not np.array_equal(a.counts, c.counts)
+def test_count_matrix_is_deterministic_per_seed_and_stream():
+    plan = ExperimentPlan((zbasis(4),) * 4, events_per_setting=1000, seed=9)
+    a = count_matrix(dicke(4, 2), plan)
+    b = count_matrix(dicke(4, 2), plan)
+    assert np.array_equal(a, b)
+    # one setting four times: row k is stream k's draw, so the rows differ
+    assert not np.array_equal(a[2], a[3])
+    # a stream's draw does not depend on the plan's other settings
+    c = count_matrix(dicke(4, 2), ExperimentPlan(
+        (MeasurementSetting("xxxx"),) * 2 + (zbasis(4),), events_per_setting=1000, seed=9))
+    assert np.array_equal(a[2], c[2])
 
 
 def test_histogram_counts_are_read_only():
-    hist = sample(dicke(4, 2), zbasis(4), 100, seed=0, stream_index=0)
+    hist = run_plan(dicke(4, 2), ExperimentPlan((zbasis(4),), events_per_setting=100, seed=0))[0]
     with pytest.raises(ValueError):
         hist.counts[0] = 5
 
@@ -78,7 +83,6 @@ def test_run_plan_draws_row_k_of_the_oracle_from_stream_k(source):
         expected = stream_generator(13, k).multinomial(5000, per_setting_distribution(state, setting))
         assert hist.total == 5000
         assert np.array_equal(hist.counts, expected)
-        assert np.array_equal(sample(state, setting, 5000, seed=13, stream_index=k).counts, expected)
 
 
 def test_histograms_to_table_totals():

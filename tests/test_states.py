@@ -1,13 +1,15 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dickesim.dicke_states import dicke, ghz, w_state
+from dickesim import states
+from dickesim.dicke_states import NavigationStep, dicke, ghz, navigate, w_state
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.protocols import werner
 from dickesim.states import (
@@ -162,6 +164,61 @@ def test_expectations_name_the_bad_string(bad):
         expectations(dicke(3, 1), ["ZZZ", "XYI", bad, "III"])
 
 
+@pytest.mark.parametrize("bad", ["\u0131ZZ", "\u00dfZ"])
+def test_expectations_reject_non_ascii_letters(bad):
+    # str.upper reads the dotless i as I and the sharp s as SS
+    message = f"Pauli string {bad!r} has invalid letters {[bad[0]]!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        expectations(dicke(3, 1), [bad])
+
+
+def per_letter_masks(letters: str, n: int):
+    """Oracle: the (flip, sign, #Y) masks of one string, letter by letter."""
+    flip = 0
+    sign = 0
+    n_y = 0
+    for k, letter in enumerate(letters):
+        bit = 1 << (n - 1 - k)
+        if letter in "XY":
+            flip |= bit
+        if letter in "YZ":
+            sign |= bit
+        if letter == "Y":
+            n_y += 1
+    return flip, sign, n_y
+
+
+def per_letter_pauli_action(strings, n: int):
+    """Oracle for ``states._pauli_action`` built on ``per_letter_masks``."""
+    masks = np.array([per_letter_masks(letters, n) for letters in strings], dtype=np.int64)
+    flip, sign, n_y = masks.reshape(-1, 3).T
+    idx = np.arange(2**n)
+    return (states._I_POWERS[n_y, None] * states._PARITY_SIGNS[idx & sign[:, None]],
+            idx ^ flip[:, None])
+
+
+_PAULI_ACTION_RNG = np.random.default_rng(30)
+PAULI_ACTION_CASES = [pytest.param(n, all_strings(n), id=f"every_{n}") for n in range(1, 6)] + [
+    pytest.param(n, ["".join(_PAULI_ACTION_RNG.choice(list("IXYZ"), n)) for _ in range(300)],
+                 id=f"random_{n}")
+    for n in (8, 10)
+]
+
+
+@pytest.mark.parametrize("n, strings", PAULI_ACTION_CASES)
+def test_pauli_action_matches_the_per_letter_oracle(monkeypatch, n, strings):
+    phase, cols = states._pauli_action(strings, n)
+    want_phase, want_cols = per_letter_pauli_action(strings, n)
+    assert phase.tobytes() == want_phase.tobytes()
+    assert cols.tobytes() == want_cols.tobytes()
+    rng = np.random.default_rng(40 + n)
+    pairs = [(state, expectations(state, strings))
+             for state in (random_pure(n, rng), random_density(n, rng))]
+    monkeypatch.setattr(states, "_pauli_action", per_letter_pauli_action)
+    for state, values in pairs:
+        assert values.tobytes() == expectations(state, strings).tobytes()
+
+
 def test_fidelity_pure_and_mixed_agree():
     rng = np.random.default_rng(3)
     a = random_pure(2, rng)
@@ -263,6 +320,85 @@ def test_project_impossible_outcome_raises():
     # at least one qubit must remain after the projection
     with pytest.raises(ValueError):
         project(QubitPureState(1, KET_H), 0, KET_H)
+
+
+PROJECTION_KETS = {
+    "H": KET_H,
+    "V": KET_V,
+    "+": KET_PLUS,
+    "-": np.array([1.0, -1.0]) / math.sqrt(2),
+    "complex": np.array([0.6, 0.8j * np.exp(0.3j)]),
+}
+
+
+def two_branch_project(state, qubit, ket):
+    """Oracle: (array, probability) of ``project`` with a pure branch and a
+    density branch."""
+    n = state.num_qubits
+    ket = np.asarray(ket, dtype=complex)
+    if isinstance(state, QubitPureState):
+        new = np.tensordot(ket.conj(), state.amplitudes.reshape([2] * n), axes=[[0], [qubit]])
+        p = float(np.vdot(new, new).real)
+        return new.reshape(-1) / math.sqrt(p), p
+    half = np.tensordot(ket.conj(), state.matrix.reshape([2] * (2 * n)), axes=[[0], [qubit]])
+    mat = np.tensordot(half, ket, axes=[[n - 1 + qubit], [0]]).reshape(2 ** (n - 1), -1)
+    p = float(np.trace(mat).real)
+    return mat / p, p
+
+
+def dense_project(rho, qubit, ket):
+    """Oracle: (<k| (x) I) rho (|k> (x) I) / p and p, with dense matrices."""
+    n = rho.num_qubits
+    bra = np.kron(np.kron(np.eye(2**qubit), np.conj(ket)[None, :]), np.eye(2 ** (n - qubit - 1)))
+    new = bra @ rho.matrix @ bra.conj().T
+    p = np.trace(new).real
+    return new / p, p
+
+
+def state_array(state):
+    return state.amplitudes if isinstance(state, QubitPureState) else state.matrix
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_project_matches_the_two_branch_oracle(n, kind):
+    rng = np.random.default_rng(50 + n)
+    state = random_pure(n, rng) if kind == "pure" else random_density(n, rng)
+    for qubit in range(n):
+        for name, ket in PROJECTION_KETS.items():
+            post, p = project(state, qubit, ket)
+            want, want_p = two_branch_project(state, qubit, ket)
+            assert type(post) is type(state) and post.num_qubits == n - 1
+            assert state_array(post).tobytes() == want.tobytes(), (qubit, name)
+            assert p == want_p
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_project_on_a_density_matches_the_dense_oracle_and_the_pure_path(n):
+    rng = np.random.default_rng(60 + n)
+    rho, psi = random_density(n, rng), random_pure(n, rng)
+    for qubit in range(n):
+        for name, ket in PROJECTION_KETS.items():
+            post, p = project(rho, qubit, ket)
+            want, want_p = dense_project(rho, qubit, ket)
+            assert_allclose(post.matrix, want, rtol=0, atol=1e-13, err_msg=f"{qubit} {name}")
+            assert_allclose(p, want_p, rtol=1e-13)
+            post, p = project(psi.density(), qubit, ket)
+            pure_post, pure_p = project(psi, qubit, ket)
+            assert_allclose(post.matrix, pure_post.density().matrix, rtol=0, atol=1e-13)
+            assert_allclose(p, pure_p, rtol=1e-13)
+
+
+def test_navigating_the_lossy_source_state_matches_the_dense_oracle():
+    # the paper derives its five- and four-photon states by detecting photons
+    # of the measured, mixed six-photon state
+    rho = _lossy_rho_sim()
+    state, prob = navigate(rho, [NavigationStep(0, "H"), NavigationStep(1, "V")])
+    after_h, p_h = dense_project(rho, 0, KET_H)
+    want, p_v = dense_project(QubitDensity(5, after_h), 0, KET_V)
+    assert isinstance(state, QubitDensity) and state.num_qubits == 4
+    assert_allclose(state.matrix, want, rtol=0, atol=1e-13)
+    assert_allclose(prob, p_h * p_v, rtol=1e-12)
 
 
 def test_setting_constructors_round_trip():
@@ -499,6 +635,38 @@ def test_apply_local_requires_unitaries():
     assert_allclose(flipped.amplitudes, KET_V, atol=1e-12)
     with pytest.raises(ValueError):
         apply_local(psi, [np.array([[1, 1], [0, 1]])])
+
+
+def two_branch_apply_local(state, unitaries):
+    """Oracle: the array of ``apply_local`` with a pure branch and a density
+    branch."""
+    n = state.num_qubits
+    if isinstance(state, QubitPureState):
+        tensor = state.amplitudes.reshape([2] * n)
+        for q, u in enumerate(unitaries):
+            tensor = np.moveaxis(np.tensordot(u, tensor, axes=[[1], [q]]), 0, q)
+        return tensor.reshape(-1)
+    tensor = state.matrix.reshape([2] * (2 * n))
+    for q, u in enumerate(unitaries):
+        tensor = np.moveaxis(np.tensordot(u, tensor, axes=[[1], [q]]), 0, q)
+        tensor = np.moveaxis(np.tensordot(u.conj(), tensor, axes=[[1], [n + q]]), 0, n + q)
+    return tensor.reshape(2**n, 2**n)
+
+
+def random_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_apply_local_matches_the_two_branch_oracle(n, kind):
+    rng = np.random.default_rng(70 + n)
+    state = random_pure(n, rng) if kind == "pure" else random_density(n, rng)
+    unitaries = [random_unitary(rng) for _ in range(n)]
+    out = apply_local(state, unitaries)
+    assert type(out) is type(state) and out.num_qubits == n
+    assert state_array(out).tobytes() == two_branch_apply_local(state, unitaries).tobytes()
 
 
 def test_save_and_load_round_trip(tmp_path):
