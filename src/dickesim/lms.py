@@ -11,12 +11,11 @@ the strings out:
 * exact matching (``greedy``, up to ``MAX_GREEDY_QUBITS`` qubits): a
   string is evaluated from one product measurement whose axes equal its
   non-identity letters, and grouping strings into few settings is a set
-  cover solved greedily, with one bitmask per candidate setting and lazily
-  refreshed gains.  The bitmasks are scattered into a packed byte table,
-  one array operation per count of identity letters, and read out as
-  Python ints block by block.  Every full-support string pins its own
-  setting, so this needs at least as many settings as there are such
-  strings (183 for the six-qubit Dicke state);
+  cover solved greedily on one exact array of the 3^N candidates' gains,
+  lowered after each pick by a subset sum over the support masks read.
+  Every full-support string pins its own setting, so this needs at least
+  as many settings as there are such strings (183 for the six-qubit Dicke
+  state);
 * uniform directions (``symmetric`` and ``ghz_special``): every qubit is
   measured along the same direction n_k, and the symmetric m-body
   correlators e_m of the outcomes carry weights w_km solved so that
@@ -35,7 +34,6 @@ written: a lower-case letter is no letter there.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -53,10 +51,10 @@ from .states import (
 
 COEFF_TOL = 1e-12
 _PHASES = np.array([1, 1j, -1, -1j])
-# the greedy cover builds one bitmask over the strings for each of the 3^N
-# candidate settings; the cap is set by the plan size, not the search: the
-# eight-qubit Dicke state takes 2,012 settings and the nine-qubit one 7,477,
-# too many to sample in bounded time
+# the greedy cover keeps 4^N-entry tables of the strings and one gain for
+# each of the 3^N candidate settings; the cap is set by the plan size, not
+# the search: the eight-qubit Dicke state takes 2,012 settings and the
+# nine-qubit one 7,477, too many to sample in bounded time
 MAX_GREEDY_QUBITS = 8
 # largest weight residual a uniform-direction plan may leave before it is refused
 SYMMETRIC_RESIDUAL_TOL = 1e-10
@@ -285,46 +283,26 @@ def check_plan_covers(plan: SettingPlan, decomp: PauliDecomposition) -> None:
         raise CoverageError(f"setting {owner[bad[0]]} cannot evaluate {covered[bad[0]]}")
 
 
-def _candidate_masks(strings: list, n: int) -> list[int]:
-    """One bitmask per candidate setting: candidate c is the axis assignment
-    at position c of itertools.product("xyz", repeat=n), and its mask has bit
-    i set when it reads out strings[i].
-
-    Identity positions are free and range over all three axes, so a string
-    with f identity letters sets its bit in 3^f candidates.  The bits are
-    scattered into a packed table, bit i at byte i // 8, with one
-    ``bitwise_or.at`` for all strings with the same f, and each table row
-    becomes a Python int.  Candidates that share their first ``lead`` axes
-    form one block of the table; each block is converted before the next is
-    built, so the table never holds every candidate next to the ints.
-    """
-    digits = _letter_digits(strings, n)
-    width = -(-len(strings) // 8)
-    lead = 0
-    while 3 ** (n - lead) * width > BLOCK_BYTES:
-        lead += 1
-    rest = n - lead
-    place = 3 ** np.arange(rest - 1, -1, -1)
-    index = np.arange(len(strings), dtype=np.int32)
-    masks = []
-    for head in np.ndindex((3,) * lead):
-        fits = ((digits[:, :lead] == head) | (digits[:, :lead] == 3)).all(axis=1)
-        tail, ids = digits[fits, lead:], index[fits]
-        free = tail == 3
-        base = np.where(free, 0, tail) @ place
-        counts = free.sum(axis=1)
-        block = np.zeros(3**rest * width, dtype=np.uint8)
-        for f in np.flatnonzero(np.bincount(counts)).tolist():
-            rows = counts == f
-            # the free positions of each string, and the 3^f axis choices on them
-            i = ids[rows]
-            spots = np.nonzero(free[rows])[1].reshape(len(i), f)
-            choices = np.arange(3**f)[:, None] // 3 ** np.arange(f - 1, -1, -1) % 3
-            flat = (base[rows, None] + place[spots] @ choices.T) * width + (i >> 3)[:, None]
-            bits = np.left_shift(1, i & 7).astype(np.uint8)
-            np.bitwise_or.at(block, flat.ravel(), np.repeat(bits, 3**f))
-        masks.extend(int.from_bytes(row, "little") for row in block.reshape(-1, width))
-    return masks
+@functools.cache
+def _cover_tables(n: int) -> tuple:
+    """Read-only tables of the greedy cover on N qubits.  Keys are base 4,
+    one field per qubit (qubit 0 on top; X 0, Y 1, Z 2, I 3), and bit j of
+    a mask is field j.  ``candidates[c]`` is the key of the axes at position
+    c of itertools.product("xyz", repeat=N); ``fill[b]`` has I in every
+    field outside mask b; ``agree[x]`` is the mask of the fields of x that
+    are 0, so ``agree[k ^ k2]`` marks where keys k and k2 have the same
+    letter; ``subsets[m, b]`` is 1 where mask b lies inside mask m.  Each
+    table grows by one field at a time, the new one on top."""
+    candidates, fill = np.zeros(1, np.intp), np.zeros(1, np.int32)
+    agree, subsets = np.zeros(1, np.uint8), np.ones((1, 1), np.float32)
+    for j in range(n):
+        candidates = (np.arange(3)[:, None] << 2 * j | candidates).ravel()
+        fill = (np.array([3 << 2 * j, 0], np.int32)[:, None] + fill).ravel()
+        agree = (np.array([1 << j, 0, 0, 0], np.uint8)[:, None] | agree).ravel()
+        subsets = np.kron(np.array([[1, 0], [1, 1]], np.float32), subsets)
+    for table in (candidates, fill, agree, subsets):
+        table.flags.writeable = False
+    return candidates, fill, agree, subsets
 
 
 def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
@@ -332,34 +310,49 @@ def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
     if n > MAX_GREEDY_QUBITS:
         raise ValueError(f"greedy supports at most {MAX_GREEDY_QUBITS} qubits, got {n}")
     strings = decomp.nonidentity_strings()
-    masks = _candidate_masks(strings, n)
+    keys = np.zeros(len(strings), dtype=np.int32)
+    for column in _letter_digits(strings, n).T:
+        keys = 4 * keys + column
+    # the id of every string not yet read, by key; -1 for none
+    unread = np.full(4**n, -1, dtype=np.int32)
+    unread[keys] = np.arange(len(strings), dtype=np.int32)
+    # a candidate reads the strings with its letter or I on every qubit: adding
+    # each qubit's I slice into its three axis slices counts them all at once
+    table = (unread >= 0).astype(np.int32).reshape((4,) * n)
+    for k in range(n):
+        slices = np.moveaxis(table, k, 0)
+        slices[:3] += slices[3]
+    gains = table[(slice(3),) * n].astype(np.float32).ravel()
+    candidates, fill, agree, subsets = _cover_tables(n)
     place = [3 ** (n - 1 - k) for k in range(n)]
-    # lazy greedy: gains only shrink as strings get covered, so a stale
-    # gain bounds the true one, and a refreshed top entry that still sorts
-    # first is the largest gain at the smallest index
-    heap = [(-mask.bit_count(), c) for c, mask in enumerate(masks) if mask]
-    heapq.heapify(heap)
-    uncovered = (1 << len(strings)) - 1
     assignments = []
-    while uncovered:
-        if not heap:
-            raise AssertionError("greedy cover stalled with strings left")
-        _, c = heapq.heappop(heap)
-        taken = masks[c] & uncovered
-        gain = taken.bit_count()
-        if not gain:
-            continue
-        if heap and (-gain, c) > heap[0]:
-            heapq.heappush(heap, (-gain, c))
-            continue
-        uncovered ^= taken
-        covered = []
-        while taken:
-            low = taken & -taken
-            covered.append(strings[low.bit_length() - 1])
-            taken ^= low
-        axes = tuple("xyz"[c // place[k] % 3] for k in range(n))
-        assignments.append(SettingAssignment(MeasurementSetting(axes), tuple(covered)))
+    while True:
+        # the largest gain at the smallest candidate index
+        c = int(np.argmax(gains))
+        gain = gains[c]
+        if gain < 2:
+            break
+        # the strings left that c reads: its key with I outside each support
+        reads = candidates[c] | fill
+        ids = unread[reads]
+        unread[reads] = -1
+        # another candidate loses every string read here whose support lies
+        # inside the qubits where the two agree
+        lost = subsets @ (ids >= 0).astype(np.float32)
+        gains -= lost[agree[candidates ^ candidates[c]].astype(np.intp)]
+        covered = tuple(strings[i] for i in np.sort(ids[ids >= 0]).tolist())
+        if len(covered) != gain:
+            raise AssertionError(f"greedy pick {c} read {len(covered)} strings, not {gain:.0f}")
+        setting = MeasurementSetting(tuple("xyz"[c // place[k] % 3] for k in range(n)))
+        assignments.append(SettingAssignment(setting, covered))
+    # every gain is at most 1: each string left is read alone, first by the
+    # candidate with x for every I, and no two share it, so the rest of the
+    # plan is those candidates in index order (the order of their keys)
+    left = np.flatnonzero(unread >= 0)
+    first = left ^ 3 * (left & left >> 1 & int("1" * n, 4))
+    for i in unread[left[np.argsort(first)]].tolist():
+        setting = MeasurementSetting(strings[i].replace("I", "X"))
+        assignments.append(SettingAssignment(setting, (strings[i],)))
     return SettingPlan(method="greedy", assignments=tuple(assignments))
 
 
@@ -463,13 +456,15 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     evaluating the most uncovered strings (ties broken toward the
     lexicographically smallest axis string), assigning each string to
     exactly one setting.  The six-qubit Dicke state takes 207.  The search
-    keeps one bitmask over the strings per candidate (3^N of them) and a
-    heap of gains refreshed only when they reach the top, so a pick costs
-    a few big-integer ANDs instead of a scan of every candidate.  The
-    bitmasks come from a packed byte table that numpy fills for all strings
-    with the same number of identity letters at once, converted to ints in
-    blocks of at most ``BLOCK_BYTES`` so that the table and the ints never
-    both hold every candidate.  Raises
+    keeps one exact gain per candidate (3^N of them), counted at the start
+    by N slice-adds over a table of the strings' base-4 keys.  A pick reads
+    its strings from a table of unread ones at its 2^N sub-patterns, and
+    lowers every candidate's gain by the number read whose support lies
+    where the two agree: one subset-sum product over the support masks,
+    looked up at the agreement mask.  Once no gain exceeds 1, every string
+    left is read alone, first by its candidate with x for every identity,
+    and those candidates end the plan in index order.  No table holds more
+    than 4^N entries, at most ``BLOCK_BYTES`` up to the cap.  Raises
     ValueError above ``MAX_GREEDY_QUBITS`` qubits, where plans grow too
     large to sample (the eight-qubit Dicke state takes 2,012 settings).
     """

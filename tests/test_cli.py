@@ -485,7 +485,8 @@ def test_strategy_that_does_not_fit_the_target_exits_two(command, tmp_path, caps
 
 
 # wall-time budget for greedy sampling at the largest register greedy
-# accepts; the whole command takes about 1 s on a shared 2-core host
+# accepts; on a shared 2-core host the command takes about 0.4 s in process
+# and 0.5-0.75 s as its own process, start-up included
 GREEDY_BUDGET_S = 20.0
 
 

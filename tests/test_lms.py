@@ -259,7 +259,7 @@ def test_classes_match_the_string_walk(state):
 
 
 # ---------------------------------------------------------------------------
-# Per-string oracles: the greedy planner's bitmasks, the coverage check's
+# Per-string oracles: the replaced greedy planner, the coverage check's
 # letter test and the estimator's outcome weights, one string at a time
 
 
@@ -301,8 +301,11 @@ def outcome_weights(decomp, assignment):
 
 
 def per_string_greedy_plan(decomp):
-    """The greedy planner with each candidate's bitmask built by ORing in one
-    string's bit at a time; same lazy heap and pick order."""
+    """The replaced greedy planner, kept as an oracle: one bitmask over the
+    strings per candidate, built by ORing in one string's bit at a time,
+    and lazy greedy (Minoux 1978) on a heap of stale gains refreshed only
+    when they reach the top, which picks the largest gain at the smallest
+    candidate index."""
     n = decomp.num_qubits
     assert n <= MAX_GREEDY_QUBITS
     strings = decomp.nonidentity_strings()
@@ -386,11 +389,19 @@ def per_string_letter_check(plan):
     return None
 
 
+# one of its one-string settings reads IZZ on x,z,z, between x,z,x and y,x,y:
+# a string with I sorts by the setting that reads it, not by its own letters
+SPARSE_3 = QubitPureState(3, np.array([1, 0, 1, 1, 1, 1j, 0, -1]) / math.sqrt(6), label="sparse_3")
+
 GREEDY_ORACLE_TARGETS = (
     [dicke(n, k) for n in range(1, 8) for k in range(n + 1)]
     + [ghz(n) for n in range(2, 8)]
     + [w_state(n) for n in range(2, 8)]
     + [random_pure_state(n, 80 + n) for n in range(2, 7)]
+    # greedy's qubit cap; the random state picks all 2,187 candidates, and
+    # ghz_8 is nearly all one-string settings
+    + [ghz(8), w_state(8), dicke(8, 1), dicke(8, 4), random_pure_state(7, 87)]
+    + [SPARSE_3]
 )
 
 
@@ -398,6 +409,21 @@ GREEDY_ORACLE_TARGETS = (
 def test_greedy_plan_matches_the_per_string_planner(state):
     decomp = decompose(state)
     assert plan_settings(decomp, strategy="greedy") == per_string_greedy_plan(decomp)
+
+
+@pytest.mark.parametrize("state", [ghz(8), dicke(6, 3), dicke(8, 4), SPARSE_3], ids=lambda s: s.label)
+def test_greedy_plan_ends_with_one_string_per_setting_in_candidate_order(state):
+    # once no setting reads two strings, none can: each string left is read
+    # alone, first by the axes with x for every I, smallest candidate first
+    plan = plan_settings(decompose(state), strategy="greedy")
+    start = next(k for k, a in enumerate(plan.assignments) if len(a.covered) == 1)
+    tail = plan.assignments[start:]
+    assert all(len(a.covered) == 1 for a in tail)
+    assert [a.setting.axes for a in tail] == [
+        tuple(a.covered[0].replace("I", "X").lower()) for a in tail]
+    rank = {axes: c for c, axes in enumerate(itertools.product("xyz", repeat=state.num_qubits))}
+    order = [rank[a.setting.axes] for a in tail]
+    assert all(a < b for a, b in zip(order, order[1:]))
 
 
 ESTIMATOR_ORACLE_TARGETS = [dicke(4, 2), dicke(6, 3), dicke(7, 1), w_state(5), ghz(6),
@@ -513,8 +539,9 @@ def test_check_plan_covers_rejects_a_setting_on_another_register():
 
 def test_greedy_plan_memory_at_the_qubit_cap():
     # the eight-qubit Dicke state: 8,319 strings over 6,561 candidates.  The
-    # per-string planner peaked at 8.95 MB (mostly the candidates' ints);
-    # the packed table is built and converted in 256 KB blocks
+    # decomposition and plan peaked at 3.98 MB, of which the plan it returns
+    # holds about 2 MB; each of the planner's tables of 4^8 entries takes at
+    # most 256 KB
     tracemalloc.start()
     try:
         plan = plan_settings(decompose(dicke(8, 4)), "greedy")
@@ -522,7 +549,7 @@ def test_greedy_plan_memory_at_the_qubit_cap():
     finally:
         tracemalloc.stop()
     assert plan.num_settings == 2012
-    assert peak < 1.1 * 8.95e6
+    assert peak < 1.1 * 3.98e6
 
 
 def test_greedy_counts_are_frozen():
