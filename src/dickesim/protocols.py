@@ -29,6 +29,7 @@ from .states import (
     QubitDensity,
     QubitPureState,
     _as_density_matrix,
+    _check_num_qubits,
     _density_expectations,
     _pattern_blocks,
     fidelity,
@@ -271,8 +272,12 @@ def werner(num_qubits: int, visibility: float, base=None) -> QubitDensity:
     """Mix a pure target with white noise: p rho + (1 - p) I / dim."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
+    _check_num_qubits(num_qubits)
     base = ghz(num_qubits) if base is None else base
+    if base.num_qubits != num_qubits:
+        raise ValueError(f"base state has {base.num_qubits} qubits, not {num_qubits}")
     rho = _as_density_matrix(base)
     dim = rho.shape[0]
     mixed = visibility * rho + (1.0 - visibility) * np.eye(dim) / dim
-    return QubitDensity(num_qubits, mixed, label=f"werner_{visibility:g}")
+    # a convex mixture of a valid state and I / dim
+    return QubitDensity._trusted(num_qubits, mixed, label=f"werner_{visibility:g}")

@@ -462,7 +462,8 @@ def correlator_scan(state: State, plane: str, thetas) -> np.ndarray:
 def dephased(state: State) -> QubitDensity:
     """Populations-only copy of a state in the computational basis."""
     populations = _pattern_blocks(state, ()).reshape(-1)
-    return QubitDensity(state.num_qubits, np.diag(populations.real.astype(complex)))
+    # the populations of a valid state on the diagonal: they are its eigenvalues
+    return QubitDensity._trusted(state.num_qubits, np.diag(populations.real.astype(complex)))
 
 
 # ---------------------------------------------------------------------------

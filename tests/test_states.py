@@ -12,6 +12,7 @@ from dickesim import states
 from dickesim.dicke_states import NavigationStep, dicke, ghz, navigate, w_state
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.protocols import werner
+from dickesim.witness import dephased
 from dickesim.states import (
     ImpossibleOutcomeError,
     MeasurementSetting,
@@ -87,6 +88,52 @@ def random_density(num_qubits, rng):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return QubitDensity(num_qubits, rho / np.trace(rho).real)
+
+
+def assert_passes_the_full_validator(state):
+    """A state built without the checks passes every check of the public
+    constructor, and has the form that constructor gives."""
+    n = state.num_qubits
+    assert type(n) is int and state.matrix.dtype == complex
+    assert state.matrix.shape == (2**n, 2**n) and not state.matrix.flags.writeable
+    validated = QubitDensity(n, state.matrix, label=state.label)
+    assert validated.matrix.tobytes() == state.matrix.tobytes()
+
+
+@pytest.mark.parametrize("max_order", [3, 4, 7])
+@pytest.mark.parametrize("lam", [0.2, 0.65, 0.85, 0.99])
+def test_rho_sim_passes_the_full_validator(lam, max_order):
+    for eta_h, eta_v in [(1.0, 1.0), (0.3, 0.3), (0.3, 0.6), (0.9, 0.05), (1e-3, 0.999)]:
+        spdc, loss = SpdcConfig(lam=lam, max_order=max_order), LossConfig(eta_h=eta_h, eta_v=eta_v)
+        assert_passes_the_full_validator(simulate_experiment(spdc, loss).rho_sim)
+
+
+def noisy_inputs(num_qubits):
+    """Dicke, GHZ and W states on ``num_qubits`` qubits, and a seeded
+    random pure state and density."""
+    rng = np.random.default_rng(80 + num_qubits)
+    return [
+        *(dicke(num_qubits, k) for k in range(num_qubits + 1)),
+        ghz(num_qubits),
+        w_state(num_qubits),
+        random_pure(num_qubits, rng),
+        random_density(num_qubits, rng),
+    ]
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 9))
+def test_werner_and_dephased_pass_the_full_validator(num_qubits):
+    for state in noisy_inputs(num_qubits):
+        for visibility in (0.0, 0.37, 1.0):
+            assert_passes_the_full_validator(werner(num_qubits, visibility, base=state))
+        assert_passes_the_full_validator(dephased(state))
+
+
+def test_werner_refuses_a_base_of_another_size():
+    with pytest.raises(ValueError, match="3 qubits, not 4"):
+        werner(4, 0.5, base=ghz(3))
+    with pytest.raises(ValueError, match="num_qubits"):
+        werner(4.0, 0.5, base=ghz(4))
 
 
 def test_expectation_matches_dense_operator():
@@ -750,6 +797,71 @@ def test_state_file_bytes_match_json_dump_oracle(tmp_path, kind, num_qubits, lab
     # bit for bit, so -0.0 and the subnormal 5e-324 survive too
     assert values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
     assert back.label == label
+
+
+def _pair_lines(depth, count):
+    """Indent-1 JSON of ``count`` ``[re, im]`` pairs nested ``depth`` deep,
+    with one ``%r`` slot per number."""
+    pad = " " * depth
+    return ",\n".join([f"{pad}[\n{pad} %r,\n{pad} %r\n{pad}]"] * count)
+
+
+def template_save_state(state, path):
+    """The writer that formats every number of the file through one
+    ``%r`` template."""
+    if isinstance(state, QubitPureState):
+        key, values = "amplitudes", state.amplitudes
+        template = _pair_lines(2, state.dim)
+    else:
+        key, values = "matrix", state.matrix
+        row = f"  [\n{_pair_lines(3, state.dim)}\n  ]"
+        template = ",\n".join([row] * state.dim)
+    numbers = tuple(np.stack([values.real, values.imag], -1).ravel().tolist())
+    text = f'{{\n "num_qubits": {state.num_qubits},\n "{key}": [\n{template % numbers}\n ]'
+    if state.label:
+        text += f',\n "label": {json.dumps(state.label)}'
+    with open(path, "w") as fh:
+        fh.write(text + "\n}\n")
+
+
+def signed_zero_states():
+    """States whose entries repeat and hold +0.0 and -0.0 in both parts."""
+    zeros = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    amps = np.array((zeros + [0.5, -0.5, 0.5j, complex(-0.0, -0.5)]) * 2) / math.sqrt(2)
+    pure = QubitPureState(4, amps, label="signed zeros")
+    diag = np.full(4, 0.25, dtype=complex)
+    mixed = np.diag(diag)
+    mixed[0, 1:] = zeros[1:]
+    mixed[1:, 0] = zeros[1:]
+    mixed[2, 3], mixed[3, 2] = complex(0.1, -0.0), complex(0.1, 0.0)
+    mixed[3, 3] = complex(0.25, -0.0)
+    return [pure, QubitDensity(2, mixed)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: signed_zero_states()[0], id="pure-signed-zeros"),
+        pytest.param(lambda: signed_zero_states()[1], id="density-signed-zeros"),
+        pytest.param(lambda: random_density(5, np.random.default_rng(33)), id="random-density"),
+        pytest.param(lambda: random_pure(6, np.random.default_rng(34)), id="random-pure"),
+        pytest.param(
+            lambda: simulate_experiment(SpdcConfig(0.85, 4), LossConfig(0.3, 0.6)).rho_sim,
+            id="rho_sim",
+        ),
+        pytest.param(lambda: dicke(6, 3), id="labelled-dicke"),
+        pytest.param(lambda: werner(3, 0.5, w_state(3)), id="labelled-werner"),
+    ],
+)
+def test_state_file_bytes_match_the_template_writer(tmp_path, make):
+    state = make()
+    oracle, written = tmp_path / "oracle.json", tmp_path / "state.json"
+    template_save_state(state, oracle)
+    save_state(state, written)
+    assert written.read_bytes() == oracle.read_bytes()
+    back = load_state(written)
+    assert back.label == state.label
+    assert state_array(back).view(np.uint64).tolist() == state_array(state).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
