@@ -329,7 +329,7 @@ def _plan(decomp, strategy: str | None):
 def cmd_state(config: dict, ctx: Context) -> dict:
     import numpy as np
 
-    from .dicke_states import NavigationStep, navigate
+    from .dicke_states import NavigationStep, _projections
     from .states import ImpossibleOutcomeError, save_state
 
     state = _parse_state_label(config["state"])
@@ -343,19 +343,19 @@ def cmd_state(config: dict, ctx: Context) -> dict:
     final = state
     if config["navigate"]:
         steps = [NavigationStep(s["qubit"], s["outcome"]) for s in config["navigate"]]
+        # one pass; the running product is navigate's, and each step's
+        # probability is the ratio of its product to the one before
+        total, chain = 1.0, []
         try:
-            final, total = navigate(state, steps)
+            for final, p in _projections(state, steps):
+                previous = total
+                total *= p
+                chain.append(total / previous)
         except ImpossibleOutcomeError:
             raise
         except ValueError as exc:
             # a revisited or out-of-range qubit, or no qubit left
             raise ConfigError(f"config.navigate: {exc}") from exc
-        chain = []
-        previous = 1.0
-        for k in range(1, len(steps) + 1):
-            _, p = navigate(state, steps[:k])
-            chain.append(p / previous)
-            previous = p
         results["navigation"] = {
             "steps": [dict(s) for s in config["navigate"]],
             "probability": total,
@@ -380,27 +380,27 @@ def cmd_simulate(config: dict, ctx: Context) -> dict:
 
 
 def cmd_witness(config: dict, ctx: Context) -> dict:
-    from .witness import collective_spin_sq
+    from .witness import _SpinMoments
 
     state = _parse_state_label(config["state"])
     alpha = config["alpha"]
     # one read of the three settings, summed as witness_value sums them
-    jx2, jy2, jz2 = (collective_spin_sq(state, axis) for axis in "xyz")
+    moments = _SpinMoments.read(state)
     return {
         "state": config["state"],
         "num_qubits": state.num_qubits,
         "alpha": alpha,
-        "witness_value": float(jx2 + jy2 + alpha * jz2),
-        "jx_sq": jx2,
-        "jy_sq": jy2,
-        "jz_sq": jz2,
+        "witness_value": float(moments.witness(alpha)),
+        "jx_sq": moments.jx_sq,
+        "jy_sq": moments.jy_sq,
+        "jz_sq": moments.jz_sq,
     }
 
 
 def cmd_bound(config: dict, ctx: Context) -> dict:
     import numpy as np
 
-    from .witness import SeeSawOptions, biseparable_bound, bound_curve, collective_spin_sq
+    from .witness import SeeSawOptions, _SpinMoments, biseparable_bound, bound_curve
 
     n = config["num_qubits"]
     runs = 1 + len(config["alphas"] or ())
@@ -427,10 +427,10 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
         "classes": [asdict(cls) for cls in estimate.classes],
     }
     if state is not None:
-        # <W(alpha)> = <Jx^2> + <Jy^2> + alpha <Jz^2>, as witness_value sums
-        # it, from one read of the three settings for every alpha
-        jx2, jy2, jz2 = (collective_spin_sq(state, axis) for axis in "xyz")
-        value = float(jx2 + jy2 + config["alpha"] * jz2)
+        # <W(alpha)> as witness_value sums it, from one read of the three
+        # settings for every alpha
+        moments = _SpinMoments.read(state)
+        value = float(moments.witness(config["alpha"]))
         results["state_value"] = value
         results["gap"] = estimate.value - value
     if config["alphas"]:
@@ -438,7 +438,7 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
         header, columns = ["alpha", "biseparable_bound"], [alphas, bounds]
         if state is not None:
             header.append("state_value")
-            columns.append(jx2 + jy2 + alphas * jz2)
+            columns.append(moments.witness(alphas))
         _write_csv(ctx.path("fig_bound_curve.csv"), header, columns)
         results["table_file"] = "fig_bound_curve.csv"
     return results

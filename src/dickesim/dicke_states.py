@@ -24,6 +24,7 @@ from .states import (
     State,
     _POPCOUNT,
     _check_num_qubits,
+    _is_integer,
     project,
 )
 
@@ -39,27 +40,33 @@ OUTCOME_KETS = {
 
 def dicke(num_qubits: int, excitations: int) -> QubitPureState:
     """Equal-weight symmetric state with a fixed number of |V> qubits."""
-    n, m = int(num_qubits), int(excitations)
-    _check_num_qubits(n)
+    _check_num_qubits(num_qubits)
+    n = int(num_qubits)
+    if not _is_integer(excitations):
+        raise ValueError(f"excitations must be an integer, got {excitations!r}")
+    m = int(excitations)
     if not 0 <= m <= n:
         raise ValueError(f"excitations must satisfy 0 <= m <= {n}, got {m}")
     amps = np.where(_POPCOUNT[: 2**n] == m, 1.0 / math.sqrt(comb(n, m)), 0.0).astype(complex)
-    return QubitPureState(n, amps, label=f"dicke_{n}_{m}")
+    # closed-form amplitudes: C(n, m) entries of 1 / sqrt(C(n, m))
+    return QubitPureState._trusted(n, amps, f"dicke_{n}_{m}")
 
 
 def ghz(num_qubits: int) -> QubitPureState:
     """(|H...H> + |V...V>) / sqrt(2)."""
+    _check_num_qubits(num_qubits)
     n = int(num_qubits)
-    _check_num_qubits(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = SQRT_HALF
-    return QubitPureState(n, amps, label=f"ghz_{n}")
+    # closed-form amplitudes: two entries of 1 / sqrt(2)
+    return QubitPureState._trusted(n, amps, f"ghz_{n}")
 
 
 def w_state(num_qubits: int) -> QubitPureState:
     """Single-excitation Dicke state."""
     state = dicke(num_qubits, 1)
-    return QubitPureState(state.num_qubits, state.amplitudes, label=f"w_{num_qubits}")
+    # a relabel of a valid state
+    return QubitPureState._trusted(state.num_qubits, state.amplitudes, f"w_{num_qubits}")
 
 
 def recursion_residual(num_qubits: int, excitations: int) -> float:
@@ -69,6 +76,8 @@ def recursion_residual(num_qubits: int, excitations: int) -> float:
     with the square-root binomial weights; the residual is zero up to
     floating point for every valid (n, m).
     """
+    if not (_is_integer(num_qubits) and _is_integer(excitations)):
+        raise ValueError(f"recursion needs integers, got {num_qubits!r} and {excitations!r}")
     n, m = int(num_qubits), int(excitations)
     if n < 2 or not 0 < m < n:
         raise ValueError("recursion needs n >= 2 and 0 < m < n")
@@ -93,6 +102,15 @@ def navigate(state: State, steps) -> tuple[State, float]:
     their relative order.  Impossible outcomes (probability < 1e-12)
     raise :class:`ImpossibleOutcomeError`.
     """
+    current, prob = state, 1.0
+    for current, p in _projections(state, steps):
+        prob *= p
+    return current, prob
+
+
+def _projections(state: State, steps):
+    """Check ``steps`` as ``navigate`` does, then yield (state, p) after each
+    step: the state left and that step's outcome probability."""
     steps = [NavigationStep(int(q), str(o)) for q, o in steps]
     originals = [s.qubit for s in steps]
     if len(set(originals)) != len(originals):
@@ -106,11 +124,9 @@ def navigate(state: State, steps) -> tuple[State, float]:
         raise ValueError("navigation must leave at least one qubit")
 
     current = state
-    prob = 1.0
     measured: list[int] = []
     for s in steps:
         shift = sum(1 for q in measured if q < s.qubit)
         current, p = project(current, s.qubit - shift, OUTCOME_KETS[s.outcome])
-        prob *= p
         measured.append(s.qubit)
-    return current, prob
+        yield current, p

@@ -343,7 +343,8 @@ def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
         covered = tuple(strings[i] for i in np.sort(ids[ids >= 0]).tolist())
         if len(covered) != gain:
             raise AssertionError(f"greedy pick {c} read {len(covered)} strings, not {gain:.0f}")
-        setting = MeasurementSetting(tuple("xyz"[c // place[k] % 3] for k in range(n)))
+        # the planner's own x/y/z digits
+        setting = MeasurementSetting._trusted(tuple("xyz"[c // place[k] % 3] for k in range(n)))
         assignments.append(SettingAssignment(setting, covered))
     # every gain is at most 1: each string left is read alone, first by the
     # candidate with x for every I, and no two share it, so the rest of the
@@ -351,7 +352,8 @@ def _greedy_plan(decomp: PauliDecomposition) -> SettingPlan:
     left = np.flatnonzero(unread >= 0)
     first = left ^ 3 * (left & left >> 1 & int("1" * n, 4))
     for i in unread[left[np.argsort(first)]].tolist():
-        setting = MeasurementSetting(strings[i].replace("I", "X"))
+        # the letters of a checked string, x for every I
+        setting = MeasurementSetting._trusted(tuple(strings[i].replace("I", "X").lower()))
         assignments.append(SettingAssignment(setting, (strings[i],)))
     return SettingPlan(method="greedy", assignments=tuple(assignments))
 
@@ -365,11 +367,13 @@ def _ring_settings(n: int, rings: int) -> list[MeasurementSetting]:
     stagger were picked for the estimator's standard error and the
     weight solve's condition number on the Dicke targets.
     """
-    settings = [MeasurementSetting.uniform("z", n)]
+    # the z letter, and directions whose finite float angles are computed here
+    settings = [MeasurementSetting._trusted(("z",) * n)]
     for j in range(1, rings + 1):
         theta = j * math.pi / (2 * rings)
         for k in range(n + 1):
-            settings.append(MeasurementSetting.direction(theta, (2 * k + j) * math.pi / (n + 1), n))
+            phi = (2 * k + j) * math.pi / (n + 1)
+            settings.append(MeasurementSetting._trusted((("n", theta, phi),) * n))
     return settings
 
 
@@ -377,8 +381,9 @@ def _designs(n: int):
     """The uniform-direction designs ``symmetric`` tries, in order: the GHZ
     design (the z axis plus N equatorial directions at k pi / N), then the
     z axis plus ceil(N/2) rings, then one more ring."""
-    yield [MeasurementSetting.uniform("z", n)] + [
-        MeasurementSetting.direction(math.pi / 2, k * math.pi / n, n) for k in range(n)
+    # the z letter, and directions whose finite float angles are computed here
+    yield [MeasurementSetting._trusted(("z",) * n)] + [
+        MeasurementSetting._trusted((("n", math.pi / 2, k * math.pi / n),) * n) for k in range(n)
     ]
     first = math.ceil(n / 2)
     yield _ring_settings(n, first)

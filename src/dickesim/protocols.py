@@ -280,4 +280,4 @@ def werner(num_qubits: int, visibility: float, base=None) -> QubitDensity:
     dim = rho.shape[0]
     mixed = visibility * rho + (1.0 - visibility) * np.eye(dim) / dim
     # a convex mixture of a valid state and I / dim
-    return QubitDensity._trusted(num_qubits, mixed, label=f"werner_{visibility:g}")
+    return QubitDensity._trusted(int(num_qubits), mixed, f"werner_{visibility:g}")

@@ -19,6 +19,7 @@ choosing only the axes, the norm or trace, and the class returned.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -52,18 +53,67 @@ class ImpossibleOutcomeError(ValueError):
     """Raised when a projection outcome has probability below threshold."""
 
 
+def _is_integer(value) -> bool:
+    """True for an ``int`` or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_num_qubits(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1 or n > MAX_QUBITS:
+    if not _is_integer(n) or n < 1 or n > MAX_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n!r}")
 
 
-class QubitPureState:
+class _Frozen:
+    """Read-only fields, set by one freeze-and-assign for two kinds of value.
+
+    Values that come in (``QubitPureState(...)``, ``QubitDensity(...)``,
+    ``MeasurementSetting(...)``, ``load_state``) pass every check of the
+    public constructor, which then assigns them through ``_assign``.
+    Values that the library derives from inputs it has already checked go
+    through ``_trusted`` instead, without the checks, each call site with a
+    one-line reason why the value is valid by construction; the tests run
+    the full validator on what every such site builds.
+    """
+
+    # the fields in the order ``_trusted`` takes them; the ones left out are None
+    _FIELDS: tuple[str, ...] = ()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance holding ``values`` as they are, taken without the
+        checks and without a copy of a C-contiguous array.
+
+        Each array among them is a new complex array that the caller no
+        longer writes, of the shape the public constructor checks.
+        """
+        return object.__new__(cls)._assign(*values)
+
+    def _assign(self, *values):
+        for name, value in itertools.zip_longest(self._FIELDS, values):
+            if isinstance(value, np.ndarray):
+                # the layout of the validating copy, so that every contraction
+                # downstream rounds as it does on a validated state
+                value = np.ascontiguousarray(value)
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        return self
+
+
+class QubitPureState(_Frozen):
     """Normalized pure state of ``num_qubits`` polarization qubits.
 
     The amplitude array is frozen after validation; operations return new
     states.  An optional ``label`` names well-known preparations so that
     downstream tables (settings plans, reference lookups) can key on them.
+
+    The constructor checks the qubit count, finiteness, size and norm.
+    The library builds its own pure states through ``_trusted`` without
+    them: ``dicke``, ``ghz`` and ``w_state`` (closed-form unit-norm
+    amplitudes, or a relabel of a valid state), ``rotated_ghz_target`` (a
+    relabel), and ``project`` and ``apply_local`` on a pure state.
     """
+
+    _FIELDS = ("num_qubits", "amplitudes", "label")
 
     def __init__(self, num_qubits: int, amplitudes, label: str | None = None):
         _check_num_qubits(num_qubits)
@@ -77,29 +127,36 @@ class QubitPureState:
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-        amps.flags.writeable = False
-        self.num_qubits = int(num_qubits)
-        self.amplitudes = amps
-        self.label = label
+        self._assign(int(num_qubits), amps, label)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
     def density(self) -> "QubitDensity":
-        return QubitDensity(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        amps = self.amplitudes
+        # the outer product of a normalized vector
+        return QubitDensity._trusted(self.num_qubits, np.outer(amps, amps.conj()))
 
     def __repr__(self):
         tag = f" label={self.label!r}" if self.label else ""
         return f"<QubitPureState n={self.num_qubits}{tag}>"
 
 
-class QubitDensity:
+class QubitDensity(_Frozen):
     """Density matrix on ``num_qubits`` qubits.
 
-    Validated at construction: finite entries, Hermitian, unit trace, and
-    no eigenvalue below ``-EIGENVALUE_TOL``.
+    The constructor checks finite entries, Hermiticity, unit trace, and no
+    eigenvalue below ``-EIGENVALUE_TOL``.  The library builds its own
+    densities through ``_trusted`` without them: ``QubitPureState.density``,
+    ``partial_trace`` and ``pair_channel`` (a sum of the positive pattern
+    blocks of a valid state), ``project`` (a projection divided by its
+    probability), ``apply_local`` (a unitary conjugation), ``werner`` (a
+    convex mixture), ``dephased`` (the diagonal of a valid state) and
+    ``rho_sim`` (a mixture of Dicke blocks).
     """
+
+    _FIELDS = ("num_qubits", "matrix", "label")
 
     def __init__(self, num_qubits: int, matrix, label: str | None = None):
         _check_num_qubits(num_qubits)
@@ -117,27 +174,7 @@ class QubitDensity:
         low = np.linalg.eigvalsh(mat)[0]
         if low < -EIGENVALUE_TOL:
             raise ValueError(f"negative eigenvalue {low} below -{EIGENVALUE_TOL}")
-        mat.flags.writeable = False
-        self.num_qubits = int(num_qubits)
-        self.matrix = mat
-        self.label = label
-
-    @classmethod
-    def _trusted(cls, num_qubits: int, matrix: np.ndarray, label: str | None = None):
-        """A density that is valid by construction, taken without the checks
-        and without a copy.
-
-        ``matrix`` is a new complex (2^N, 2^N) array that the caller no
-        longer writes, built from validated states by an operation that
-        keeps them valid; each call site says which.  The property tests
-        run the full validator on what every call site builds.
-        """
-        state = cls.__new__(cls)
-        matrix.flags.writeable = False
-        state.num_qubits = int(num_qubits)
-        state.matrix = matrix
-        state.label = label
-        return state
+        self._assign(int(num_qubits), mat, label)
 
     @property
     def dim(self) -> int:
@@ -293,7 +330,8 @@ def partial_trace(state: State, keep) -> QubitDensity:
         raise ValueError(f"duplicate indices in keep={keep}")
     if not keep or any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep={keep} out of range for {n} qubits")
-    return QubitDensity(len(keep), _pattern_blocks(state, keep).sum(axis=0))
+    # a sum of the positive pattern blocks of a valid state
+    return QubitDensity._trusted(len(keep), _pattern_blocks(state, keep).sum(axis=0))
 
 
 def _pattern_blocks(state: State, keep) -> np.ndarray:
@@ -348,7 +386,8 @@ def project(state: State, qubit: int, outcome_ket) -> tuple[State, float]:
         raise ImpossibleOutcomeError(
             f"outcome probability {p:.3e} below {IMPOSSIBLE_OUTCOME_TOL}"
         )
-    return type(state)(n - 1, new / (math.sqrt(p) if pure else p)), p
+    # a projection of a valid state divided by its probability p >= 1e-12
+    return type(state)._trusted(n - 1, new / (math.sqrt(p) if pure else p)), p
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +411,29 @@ def _axis_entry(axis):
 
 
 @dataclass(frozen=True)
-class MeasurementSetting:
+class MeasurementSetting(_Frozen):
     """Per-qubit measurement axes.
 
     Each entry is a Pauli label ('x', 'y', 'z') or a Bloch direction
     ``('n', theta, phi)`` with polar angle theta from z and azimuth phi
     from x; a string such as ``"zzxy"`` gives one Pauli label per qubit.
     ``label()`` writes the axes exactly and ``from_label`` rebuilds them.
+
+    The constructor, ``uniform``, ``direction`` and ``from_label`` check
+    and normalize every axis.  The settings that ``lms`` plans go through
+    ``_trusted`` without the checks, as a tuple of normalized axes: the
+    greedy planner's own x/y/z letters, and the finite angles of the
+    uniform-direction designs.
     """
 
     axes: tuple
+    _FIELDS = ("axes",)
 
     def __post_init__(self):
         axes = tuple(_axis_entry(a) for a in self.axes)
         if not 1 <= len(axes) <= MAX_QUBITS:
             raise ValueError(f"setting must cover 1..{MAX_QUBITS} qubits")
-        object.__setattr__(self, "axes", axes)
+        self._assign(axes)
 
     @property
     def num_qubits(self) -> int:
@@ -529,7 +575,8 @@ def apply_local(state: State, unitaries) -> State:
         # a density takes u on its row axis q, then conj(u) on its column axis n + q
         for axis, op in ((q, u), (n + q, u.conj()))[: array.ndim]:
             tensor = np.moveaxis(np.tensordot(op, tensor, axes=[[1], [axis]]), 0, axis)
-    return type(state)(n, tensor.reshape(array.shape))
+    # a valid state conjugated by the unitaries checked above
+    return type(state)._trusted(n, tensor.reshape(array.shape))
 
 
 # ---------------------------------------------------------------------------

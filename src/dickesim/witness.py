@@ -109,11 +109,29 @@ def collective_spin_sq(state: State, axis: str) -> float:
     return float(probs @ (n / 2.0 - _POPCOUNT[: 2**n]) ** 2)
 
 
+@dataclass(frozen=True)
+class _SpinMoments:
+    """<J_x^2>, <J_y^2> and <J_z^2> of one state, from one read of each of
+    the three collective settings."""
+
+    jx_sq: float
+    jy_sq: float
+    jz_sq: float
+
+    @classmethod
+    def read(cls, state: State) -> "_SpinMoments":
+        return cls(*(collective_spin_sq(state, axis) for axis in "xyz"))
+
+    def witness(self, alpha):
+        """<W(alpha)> = (<J_x^2> + <J_y^2>) + alpha <J_z^2>, in that order,
+        for one alpha or elementwise for an array of them."""
+        return self.jx_sq + self.jy_sq + alpha * self.jz_sq
+
+
 def witness_value(state: State, alpha: float) -> float:
     """<W(alpha)> on a state from the three collective settings x, y and z,
     without building the 2^N operator."""
-    jx2, jy2, jz2 = (collective_spin_sq(state, axis) for axis in "xyz")
-    return float(jx2 + jy2 + alpha * jz2)
+    return float(_SpinMoments.read(state).witness(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +509,8 @@ def ghz_rotation_unitaries(num_qubits: int = 4):
 
 def rotated_ghz_target(num_qubits: int = 4) -> QubitPureState:
     state = apply_local(ghz(num_qubits), ghz_rotation_unitaries(num_qubits))
-    return QubitPureState(num_qubits, state.amplitudes, label=f"ghz_{num_qubits}_rotated")
+    # a relabel of a valid state
+    return QubitPureState._trusted(state.num_qubits, state.amplitudes, f"ghz_{num_qubits}_rotated")
 
 
 def ghz_witness(state: State) -> float:

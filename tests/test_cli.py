@@ -148,6 +148,31 @@ def test_state_navigation_chain(tmp_path, capsys):
     assert abs(nav["per_step"][1] - 0.6) < 1e-9
 
 
+def test_state_navigation_projects_once_per_step(tmp_path, monkeypatch):
+    # one pass for the whole chain; each step's probability keeps the bits
+    # of the ratio of two prefix navigations
+    from dickesim import cli, dicke_states
+
+    project = dicke_states.project
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return project(*args)
+
+    steps = [(3, "+"), (0, "V"), (5, "-"), (1, "H")]
+    monkeypatch.setattr(dicke_states, "project", counted)
+    config = cli.validate(
+        {"state": "dicke_7_3", "navigate": [{"qubit": q, "outcome": o} for q, o in steps]},
+        cli.SCHEMAS["state"],
+    )
+    nav = cli.cmd_state(config, cli.Context(seed=0, out_dir=str(tmp_path)))["navigation"]
+    assert len(calls) == len(steps)
+    totals = [1.0] + [dicke_states.navigate(dicke(7, 3), steps[:k])[1] for k in range(1, 5)]
+    assert nav["per_step"] == [b / a for a, b in zip(totals, totals[1:])]
+    assert nav["probability"] == totals[-1]
+
+
 def test_navigation_revisiting_a_qubit_exits_two(tmp_path, capsys):
     steps = [{"qubit": 0, "outcome": "H"}, {"qubit": 0, "outcome": "V"}]
     config = write_config(tmp_path, {"navigate": steps})

@@ -779,8 +779,10 @@ def test_uniform_plans_keep_only_weighted_settings(n):
 def test_every_planned_setting_rebuilds_from_its_label(n):
     # reports and CSVs name settings by label, so a label must give back
     # the very setting that was measured, under every strategy that
-    # accepts the target
-    strategies = ("greedy", "symmetric", "ghz_special") if n <= 6 else ("symmetric", "ghz_special")
+    # accepts the target; and since the planners build their settings
+    # without the checks, each must be the setting that the public
+    # constructor makes of its axes, down to the type of every angle
+    strategies = ("symmetric", "ghz_special") + (("greedy",) if n <= MAX_GREEDY_QUBITS else ())
     planned = 0
     for state in [dicke(n, k) for k in range(n + 1)] + [ghz(n), w_state(n)]:
         decomp = decompose(state)
@@ -793,8 +795,10 @@ def test_every_planned_setting_rebuilds_from_its_label(n):
             for setting in plan.settings():
                 assert MeasurementSetting.from_label(setting.label()) == setting, (
                     state.label, strategy, setting.label())
+                validated = MeasurementSetting(setting.axes)
+                assert validated == setting and repr(validated.axes) == repr(setting.axes)
     # greedy and symmetric accept every target, ghz_special at least GHZ_N
-    assert planned >= (2 * (n + 3) if n <= 6 else n + 3) + 1
+    assert planned >= (2 * (n + 3) if n <= MAX_GREEDY_QUBITS else n + 3) + 1
 
 
 def test_symmetric_plan_refuses_other_targets():

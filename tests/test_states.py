@@ -9,10 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dickesim import states
-from dickesim.dicke_states import NavigationStep, dicke, ghz, navigate, w_state
+from dickesim.dicke_states import NavigationStep, dicke, ghz, navigate, recursion_residual, w_state
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
-from dickesim.protocols import werner
-from dickesim.witness import dephased
+from dickesim.protocols import pair_channel, werner
+from dickesim.witness import dephased, rotated_ghz_target
 from dickesim.states import (
     ImpossibleOutcomeError,
     MeasurementSetting,
@@ -90,14 +90,37 @@ def random_density(num_qubits, rng):
     return QubitDensity(num_qubits, rho / np.trace(rho).real)
 
 
+def assert_frozen_form(state, array):
+    """The form the validating constructors give: an int qubit count and a
+    complex, C-contiguous, read-only array."""
+    assert type(state.num_qubits) is int and array.dtype == complex
+    assert array.flags.c_contiguous and not array.flags.writeable
+
+
 def assert_passes_the_full_validator(state):
-    """A state built without the checks passes every check of the public
+    """A density built without the checks passes every check of the public
     constructor, and has the form that constructor gives."""
     n = state.num_qubits
-    assert type(n) is int and state.matrix.dtype == complex
-    assert state.matrix.shape == (2**n, 2**n) and not state.matrix.flags.writeable
+    assert_frozen_form(state, state.matrix)
+    assert state.matrix.shape == (2**n, 2**n)
     validated = QubitDensity(n, state.matrix, label=state.label)
     assert validated.matrix.tobytes() == state.matrix.tobytes()
+
+
+def assert_pure_passes_the_full_validator(state):
+    """The pure-state twin of ``assert_passes_the_full_validator``."""
+    n = state.num_qubits
+    assert_frozen_form(state, state.amplitudes)
+    assert state.amplitudes.shape == (2**n,)
+    validated = QubitPureState(n, state.amplitudes, label=state.label)
+    assert validated.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+def assert_valid(state):
+    if isinstance(state, QubitPureState):
+        assert_pure_passes_the_full_validator(state)
+    else:
+        assert_passes_the_full_validator(state)
 
 
 @pytest.mark.parametrize("max_order", [3, 4, 7])
@@ -109,14 +132,18 @@ def test_rho_sim_passes_the_full_validator(lam, max_order):
 
 
 def noisy_inputs(num_qubits):
-    """Dicke, GHZ and W states on ``num_qubits`` qubits, and a seeded
-    random pure state and density."""
+    """Dicke, GHZ and W states on ``num_qubits`` qubits, the rotated GHZ
+    target, a seeded random pure state, its density and a seeded random
+    full-rank density."""
     rng = np.random.default_rng(80 + num_qubits)
+    psi = random_pure(num_qubits, rng)
     return [
         *(dicke(num_qubits, k) for k in range(num_qubits + 1)),
         ghz(num_qubits),
         w_state(num_qubits),
-        random_pure(num_qubits, rng),
+        rotated_ghz_target(num_qubits),
+        psi,
+        QubitDensity(num_qubits, np.outer(psi.amplitudes, psi.amplitudes.conj())),
         random_density(num_qubits, rng),
     ]
 
@@ -127,6 +154,100 @@ def test_werner_and_dephased_pass_the_full_validator(num_qubits):
         for visibility in (0.0, 0.37, 1.0):
             assert_passes_the_full_validator(werner(num_qubits, visibility, base=state))
         assert_passes_the_full_validator(dephased(state))
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 9))
+def test_derived_states_pass_the_full_validator(num_qubits):
+    # the builders, density(), partial traces, pair channels, local
+    # unitaries, projections and navigation, on every noisy input
+    n = num_qubits
+    rng = np.random.default_rng(90 + n)
+    keeps = {(0,), (n - 1,), tuple(range(n - 1, -1, -1))}
+    if n >= 3:
+        keeps |= {(n - 1, 0), (1, n - 1, 0)}
+    for state in noisy_inputs(n):
+        assert_valid(state)
+        if isinstance(state, QubitPureState):
+            assert_passes_the_full_validator(state.density())
+        for keep in keeps:
+            assert_passes_the_full_validator(partial_trace(state, keep))
+        if n >= 2:
+            assert_passes_the_full_validator(pair_channel(state, n - 1, 0))
+        assert_valid(apply_local(state, [random_unitary(rng) for _ in range(n)]))
+        if n == 1:
+            continue
+        for qubit in (0, n - 1):
+            for ket in PROJECTION_KETS.values():
+                try:
+                    assert_valid(project(state, qubit, ket)[0])
+                except ImpossibleOutcomeError:
+                    pass
+        for steps in ([(n - 1, "+"), (0, "-")][: n - 1], [(0, "H"), (1, "V")][: n - 1]):
+            try:
+                assert_valid(navigate(state, steps)[0])
+            except ImpossibleOutcomeError:
+                pass
+
+
+def test_no_library_path_runs_a_validator(monkeypatch):
+    # what the library builds from checked inputs goes through the trusted
+    # constructor; with every validating constructor made to raise, the
+    # derived states and the planned settings are still built
+    from dickesim import lms
+
+    n = 5
+    rng = np.random.default_rng(95)
+    inputs = [random_pure(n, rng), random_density(n, rng), _lossy_rho_sim()]
+    unitaries = [random_unitary(rng) for _ in range(6)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a validating constructor ran")
+
+    monkeypatch.setattr(QubitPureState, "__init__", refuse)
+    monkeypatch.setattr(QubitDensity, "__init__", refuse)
+    monkeypatch.setattr(MeasurementSetting, "__post_init__", refuse)
+    built = [dicke(6, 3), ghz(4), w_state(5), rotated_ghz_target(4)]
+    for state in inputs + built:
+        m = state.num_qubits
+        partial_trace(state, (m - 1, 0))
+        pair_channel(state, 0, 1)
+        project(state, 1, KET_PLUS)
+        navigate(state, [(2, "+"), (0, "-")])
+        apply_local(state, unitaries[:m])
+        werner(m, 0.5, base=state)
+        dephased(state)
+        if isinstance(state, QubitPureState):
+            state.density()
+    simulate_experiment(SpdcConfig(lam=0.85, max_order=4), LossConfig(eta_h=0.3, eta_v=0.22))
+    for target, strategy in [(dicke(6, 3), "greedy"), (w_state(4), "greedy"),
+                             (dicke(6, 3), "symmetric"), (ghz(6), "ghz_special")]:
+        lms.plan_settings(lms.decompose(target), strategy)
+
+
+def test_sizes_must_be_integers(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"num_qubits": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
+    with pytest.raises(ValueError, match="num_qubits"):
+        load_state(path)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="num_qubits"):
+            QubitPureState(bad, [1.0, 0.0])
+        with pytest.raises(ValueError, match="num_qubits"):
+            QubitDensity(bad, np.eye(2) / 2)
+    for call in (lambda: dicke(6.7, 3), lambda: dicke(True, 1), lambda: ghz(4.9),
+                 lambda: ghz(True), lambda: w_state(3.0)):
+        with pytest.raises(ValueError, match="num_qubits"):
+            call()
+    for bad in (2.9, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="excitations"):
+            dicke(6, bad)
+    for sizes in ((6.7, 3), (6, 3.2), (6, True)):
+        with pytest.raises(ValueError, match="integers"):
+            recursion_residual(*sizes)
+    # numpy integers are integers
+    assert dicke(np.int64(6), np.int8(3)).label == "dicke_6_3"
+    assert type(ghz(np.int32(4)).num_qubits) is int
+    assert type(QubitDensity(np.int64(1), np.eye(2) / 2).num_qubits) is int
 
 
 def test_werner_refuses_a_base_of_another_size():
