@@ -22,7 +22,7 @@ from dickesim.lms import decompose, fidelity_from_counts, plan_settings
 from dickesim.protocols import telecloning_report
 from dickesim.sampling import ExperimentPlan, histograms_to_table, run_plan
 from dickesim.states import fidelity
-from dickesim.witness import SeeSawOptions, biseparable_bound, witness_value
+from dickesim.witness import biseparable_bound, witness_value
 
 DEFAULT_CAL = os.path.join(os.path.dirname(__file__), "..", "data", "calibration.json")
 
@@ -48,7 +48,7 @@ def main():
     print(f"direct fidelity to the six-photon target: {direct:.6f}")
 
     value = witness_value(rho, 0.0)
-    bound = biseparable_bound(6, 0.0, options=SeeSawOptions(restarts=20))
+    bound = biseparable_bound(6, 0.0)
     print(f"witness value {value:.4f} vs biseparable bound {bound.value:.4f} "
           f"-> genuinely multipartite: {value > bound.value}")
 

@@ -7,7 +7,6 @@ alternating eigenvector search, and traces the product-basis correlator
 curve whose closed form the six-photon state obeys.
 """
 
-import argparse
 import os
 
 # one BLAS thread unless the caller sets another: the matrices here are
@@ -18,31 +17,20 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from dickesim.dicke_states import dicke
-from dickesim.witness import (
-    SeeSawOptions,
-    biseparable_bound,
-    correlator_scan,
-    dephased,
-    witness_value,
-)
+from dickesim.witness import biseparable_bound, correlator_scan, dephased, witness_value
 
 PUBLISHED_BOUNDS = {4: 5.23, 5: 7.87, 6: 11.02}
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--restarts", type=int, default=50)
-    args = parser.parse_args()
-
     print("ideal witness values at alpha = 0")
     for n, m in [(6, 3), (5, 2), (4, 2), (4, 1)]:
         value = witness_value(dicke(n, m), 0.0)
         print(f"  {n} photons, {m} excitations: {value:.6f}")
 
-    print(f"\nbiseparable bounds ({args.restarts} polar starts)")
-    options = SeeSawOptions(restarts=args.restarts)
+    print("\nbiseparable bounds")
     for n in (4, 5, 6):
-        est = biseparable_bound(n, 0.0, options=options)
+        est = biseparable_bound(n, 0.0)
         print(f"  {n} qubits: {est.value:.6f}  (published {PUBLISHED_BOUNDS[n]}, "
               f"deviation {est.value - PUBLISHED_BOUNDS[n]:+.4f})")
 

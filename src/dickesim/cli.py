@@ -155,11 +155,6 @@ SIMULATE_SCHEMA = {
     "rep_rate": (_number(0.0, 1e12), 8.0e7),
 }
 
-# restart budget of one bound run, restarts x (1 + len(alphas)) for the main
-# alpha and each entry of alphas: the main alpha plus 64 alphas at the
-# default 50 restarts
-MAX_BOUND_RESTARTS = 50 * 65
-
 SCHEMAS = {
     "state": {
         "state": (_string(), "dicke_6_3"),
@@ -174,9 +169,9 @@ SCHEMAS = {
         # states.MAX_QUBITS, written out so the schemas load before numpy
         "num_qubits": (_integer(2, 10), 6),
         "alpha": (_number(), 0.0),
-        # each entry is a full bound; from N = 4 on, restarts x
-        # (1 + len(alphas)) is capped at MAX_BOUND_RESTARTS
+        # each entry is a full bound
         "alphas": (_list_of(_number(), max_len=64), None),
+        # inert: the see-saw starts from a fixed set of polar angles
         "restarts": (_integer(3, 500), 50),
         "state": (_string(), None),
     },
@@ -400,17 +395,9 @@ def cmd_witness(config: dict, ctx: Context) -> dict:
 def cmd_bound(config: dict, ctx: Context) -> dict:
     import numpy as np
 
-    from .witness import SeeSawOptions, _SpinMoments, biseparable_bound, bound_curve
+    from .witness import _SpinMoments, biseparable_bound, bound_curve
 
     n = config["num_qubits"]
-    runs = 1 + len(config["alphas"] or ())
-    # below N = 4 the only class is |A| = 1, which starts no see-saw
-    if n // 2 >= 2 and config["restarts"] * runs > MAX_BOUND_RESTARTS:
-        raise ConfigError(
-            f"config.restarts x (1 + len(config.alphas)) = {config['restarts']} x {runs}"
-            f" exceeds the restart budget {MAX_BOUND_RESTARTS}"
-        )
-    options = SeeSawOptions(restarts=config["restarts"])
     label = config["state"]
     if label is None and n % 2 == 0:
         label = f"dicke_{n}_{n // 2}"
@@ -419,7 +406,7 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
         raise ConfigError(
             f"config.state: {label} has {state.num_qubits} qubits, expected {n}"
         )
-    estimate = biseparable_bound(n, alpha=config["alpha"], options=options)
+    estimate = biseparable_bound(n, alpha=config["alpha"])
     results = {
         "num_qubits": n,
         "alpha": config["alpha"],
@@ -434,7 +421,7 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
         results["state_value"] = value
         results["gap"] = estimate.value - value
     if config["alphas"]:
-        alphas, bounds = np.array(bound_curve(n, config["alphas"], options)).T
+        alphas, bounds = np.array(bound_curve(n, config["alphas"])).T
         header, columns = ["alpha", "biseparable_bound"], [alphas, bounds]
         if state is not None:
             header.append("state_value")

@@ -111,6 +111,9 @@ def navigate(state: State, steps) -> tuple[State, float]:
 def _projections(state: State, steps):
     """Check ``steps`` as ``navigate`` does, then yield (state, p) after each
     step: the state left and that step's outcome probability."""
+    steps = list(steps)
+    if not all(_is_integer(q) for q, _ in steps):
+        raise ValueError(f"qubit indices must be integers, got {[q for q, _ in steps]}")
     steps = [NavigationStep(int(q), str(o)) for q, o in steps]
     originals = [s.qubit for s in steps]
     if len(set(originals)) != len(originals):

@@ -325,7 +325,10 @@ def partial_trace(state: State, keep) -> QubitDensity:
     sum of the kept qubits' H/V pattern blocks, so the 2^N x 2^N density
     matrix of a pure state is never built."""
     n = state.num_qubits
-    keep = tuple(int(k) for k in keep)
+    keep = tuple(keep)
+    if not all(map(_is_integer, keep)):
+        raise ValueError(f"keep={keep} must hold integer qubit indices")
+    keep = tuple(map(int, keep))
     if len(keep) != len(set(keep)):
         raise ValueError(f"duplicate indices in keep={keep}")
     if not keep or any(k < 0 or k >= n for k in keep):

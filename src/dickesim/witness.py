@@ -57,6 +57,11 @@ from .states import (
 # SEESAW_TOL, or after MAX_ITER iterations
 MAX_ITER = 500
 SEESAW_TOL = 1e-10
+# the see-saw of every sector pair of the |A| >= 2 classes starts from
+# POLAR_STARTS spin-coherent states at polar angles spaced evenly over
+# [0, pi/2]; tests/test_witness.py certifies the values it reaches up to
+# N = 10 with an independent upper bound
+POLAR_STARTS = 10
 # the |A| = 1 class evaluates its top eigenvalue on GRID_POINTS polar angles
 # spaced evenly over [0, pi/2] (pi/64 apart), then refines each grid local
 # maximum until a step moves the angle by at most THETA_TOL radians (or its
@@ -140,17 +145,11 @@ def witness_value(state: State, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SeeSawOptions:
-    """``restarts`` polar starts per sector pair of the classes with
-    |A| >= 2, at least 3 (the pole and the equator alone can stop a class
-    below its maximum, e.g. the 3|3 class at N=6, alpha=-10); the |A| = 1
-    class does not read it, and ``seed`` is ignored."""
+    """Accepted for compatibility and not read: the search draws no random
+    numbers, and its start set is the fixed ``POLAR_STARTS``."""
 
     restarts: int = 50
     seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 3:
-            raise ValueError(f"restarts must be at least 3, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -352,7 +351,7 @@ def _polar_maxima(w4):
     return values, iterations, converged
 
 
-def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
+def _search_size_class(n, size, alpha) -> SizeClassSearch:
     """Search the spin sectors of the bipartitions with |A| = size: the
     see-saw for size >= 2, the one-dimensional ``_polar_maxima`` for 1.
 
@@ -374,7 +373,7 @@ def _search_size_class(n, size, alpha, opts) -> SizeClassSearch:
         if size == 1:
             values, iterations, converged = _polar_maxima(w4)
         else:
-            values, iterations, converged = _seesaw(w4, _polar_starts(d_a, opts.restarts))
+            values, iterations, converged = _seesaw(w4, _polar_starts(d_a, POLAR_STARTS))
         r = int(np.argmax(values))
         if values[r] > best[0]:
             best = (float(values[r]), int(iterations[r]), bool(converged[r]))
@@ -408,7 +407,9 @@ def biseparable_bound(
     rotation about x, which maps the spin-coherent |theta, 0> to
     |pi - theta, 0> up to phase.  W is real in the m basis and some
     optimum is real (a joint z rotation zeroes the other side's <J_y>),
-    so every search runs in real arithmetic; ``options.seed`` is not read.
+    so every search runs in real arithmetic.  ``options`` is accepted and
+    ignored: the search draws no random numbers and has no start count to
+    set.
 
     For |A| = 1 no see-saw runs.  Side A is one qubit, so its only sector
     is spin 1/2, and every pure qubit state is spin-coherent (Arecchi et
@@ -419,11 +420,10 @@ def biseparable_bound(
     value is max over theta of lambda_max(M(theta)), a one-dimensional
     maximum: a grid of ``GRID_POINTS`` angles, then a safeguarded Newton
     refinement of every grid local maximum (``_polar_maxima``).
-    ``options.restarts`` is not read there.
 
     For |A| >= 2, each searched sector pair runs the see-saw with side A
-    starting in the spin-coherent states at ``options.restarts`` polar
-    angles in [0, pi/2], azimuth 0.  The starts run as one batch: each
+    starting in the spin-coherent states at ``POLAR_STARTS`` polar angles
+    in [0, pi/2], azimuth 0.  The starts run as one batch: each
     half-step contracts the witness with every start's other side at once
     and takes the top eigenvectors of the whole stack in one ``eigh``, so
     the objective is monotone per start and each start stops on its own
@@ -431,23 +431,18 @@ def biseparable_bound(
     convergence and sector counts (see ``SizeClassSearch``); ``value`` is
     the largest class value.
     """
-    opts = options or SeeSawOptions()
     n = int(num_qubits)
     if n < 2:
         raise ValueError("need at least 2 qubits for a bipartition")
     classes = tuple(
-        _search_size_class(n, size, float(alpha), opts)
-        for size in range(1, n // 2 + 1)
+        _search_size_class(n, size, float(alpha)) for size in range(1, n // 2 + 1)
     )
     return BoundEstimate(max(cls.value for cls in classes), classes)
 
 
-def bound_curve(num_qubits, alphas, options=None):
+def bound_curve(num_qubits, alphas):
     """[(alpha, biseparable bound)] over a grid of alpha values."""
-    return [
-        (float(a), biseparable_bound(num_qubits, float(a), options).value)
-        for a in alphas
-    ]
+    return [(float(a), biseparable_bound(num_qubits, float(a)).value) for a in alphas]
 
 
 # ---------------------------------------------------------------------------

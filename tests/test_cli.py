@@ -330,34 +330,25 @@ def test_bound_alphas_list_is_capped(tmp_path, capsys):
     assert "config.alphas" in capsys.readouterr().err
 
 
-def test_bound_restart_budget_covers_every_alpha(tmp_path, capsys):
-    # restarts x (1 + len(alphas)) is capped at 3250: the main alpha plus the
-    # longest alphas list at the default 50 restarts
-    alphas = [k / 8.0 for k in range(-32, 31)]
-    fits = write_config(tmp_path, {"num_qubits": 2, "restarts": 50, "alphas": alphas})
-    assert run_cli(["bound", "--config", fits, "--out", str(tmp_path / "a")]) == 0
-    longest = write_config(
-        tmp_path, {"num_qubits": 2, "alphas": alphas + [3.875]}, name="longest.json"
-    )
-    assert run_cli(["bound", "--config", longest, "--out", str(tmp_path / "c")]) == 0
+def test_bound_has_no_restart_budget(tmp_path, capsys):
+    # restarts is inert, so 51 of them with all 64 alphas run like any other
+    # count: the same report as 3, apart from the config
+    alphas = [k / 8.0 for k in range(-32, 32)]
+    reports = {}
+    for restarts in (51, 3):
+        config = write_config(
+            tmp_path, {"num_qubits": 4, "restarts": restarts, "alphas": alphas},
+            name=f"r{restarts}.json",
+        )
+        out = tmp_path / f"r{restarts}"
+        assert run_cli(["bound", "--config", config, "--out", str(out)]) == 0
+        reports[restarts] = load_report(out, "bound")
+        assert len(load_csv(out / "fig_bound_curve.csv")) == 64
     capsys.readouterr()
-    over = write_config(
-        tmp_path, {"num_qubits": 4, "restarts": 51, "alphas": alphas}, name="over.json"
-    )
-    assert run_cli(["bound", "--config", over, "--out", str(tmp_path / "b")]) == 2
-    err = capsys.readouterr().err
-    assert "config.restarts" in err and "config.alphas" in err
-    assert not (tmp_path / "b" / "bound.json").exists()
-    # below N = 4 the only class is |A| = 1, which reads no restarts, so
-    # 500 x 11 is not over budget there
-    ten = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 0.9, 0.999]
-    single = write_config(
-        tmp_path, {"num_qubits": 3, "restarts": 500, "alphas": ten}, name="single.json"
-    )
-    assert run_cli(["bound", "--config", single, "--out", str(tmp_path / "d")]) == 0
-    capsys.readouterr()
-    results = load_report(tmp_path / "d", "bound")["results"]
-    assert [cls["size"] for cls in results["classes"]] == [1]
+    assert reports[51]["results"] == reports[3]["results"]
+    assert (tmp_path / "r51" / "fig_bound_curve.csv").read_bytes() == (
+        tmp_path / "r3" / "fig_bound_curve.csv"
+    ).read_bytes()
 
 
 def test_scan_closed_form_artifact(tmp_path, capsys):
@@ -828,7 +819,7 @@ def test_out_of_range_value_exits_two(tmp_path, capsys):
     assert run_cli(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config.lambda" in err
-    # the pole and the equator alone can stop a class below its maximum
+    # bound keeps the schema range of its inert restarts key
     for restarts in (1, 2):
         config = write_config(tmp_path, {"restarts": restarts}, name="bound.json")
         assert run_cli(["bound", "--config", config, "--out", str(tmp_path / "o")]) == 2

@@ -104,6 +104,15 @@ def test_navigate_rejects_revisited_qubits():
         navigate(dicke(6, 3), [NavigationStep(0, "H"), NavigationStep(0, "V")])
 
 
+def test_navigate_refuses_non_integer_qubits():
+    # int() would truncate 0.7 to qubit 0 and True to qubit 1
+    for steps in [[(0.7, "H"), (True, "V")], [(0.7, "H")], [(1, "H"), (2.0, "V")]]:
+        with pytest.raises(ValueError, match="qubit indices must be integers"):
+            navigate(dicke(4, 2), steps)
+    _, prob = navigate(dicke(4, 2), [(np.int64(0), "H"), (1, "V")])
+    assert prob == navigate(dicke(4, 2), [(0, "H"), (1, "V")])[1]
+
+
 def test_navigate_diagonal_outcomes_reach_rotated_ghz():
     d63 = dicke(6, 3)
     state, prob = navigate(

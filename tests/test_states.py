@@ -406,6 +406,15 @@ def test_partial_trace_of_product_state():
     assert_allclose(reduced.matrix, np.outer(KET_V, KET_V), atol=1e-12)
 
 
+def test_partial_trace_refuses_non_integer_indices():
+    # int() would truncate (0.9, 1.2) to (0, 1), and a bool is no index
+    for keep in [(0.9, 1.2), (True,), (0, 1.0)]:
+        with pytest.raises(ValueError, match="integer qubit indices"):
+            partial_trace(dicke(4, 2), keep)
+    by_numpy = partial_trace(dicke(4, 2), (np.int64(1), np.int32(0)))
+    assert by_numpy.matrix.tobytes() == partial_trace(dicke(4, 2), (1, 0)).matrix.tobytes()
+
+
 def einsum_partial_trace(rho, keep):
     """Oracle: the kept qubits' reduced matrix by one einsum over the
     density tensor ``rho``, tracing each other qubit's row and column axes

@@ -18,6 +18,7 @@ from dickesim.states import (
 )
 from dickesim.witness import (
     MAX_ITER,
+    POLAR_STARTS,
     SEESAW_TOL,
     SeeSawOptions,
     _polar_maxima,
@@ -67,7 +68,7 @@ def _seesaw_once(w4, psi_a, max_iter, tol):
     return value, max_iter, False
 
 
-def per_restart_class_search(n, size, alpha, opts):
+def per_restart_class_search(n, size, alpha):
     """Oracle: the size class search one see-saw restart at a time, with
     the same sector order and skip rule as biseparable_bound and the polar
     starts of its see-saw classes.
@@ -82,7 +83,7 @@ def per_restart_class_search(n, size, alpha, opts):
             skipped += 1
             continue
         searched += 1
-        for psi_a in _polar_starts(d_a, opts.restarts):
+        for psi_a in _polar_starts(d_a, POLAR_STARTS):
             result = _seesaw_once(w4, psi_a, MAX_ITER, SEESAW_TOL)
             if result[0] > best[0]:
                 best = result
@@ -222,15 +223,19 @@ def test_half_excited_value_is_alpha_independent():
 
 
 def test_biseparable_bound_small_case_converges():
-    est = biseparable_bound(4, 0.0, SeeSawOptions(restarts=6, seed=1))
+    est = biseparable_bound(4, 0.0)
     assert all(c.converged for c in est.classes)
     assert 5.15 <= est.value <= 5.232051 + 1e-6
     assert sum(c.bipartitions for c in est.classes) == 7
-    # the pole and the equator alone can stop a class below its maximum;
-    # none or fewer cannot run at all
-    for restarts in (2, 1, 0, -1):
-        with pytest.raises(ValueError, match="restarts must be at least 3"):
-            SeeSawOptions(restarts=restarts)
+
+
+@pytest.mark.parametrize("n, alpha", [(4, 0.0), (6, -10.0), (7, -3.0)])
+def test_biseparable_bound_does_not_read_its_options(n, alpha):
+    # the start set is fixed: no restart count or seed changes a class
+    expected = biseparable_bound(n, alpha)
+    for restarts in (3, 50, 500):
+        assert biseparable_bound(n, alpha, SeeSawOptions(restarts=restarts)) == expected
+        assert biseparable_bound(n, alpha, SeeSawOptions(restarts, seed=7)) == expected
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -239,7 +244,7 @@ def test_biseparable_bound_matches_dense_oracle(n):
     # N=4, alpha=-3, |A|=2 search stops up to ~3e-7 short of its limit 4
     for alpha in (-10.0, -3.0, -1.0, 0.0, 0.5, 3.0):
         oracle = dense_class_maxima(n, alpha, restarts=3)
-        est = biseparable_bound(n, alpha, SeeSawOptions(restarts=3, seed=0))
+        est = biseparable_bound(n, alpha)
         assert [c.size for c in est.classes] == sorted(oracle)
         for cls in est.classes:
             assert abs(cls.value - max(oracle[cls.size])) < 1e-6, (n, alpha, cls.size)
@@ -256,16 +261,13 @@ def test_batched_seesaw_matches_per_restart_oracle_exactly(n):
     # bit for bit, including the N=4, alpha=-3 class that stops at max_iter;
     # the |A| = 1 class has no see-saw (see the polar maxima tests below)
     for alpha in ORACLE_ALPHAS:
-        for restarts in (3, 10):
-            opts = SeeSawOptions(restarts=restarts, seed=0)
-            est = biseparable_bound(n, alpha, opts)
-            for cls in est.classes[1:]:
-                expected = per_restart_class_search(n, cls.size, alpha, opts)
-                got = (cls.value, cls.iterations, cls.converged,
-                       cls.sectors_searched, cls.sectors_skipped)
-                assert got == expected, (n, alpha, restarts, cls.size)
+        for cls in biseparable_bound(n, alpha).classes[1:]:
+            expected = per_restart_class_search(n, cls.size, alpha)
+            got = (cls.value, cls.iterations, cls.converged,
+                   cls.sectors_searched, cls.sectors_skipped)
+            assert got == expected, (n, alpha, cls.size)
     if n == 4:
-        slow = biseparable_bound(4, -3.0, SeeSawOptions(restarts=3)).classes[1]
+        slow = biseparable_bound(4, -3.0).classes[1]
         assert not slow.converged and slow.iterations == 500
 
 
@@ -297,15 +299,13 @@ def test_single_qubit_class_matches_per_restart_oracle(n):
     # of a 10,001-point angle grid over every sector
     for alpha in ORACLE_ALPHAS:
         grid = max(sector_grid_maximum(d_b, alpha) for d_b in range(n, 0, -2))
-        for restarts in (3, 10):
-            opts = SeeSawOptions(restarts=restarts, seed=0)
-            cls = biseparable_bound(n, alpha, opts).classes[0]
-            value, _, _, searched, skipped = per_restart_class_search(n, 1, alpha, opts)
-            assert cls.size == 1 and cls.converged, (n, alpha, restarts)
-            assert (cls.sectors_searched, cls.sectors_skipped) == (searched, skipped)
-            assert cls.value == pytest.approx(value, rel=1e-9), (n, alpha, restarts)
-            assert cls.value >= value - 1e-12 * abs(value), (n, alpha, restarts)
-            assert cls.value >= grid - 1e-12 * abs(grid), (n, alpha, restarts)
+        cls = biseparable_bound(n, alpha).classes[0]
+        value, _, _, searched, skipped = per_restart_class_search(n, 1, alpha)
+        assert cls.size == 1 and cls.converged, (n, alpha)
+        assert (cls.sectors_searched, cls.sectors_skipped) == (searched, skipped)
+        assert cls.value == pytest.approx(value, rel=1e-9), (n, alpha)
+        assert cls.value >= value - 1e-12 * abs(value), (n, alpha)
+        assert cls.value >= grid - 1e-12 * abs(grid), (n, alpha)
 
 
 def test_sector_top_matches_eigvalsh():
@@ -322,7 +322,7 @@ def test_sector_top_matches_eigvalsh():
 def test_closed_form_skip_visits_the_sectors_of_the_eigvalsh_rule(alpha, monkeypatch):
     # the search builds a sector witness only for the pairs it searches;
     # replay each class with the eigvalsh skip rule and the same searches
-    n, opts = 8, SeeSawOptions()
+    n = 8
     built = []
 
     def recording_sector_witness(d_a, d_b, alpha):
@@ -332,7 +332,7 @@ def test_closed_form_skip_visits_the_sectors_of_the_eigvalsh_rule(alpha, monkeyp
     monkeypatch.setattr("dickesim.witness._sector_witness", recording_sector_witness)
     for size in range(1, n // 2 + 1):
         built.clear()
-        got = _search_size_class(n, size, alpha, opts)
+        got = _search_size_class(n, size, alpha)
         best, visited = -np.inf, []
         for d_a, d_b in itertools.product(range(size + 1, 0, -2), range(n - size + 1, 0, -2)):
             w4 = _sector_witness(d_a, d_b, alpha)
@@ -342,7 +342,7 @@ def test_closed_form_skip_visits_the_sectors_of_the_eigvalsh_rule(alpha, monkeyp
             if size == 1:
                 values = _polar_maxima(w4)[0]
             else:
-                values = _seesaw(w4, _polar_starts(d_a, opts.restarts))[0]
+                values = _seesaw(w4, _polar_starts(d_a, POLAR_STARTS))[0]
             best = max(best, float(values.max()))
         assert built == visited, (size, built, visited)
         assert (got.sectors_searched, got.value) == (len(visited), best)
@@ -407,12 +407,12 @@ def test_polar_maxima_build_both_ends_exactly():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_polar_starts_never_fall_below_random_starts(n):
-    # three polar starts, the fewest allowed, reach every class maximum that
-    # seeded Gaussian starts find (two, the pole and the equator, stop the
-    # 3|3 class at N=6, alpha=-10 at 4.28 where its maximum is 7)
+    # the fixed polar starts reach every class maximum that seeded Gaussian
+    # starts find (two starts, the pole and the equator, would stop the 3|3
+    # class at N=6, alpha=-10 at 4.28 where its maximum is 7)
     for alpha in (-1e4, -10.0, -3.0, -1.0, 0.0, 0.5, 0.999, 1.0, 10.0):
         oracle = random_start_class_maxima(n, alpha, restarts=10)
-        for cls in biseparable_bound(n, alpha, SeeSawOptions(restarts=3)).classes:
+        for cls in biseparable_bound(n, alpha).classes:
             want = oracle[cls.size]
             # a converged value stops within about one stopping increment
             # of its limit; the N=4, alpha=-3, |A|=2 class stops at
@@ -436,13 +436,135 @@ def test_polar_starts_are_spin_coherent_states():
         assert_allclose(starts[0], np.eye(dim)[0], atol=0)
 
 
+# a cell of the certificate below closes once its upper value is within
+# this fraction of the best value attained: half the 1e-9 its test asserts,
+# so a class value a little below the best cell value still passes
+CERTIFY_RTOL = 5e-10
+CERTIFY_LEVELS = 40
+_CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+
+
+def _side_operators(dim, alpha):
+    """(W, J_x, J_z) of one spin-(dim - 1)/2 sector, real; W = J^2 +
+    (alpha - 1) J_z^2 is diagonal in the m basis."""
+    jx, _, jz = _spin_matrices(dim)
+    j, m = (dim - 1) / 2.0, np.diag(jz)
+    return np.diag(j * (j + 1) + (alpha - 1.0) * m * m), jx.real, jz
+
+
+def certified_sector_maximum(d_s, d_g, alpha, best):
+    """Oracle: (best, upper, closed) bracketing max <W(alpha)> over product
+    states of the sector pair of dimensions d_s <= d_g, by branch and bound
+    over the mean spin of the smaller side S (G. Toth et al., New J. Phys.
+    11, 083002 (2009)).  ``best`` is a value attained before, or -inf.
+
+    On a product state, <W> = <W_S> + <W_G> + 2 sum_i w_i <J_Si> <J_Gi>
+    with w = (1, 1, alpha).  A joint z rotation and the joint pi rotation
+    about x bring S's mean spin to s = (s_x, 0, s_z) with s_x, s_z >= 0 and
+    |s| <= j_S, so the maximum is that of f(s) + g(s) over the box
+    [0, j_S]^2, with f(s) the largest <W_S> at mean spin s and g(s) =
+    lambda_max(W_G + 2 s_x J_Gx + 2 alpha s_z J_Gz), convex in s.  A cell
+    with centre c takes G's top eigenvector phi there and t = (2 <J_Gx>,
+    2 alpha <J_Gz>), the gradient of g at c.  With h(t) = lambda_max(W_S +
+    t_x J_Sx + t_z J_Sz) and its top eigenvector psi, psi (x) phi attains
+    L = h(t) + g(c) - t.c (both are real, so <J_y> = 0 on each side).
+    Weak duality gives f(s) <= h(t') - t'.s for every t', and g(s) - t'.s
+    is convex, so largest at a corner v of the cell: no state with s in
+    the cell exceeds U = h(t') + max_v (g(v) - t'.v), plus a rounding
+    margin.  U takes the smaller of t' = t and t' = t + c - <J_S>_psi, one
+    gradient step on the dual h(t') - t'.c; the step is what closes cells
+    where f falls off linearly but g is flat, as along s_z at alpha = -10.
+    A cell with U within ``CERTIFY_RTOL`` of the best L closes, the others
+    split in four, and cells outside the disk |s| <= j_S are dropped.
+    ``upper`` is the largest U of the closed cells, and of the open ones
+    when ``CERTIFY_LEVELS`` levels do not close them all (``closed`` False).
+    """
+    w_s, jx_s, jz_s = _side_operators(d_s, alpha)
+    w_g, jx_g, jz_g = _side_operators(d_g, alpha)
+    j_s = (d_s - 1) / 2.0
+    scale = np.abs(w_s).max() + np.abs(w_g).max() + 2.0 * (1.0 + abs(alpha)) * j_s * (d_g - 1)
+    margin = 8 * (d_s + d_g) * np.finfo(float).eps * scale
+
+    def stack(w, jx, jz, t):
+        """w + t_x jx + t_z jz, one matrix per row of t."""
+        return w + t[:, :1, None] * jx + t[:, 1:, None] * jz
+
+    def top(w, jx, jz, t):
+        """lambda_max of ``stack`` and its eigenvector's (<jx>, <jz>)."""
+        vals, vecs = np.linalg.eigh(stack(w, jx, jz, t))
+        v = vecs[:, :, -1]
+        return vals[:, -1], np.stack([np.einsum("ri,ij,rj->r", v, op, v) for op in (jx, jz)], 1)
+
+    to_t = np.array([2.0, 2.0 * alpha])
+    cells = np.zeros((1, 2), dtype=np.int64)  # lower corners, in cell widths
+    upper = -np.inf
+    for level in range(CERTIFY_LEVELS):
+        width = j_s / 2**level
+        cells = cells[np.hypot(*(cells * width).T) <= j_s]
+        if not len(cells):
+            return best, upper, True
+        centres = (cells + 0.5) * width
+        g_c, spin_g = top(w_g, jx_g, jz_g, centres * to_t)
+        t = spin_g * to_t
+        h, spin_s = top(w_s, jx_s, jz_s, t)
+        best = max(best, (h + g_c - (t * centres).sum(1)).max())
+        corners = (cells[:, None, :] + _CORNERS) * width
+        points, index = np.unique(corners.reshape(-1, 2), axis=0, return_inverse=True)
+        g_v = np.linalg.eigvalsh(stack(w_g, jx_g, jz_g, points * to_t))[:, -1]
+        g_v = g_v[index].reshape(-1, 4)
+        step = t + centres - spin_s
+        u = margin + np.minimum(
+            h + (g_v - (corners * t[:, None, :]).sum(2)).max(1),
+            top(w_s, jx_s, jz_s, step)[0] + (g_v - (corners * step[:, None, :]).sum(2)).max(1),
+        )
+        done = u - margin <= best + CERTIFY_RTOL * abs(best)
+        upper = max(upper, u[done].max(initial=-np.inf))
+        if done.all():
+            return best, upper, True
+        cells = (2 * cells[~done, None, :] + _CORNERS).reshape(-1, 2)
+    return best, max(upper, u[~done].max()), False
+
+
+def certified_class_maximum(n, size, alpha):
+    """Oracle: (upper, closed) for the |A| = size class: the sector pairs in
+    the search's order and with its closed-form skip, each searched pair
+    certified, each skipped one bounded by its unconstrained top."""
+    best = upper = -np.inf
+    closed = True
+    for d_a, d_b in itertools.product(range(size + 1, 0, -2), range(n - size + 1, 0, -2)):
+        top = _sector_top(d_a, d_b, alpha)
+        if top <= best:
+            upper = max(upper, top)
+            continue
+        best, pair_upper, pair_closed = certified_sector_maximum(*sorted((d_a, d_b)), alpha, best)
+        upper, closed = max(upper, pair_upper), closed and pair_closed
+    return upper, closed
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_seesaw_classes_reach_their_certified_maximum(n):
+    # a class value is attained, so it lies below the certified upper bound,
+    # and the fixed start set brings it within 1e-9 of that bound; the one
+    # unconverged class is N=4, alpha=-3, |A| = 2, which stops at MAX_ITER
+    # about 5e-7 short of 4 and is left out
+    for alpha in (-10.0, -3.0, -1.0, 0.0, 0.5, 0.9):
+        for size in range(2, n // 2 + 1):
+            cls = _search_size_class(n, size, alpha)
+            if not cls.converged:
+                assert (n, alpha, size) == (4, -3.0, 2)
+                continue
+            upper, closed = certified_class_maximum(n, size, alpha)
+            assert closed, (n, alpha, size)
+            assert upper - 1e-9 * abs(upper) <= cls.value <= upper, (n, alpha, size, upper)
+
+
 @pytest.mark.parametrize("n", range(2, 11))
 def test_biseparable_bound_closed_form_for_large_alpha(n):
     # for alpha >= 1 the all-up product state is optimal:
     # j(j+1) + (alpha - 1) j^2 with j = N/2
     j = n / 2.0
     for alpha in (1.0, 1.5, 3.0, 1e4, 1e12):
-        est = biseparable_bound(n, alpha, SeeSawOptions(restarts=3, seed=0))
+        est = biseparable_bound(n, alpha)
         expected = j * (j + 1) + (alpha - 1) * j * j
         assert est.value == pytest.approx(expected, rel=1e-12, abs=1e-9)
         assert all(c.converged for c in est.classes)
@@ -454,14 +576,14 @@ def test_biseparable_bound_matches_dense_oracle_at_large_negative_alpha(n):
     # eigenvalue is far above the 1e-10 stopping increment
     for alpha in (-1e4, -1e12):
         oracle = dense_class_maxima(n, alpha, restarts=3)
-        est = biseparable_bound(n, alpha, SeeSawOptions(restarts=3, seed=0))
+        est = biseparable_bound(n, alpha)
         for cls in est.classes:
             assert cls.value == pytest.approx(max(oracle[cls.size]), rel=1e-9), (alpha, cls.size)
 
 
 def test_bound_curve_returns_alpha_value_pairs():
     alphas = [-1.0, 0.0]
-    curve = bound_curve(4, alphas, SeeSawOptions(restarts=4, seed=2))
+    curve = bound_curve(4, alphas)
     assert [a for a, _ in curve] == alphas
     assert all(v > 0 for _, v in curve)
 
