@@ -28,7 +28,7 @@ from math import comb, factorial
 import numpy as np
 
 from .dicke_states import dicke
-from .states import _POPCOUNT, QubitDensity
+from .states import _POPCOUNT, QubitDensity, _is_integer
 
 N_SPATIAL = 6
 # the even splitter seen from the pumped input mode: a photon reaches each
@@ -65,8 +65,8 @@ class SpdcConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lambda must be in [0, 1), got {self.lam}")
-        if not 1 <= self.max_order <= 7:
-            raise ValueError(f"max_order must be in [1, 7], got {self.max_order}")
+        if not _is_integer(self.max_order) or not 1 <= self.max_order <= 7:
+            raise ValueError(f"max_order must be an integer in [1, 7], got {self.max_order!r}")
 
 
 @dataclass(frozen=True)

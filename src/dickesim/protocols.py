@@ -31,6 +31,7 @@ from .states import (
     _as_density_matrix,
     _check_num_qubits,
     _density_expectations,
+    _is_integer,
     _pattern_blocks,
     fidelity,
     outcome_distribution,
@@ -239,8 +240,8 @@ def qss_run(state, rounds: int, seed: int = 0) -> QssResult:
     B(kept, 1/2), and each basis's errors from B(basis kept, p_err) with
     p_err = min(odd, 1 - odd) the basis's wrong-parity mass.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be positive")
+    if not _is_integer(rounds) or rounds < 1:
+        raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
     n = state.num_qubits
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     sifted = int(rng.binomial(rounds, 2.0 ** (1 - n)))

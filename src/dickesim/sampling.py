@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import MeasurementSetting, outcome_distributions
+from .states import MeasurementSetting, _is_integer, outcome_distributions
 
 
 def stream_generator(seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -53,8 +53,12 @@ class ExperimentPlan:
         settings = tuple(self.settings)
         if not settings:
             raise ValueError("plan needs at least one setting")
-        if self.events_per_setting < 1:
-            raise ValueError("events per setting must be positive")
+        if not _is_integer(self.events_per_setting) or self.events_per_setting < 1:
+            raise ValueError(
+                f"events per setting must be a positive integer, got {self.events_per_setting!r}"
+            )
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "settings", settings)
 
 

@@ -46,6 +46,7 @@ from .states import (
     QubitDensity,
     QubitPureState,
     State,
+    _is_integer,
     _pattern_blocks,
     apply_local,
     expectations,
@@ -431,6 +432,8 @@ def biseparable_bound(
     convergence and sector counts (see ``SizeClassSearch``); ``value`` is
     the largest class value.
     """
+    if not _is_integer(num_qubits):
+        raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
     n = int(num_qubits)
     if n < 2:
         raise ValueError("need at least 2 qubits for a bipartition")

@@ -313,6 +313,17 @@ def test_spdc_config_validation():
         SpdcConfig(lam=-0.1)
 
 
+@pytest.mark.parametrize("max_order", [True, 4.5, 4.0])
+def test_spdc_config_refuses_a_non_integer_max_order(max_order):
+    with pytest.raises(ValueError, match="max_order must be an integer"):
+        SpdcConfig(0.5, max_order)
+
+
+def test_calibrate_refuses_a_non_integer_max_order():
+    with pytest.raises(ValueError, match="max_order must be an integer"):
+        calibrate([0.5], [0.3], max_order=3.7)
+
+
 def test_lossless_third_order_probability_and_fidelity():
     result = simulate_experiment(SpdcConfig(lam=0.6, max_order=3), LossConfig())
     assert_allclose(result.p_exact, 5.0 / 324.0, atol=1e-12)

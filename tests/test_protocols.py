@@ -343,6 +343,12 @@ def test_odt_matches_per_pattern_oracle():
             )
 
 
+@pytest.mark.parametrize("rounds", [100.5, 100.0, True])
+def test_qss_refuses_non_integer_rounds(rounds):
+    with pytest.raises(ValueError, match="rounds must be a positive integer"):
+        qss_run(dicke(4, 2), rounds)
+
+
 def test_qss_noiseless_run_has_no_errors():
     run = qss_run(dicke(6, 3), 10000, seed=0)
     assert run.rounds == 10000

@@ -61,6 +61,17 @@ def test_plan_validation():
         ExperimentPlan((zbasis(4),), events_per_setting=0, seed=0)
 
 
+@pytest.mark.parametrize("events, seed, message", [
+    (2.5, 0, "events per setting must be a positive integer"),
+    (True, 0, "events per setting must be a positive integer"),
+    (50, 1.7, "seed must be an integer"),
+    (50, True, "seed must be an integer"),
+])
+def test_plan_refuses_non_integer_counts(events, seed, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan((zbasis(4),), events_per_setting=events, seed=seed)
+
+
 def test_run_plan_streams_are_distinct_and_reproducible():
     plan = ExperimentPlan((zbasis(4), zbasis(4)), events_per_setting=2000, seed=11)
     first = run_plan(dicke(4, 2), plan)

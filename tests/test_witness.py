@@ -222,6 +222,17 @@ def test_half_excited_value_is_alpha_independent():
         assert_allclose(witness_value(dicke(6, 3), alpha), base, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [4.9, 4.0, True, "4"])
+def test_biseparable_bound_refuses_a_non_integer_size(n):
+    with pytest.raises(ValueError, match="num_qubits must be an integer"):
+        biseparable_bound(n)
+
+
+def test_bound_curve_refuses_a_non_integer_size():
+    with pytest.raises(ValueError, match="num_qubits must be an integer"):
+        bound_curve(4.2, [0.0])
+
+
 def test_biseparable_bound_small_case_converges():
     est = biseparable_bound(4, 0.0)
     assert all(c.converged for c in est.classes)
