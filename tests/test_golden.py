@@ -10,8 +10,9 @@ changed file, or on a JSON file that is not strict JSON, naming the file and
 the first ``results`` key, top-level key or CSV row that differs.
 
 Counts come from numpy's ``Generator`` and probabilities from BLAS, so the
-manifest holds only for the numpy it was written with, which it records
-along with the Python version; a run on another numpy fails and says so.
+manifest records the numpy and Python versions it was written with.  The
+bytes decide: a run on another numpy passes when every file matches, and
+when one does not, the failure also names both versions.
 
 Run as a script, ``PYTHONPATH=src python tests/test_golden.py`` replays
 every entry and rewrites the file records and versions of the manifest in
@@ -130,15 +131,9 @@ def _file_difference(name: str, recorded: dict, written: dict) -> str:
 
 def failures(manifest: dict, entry: dict, out: Path) -> list[str]:
     """Every way the files in ``out`` depart from the entry's record."""
-    found = []
-    if manifest["numpy"] != np.__version__:
-        found.append(
-            f"the manifest was written with numpy {manifest['numpy']}, this run uses numpy "
-            f"{np.__version__}: rewrite it with `PYTHONPATH=src python tests/test_golden.py`"
-        )
     recorded = entry["files"]
     names = set(_written_names(out))
-    found += [f"{name}: recorded but not written" for name in sorted(recorded.keys() - names)]
+    found = [f"{name}: recorded but not written" for name in sorted(recorded.keys() - names)]
     found += [f"{name}: written but not recorded" for name in sorted(names - recorded.keys())]
     for name in sorted(names & recorded.keys()):
         try:
@@ -148,6 +143,12 @@ def failures(manifest: dict, entry: dict, out: Path) -> list[str]:
             continue
         if written["sha256"] != recorded[name]["sha256"]:
             found.append(_file_difference(name, recorded[name], written))
+    if found and manifest["numpy"] != np.__version__:
+        found.append(
+            f"the manifest was written with numpy {manifest['numpy']} (Python "
+            f"{manifest['python']}), this run uses numpy {np.__version__} (Python "
+            f"{platform.python_version()})"
+        )
     return found
 
 
@@ -232,11 +233,30 @@ def test_non_finite_json_is_named(tampered):
     assert failures(manifest, entry, out) == ["bound.json: not strict JSON: holds NaN"]
 
 
-def test_other_numpy_version_fails_and_says_so(tampered):
+def test_other_numpy_version_alone_passes(tampered):
     manifest, entry, out = tampered
     manifest["numpy"] = "1.0.0"
-    (message,) = failures(manifest, entry, out)
-    assert f"written with numpy 1.0.0, this run uses numpy {np.__version__}" in message
+    assert failures(manifest, entry, out) == []
+
+
+def test_other_numpy_version_is_named_beside_a_difference(tampered):
+    manifest, entry, out = tampered
+    manifest["numpy"] = "1.0.0"
+    (out / "bound.json").rename(out / "extra.json")
+    *differences, note = failures(manifest, entry, out)
+    assert differences == [
+        "bound.json: recorded but not written", "extra.json: written but not recorded"
+    ]
+    assert note == (
+        f"the manifest was written with numpy 1.0.0 (Python {manifest['python']}), "
+        f"this run uses numpy {np.__version__} (Python {platform.python_version()})"
+    )
+
+
+def test_ci_installs_the_manifest_numpy():
+    # the bytes are recorded on one numpy; CI replays them on the same one
+    workflow = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    assert f'"numpy=={GOLDEN["numpy"]}"' in workflow.read_text()
 
 
 if __name__ == "__main__":
