@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Usage: dickesim COMMAND [--config PATH] [--seed U64] [--out DIR] [--threads N]
+Usage: dickesim COMMAND [--config PATH] [--seed U64] [--out DIR]
 
 One verb per activity: state | simulate | witness | bound | scan | lms |
 sample | protocols | qss | compare; the flags may come before or after
@@ -20,9 +20,6 @@ and a config file, compared report or ``--out`` directory that cannot be
 read or created), 3 numerical failure (no sixfold events, an impossible
 measurement outcome, an arithmetic or linear-algebra error); any other
 exception propagates with its traceback.
-
-Heavy numerical imports happen after argument parsing so that --threads
-can cap the linear-algebra thread pools via environment variables.
 """
 
 from __future__ import annotations
@@ -35,6 +32,22 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
+
+from . import __version__
+from .dicke_states import OUTCOME_KETS, NavigationStep, _projections, dicke, ghz, w_state
+from .fock import MAX_ORDER, LossConfig, NoSixfoldEventsError, SpdcConfig, simulate_experiment
+from .lms import STRATEGIES, decompose, fidelity_from_matrix, plan_settings, reference_lms_table
+from .protocols import (
+    odt_report, pair_channel, psi_plus_fraction, qss_run, telecloning_report, werner,
+)
+from .references import compare_values
+from .sampling import ExperimentPlan, count_matrix
+from .states import MAX_QUBITS, ImpossibleOutcomeError, fidelity, save_state
+from .witness import (
+    PLANES, _SpinMoments, biseparable_bound, bound_curve, correlator_scan, dephased,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,9 +136,10 @@ def _nested(schema):
     return check
 
 
-_navigation_step = _nested(
-    {"qubit": (_integer(0, 9), _REQUIRED), "outcome": (_string({"H", "V", "+", "-"}), _REQUIRED)}
-)
+_navigation_step = _nested({
+    "qubit": (_integer(0, MAX_QUBITS - 1), _REQUIRED),
+    "outcome": (_string(OUTCOME_KETS), _REQUIRED),
+})
 
 
 def validate(config, schema, path="config") -> dict:
@@ -147,7 +161,7 @@ def validate(config, schema, path="config") -> dict:
 
 SIMULATE_SCHEMA = {
     "lambda": (_number(0.0, 1.0, hi_exclusive=True), 0.65),
-    "max_order": (_integer(1, 7), 4),
+    "max_order": (_integer(1, MAX_ORDER), 4),
     "eta_H": (_number(0.0, 1.0), 1.0),
     "eta_V": (_number(0.0, 1.0), 1.0),
     # pulsed-pump repetition rate in Hz, only used to turn the per-pulse
@@ -166,8 +180,7 @@ SCHEMAS = {
         "alpha": (_number(), 0.0),
     },
     "bound": {
-        # states.MAX_QUBITS, written out so the schemas load before numpy
-        "num_qubits": (_integer(2, 10), 6),
+        "num_qubits": (_integer(2, MAX_QUBITS), 6),
         "alpha": (_number(), 0.0),
         # each entry is a full bound
         "alphas": (_list_of(_number(), max_len=64), None),
@@ -177,20 +190,20 @@ SCHEMAS = {
     },
     "scan": {
         "state": (_string(), "dicke_6_3"),
-        "plane": (_string({"xz", "yz"}), "xz"),
+        "plane": (_string(PLANES), "xz"),
         "points": (_integer(2, 100000), 100),
         "dephased": (_boolean(), False),
     },
     "lms": {
         "state": (_string(), "dicke_6_3"),
         # None: the library picks from the target (symmetric for every label)
-        "strategy": (_string({"greedy", "symmetric", "ghz_special"}), None),
+        "strategy": (_string(STRATEGIES), None),
     },
     "sample": {
         "state": (_string(), "dicke_4_2"),
         "simulate": (_nested(SIMULATE_SCHEMA), None),
         "target": (_string(), None),
-        "strategy": (_string({"greedy", "symmetric", "ghz_special"}), None),
+        "strategy": (_string(STRATEGIES), None),
         "events": (_integer(1, 10**9), 100000),
     },
     "protocols": {
@@ -277,8 +290,6 @@ class Context:
 
 
 def _parse_state_label(label: str, path: str = "config.state"):
-    from .dicke_states import dicke, ghz, w_state
-
     parts = label.split("_")
     builders = {("dicke", 3): dicke, ("ghz", 2): ghz, ("w", 2): w_state}
     build = builders.get((parts[0], len(parts)))
@@ -298,8 +309,6 @@ def _parse_state_label(label: str, path: str = "config.state"):
 
 def _simulate(sim: dict):
     """Run the source model on a validated ``SIMULATE_SCHEMA`` config."""
-    from .fock import LossConfig, SpdcConfig, simulate_experiment
-
     return simulate_experiment(
         SpdcConfig(lam=sim["lambda"], max_order=sim["max_order"]),
         LossConfig(eta_h=sim["eta_H"], eta_v=sim["eta_V"]),
@@ -309,8 +318,6 @@ def _simulate(sim: dict):
 def _plan(decomp, strategy: str | None):
     """plan_settings, with a strategy that does not fit the target (greedy
     above its qubit cap, a design that does not span it) as a config error."""
-    from .lms import plan_settings
-
     try:
         return plan_settings(decomp, strategy=strategy)
     except ValueError as exc:
@@ -322,11 +329,6 @@ def _plan(decomp, strategy: str | None):
 
 
 def cmd_state(config: dict, ctx: Context) -> dict:
-    import numpy as np
-
-    from .dicke_states import NavigationStep, _projections
-    from .states import ImpossibleOutcomeError, save_state
-
     state = _parse_state_label(config["state"])
     amps = np.abs(state.amplitudes)
     results = {
@@ -363,8 +365,6 @@ def cmd_state(config: dict, ctx: Context) -> dict:
 
 
 def cmd_simulate(config: dict, ctx: Context) -> dict:
-    from .states import save_state
-
     outcome = _simulate(config)
     save_state(outcome.rho_sim, ctx.path("rho_sim.json"))
     results = outcome.report()
@@ -375,8 +375,6 @@ def cmd_simulate(config: dict, ctx: Context) -> dict:
 
 
 def cmd_witness(config: dict, ctx: Context) -> dict:
-    from .witness import _SpinMoments
-
     state = _parse_state_label(config["state"])
     alpha = config["alpha"]
     # one read of the three settings, summed as witness_value sums them
@@ -393,10 +391,6 @@ def cmd_witness(config: dict, ctx: Context) -> dict:
 
 
 def cmd_bound(config: dict, ctx: Context) -> dict:
-    import numpy as np
-
-    from .witness import _SpinMoments, biseparable_bound, bound_curve
-
     n = config["num_qubits"]
     label = config["state"]
     if label is None and n % 2 == 0:
@@ -432,10 +426,6 @@ def cmd_bound(config: dict, ctx: Context) -> dict:
 
 
 def cmd_scan(config: dict, ctx: Context) -> dict:
-    import numpy as np
-
-    from .witness import correlator_scan, dephased
-
     state = _parse_state_label(config["state"])
     if config["dephased"]:
         source = dephased(state)
@@ -462,8 +452,6 @@ def cmd_scan(config: dict, ctx: Context) -> dict:
 
 
 def cmd_lms(config: dict, ctx: Context) -> dict:
-    from .lms import decompose, reference_lms_table
-
     decomp = decompose(_parse_state_label(config["state"]))
     plan = _plan(decomp, config["strategy"])
     return {
@@ -480,10 +468,6 @@ def cmd_lms(config: dict, ctx: Context) -> dict:
 
 
 def cmd_sample(config: dict, ctx: Context) -> dict:
-    from .lms import decompose, fidelity_from_matrix
-    from .sampling import ExperimentPlan, count_matrix
-    from .states import fidelity
-
     if config["simulate"] is not None:
         source = _simulate(config["simulate"]).rho_sim
         source_desc = {"simulate": config["simulate"]}
@@ -536,16 +520,6 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
 
 
 def cmd_protocols(config: dict, ctx: Context) -> dict:
-    import numpy as np
-
-    from .dicke_states import dicke
-    from .protocols import (
-        odt_report,
-        pair_channel,
-        psi_plus_fraction,
-        telecloning_report,
-    )
-
     n = config["num_qubits"]
     if n % 2:
         raise ConfigError("config.num_qubits: protocols need an even qubit count")
@@ -596,8 +570,6 @@ def cmd_protocols(config: dict, ctx: Context) -> dict:
 
 
 def cmd_qss(config: dict, ctx: Context) -> dict:
-    from .protocols import qss_run, werner
-
     state = _parse_state_label(config["state"])
     if config["visibility"] is not None:
         source = werner(state.num_qubits, config["visibility"], base=state)
@@ -662,8 +634,6 @@ def _comparable(value) -> bool:
 
 
 def cmd_compare(config: dict, ctx: Context) -> dict:
-    from .references import compare_values
-
     default_names = [
         "simulate.json",
         "bound.json",
@@ -743,12 +713,12 @@ _HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flat parser: the command and the four flags, in any order."""
+    """One flat parser: the command and the three flags, in any order."""
     width = max(map(len, HANDLERS))
     commands = "\n".join(f"  {name:<{width}}  {_HELP[name]}" for name in HANDLERS)
     parser = argparse.ArgumentParser(
         prog="dickesim",
-        usage="%(prog)s COMMAND [--config PATH] [--seed U64] [--out DIR] [--threads N]",
+        usage="%(prog)s COMMAND [--config PATH] [--seed U64] [--out DIR]",
         description="Batch computations for symmetric multiphoton states.",
         epilog=f"commands:\n{commands}",
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -759,13 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--seed", type=int, default=0, metavar="U64")
     parser.add_argument("--out", default="out", metavar="DIR")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap numerical thread pools (default: library defaults)",
-    )
     return parser
 
 
@@ -795,33 +758,14 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-def _numerical_errors() -> tuple:
-    """Exceptions reported as numerical failures (exit 3).  Imported on
-    demand so that --threads is set before numpy loads.  Any other
-    exception, a bare ValueError included, is a bug and keeps its
-    traceback."""
-    import numpy as np
-
-    from .fock import NoSixfoldEventsError
-    from .states import ImpossibleOutcomeError
-
-    return (NoSixfoldEventsError, ImpossibleOutcomeError, ArithmeticError,
-            np.linalg.LinAlgError)
+# exceptions reported as numerical failures (exit 3); any other exception,
+# a bare ValueError included, is a bug and keeps its traceback
+NUMERICAL_ERRORS = (NoSixfoldEventsError, ImpossibleOutcomeError, ArithmeticError,
+                    np.linalg.LinAlgError)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return EXIT_CONFIG
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ[var] = str(args.threads)
     if args.seed < 0 or args.seed >= 2**64:
         print("error: --seed must fit in 64 bits", file=sys.stderr)
         return EXIT_CONFIG
@@ -837,11 +781,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _numerical_errors() as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    from . import __version__
-
     report = {
         "command": args.command,
         "seed": args.seed,

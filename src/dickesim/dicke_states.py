@@ -120,7 +120,7 @@ def _projections(state: State, steps):
         raise ValueError(f"steps revisit a qubit: {originals}")
     for s in steps:
         if s.outcome not in OUTCOME_KETS:
-            raise ValueError(f"outcome must be one of HV+-, got {s.outcome!r}")
+            raise ValueError(f"outcome must be one of {''.join(OUTCOME_KETS)}, got {s.outcome!r}")
         if not 0 <= s.qubit < state.num_qubits:
             raise ValueError(f"qubit {s.qubit} out of range")
     if len(steps) >= state.num_qubits:

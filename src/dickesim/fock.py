@@ -31,6 +31,8 @@ from .dicke_states import dicke
 from .states import _POPCOUNT, QubitDensity, _is_integer
 
 N_SPATIAL = 6
+# largest pair order SpdcConfig keeps
+MAX_ORDER = 7
 # the even splitter seen from the pumped input mode: a photon reaches each
 # arm with amplitude 1/sqrt(6).  The sixfold event series in
 # ``_sixfold_stats`` takes |u_j|^2 from arm 0 for every arm, so it relies on
@@ -65,8 +67,10 @@ class SpdcConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam < 1.0:
             raise ValueError(f"lambda must be in [0, 1), got {self.lam}")
-        if not _is_integer(self.max_order) or not 1 <= self.max_order <= 7:
-            raise ValueError(f"max_order must be an integer in [1, 7], got {self.max_order!r}")
+        if not _is_integer(self.max_order) or not 1 <= self.max_order <= MAX_ORDER:
+            raise ValueError(
+                f"max_order must be an integer in [1, {MAX_ORDER}], got {self.max_order!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,8 @@ _PHASES = np.array([1, 1j, -1, -1j])
 MAX_GREEDY_QUBITS = 8
 # largest weight residual a uniform-direction plan may leave before it is refused
 SYMMETRIC_RESIDUAL_TOL = 1e-10
+# the strategies plan_settings takes besides None
+STRATEGIES = ("greedy", "symmetric", "ghz_special")
 
 
 @dataclass(frozen=True)
@@ -473,10 +475,10 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     ValueError above ``MAX_GREEDY_QUBITS`` qubits, where plans grow too
     large to sample (the eight-qubit Dicke state takes 2,012 settings).
     """
+    if strategy is not None and strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "greedy":
         return _greedy_plan(decomp)
-    if strategy not in (None, "symmetric", "ghz_special"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if strategy is None:
         if decomp.classes is None:
             return _greedy_plan(decomp)

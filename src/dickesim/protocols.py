@@ -179,6 +179,8 @@ def odt_report(state, keep: tuple[int, int] = (0, 1)) -> OdtResult:
     if n < 3:
         raise ValueError("need at least one measured qubit besides the kept pair")
     i, j = keep
+    if not (_is_integer(i) and _is_integer(j)):
+        raise ValueError(f"kept pair {keep} must hold integer qubit indices")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid kept pair {keep} for {n} qubits")
     blocks = _pattern_blocks(state, (i, j))
@@ -242,6 +244,8 @@ def qss_run(state, rounds: int, seed: int = 0) -> QssResult:
     """
     if not _is_integer(rounds) or rounds < 1:
         raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     n = state.num_qubits
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     sifted = int(rng.binomial(rounds, 2.0 ** (1 - n)))

@@ -57,8 +57,8 @@ class ExperimentPlan:
             raise ValueError(
                 f"events per setting must be a positive integer, got {self.events_per_setting!r}"
             )
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "settings", settings)
 
 

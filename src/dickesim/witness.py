@@ -69,6 +69,8 @@ POLAR_STARTS = 10
 # slope is below rounding, see _polar_maxima), or after MAX_ITER steps
 GRID_POINTS = 33
 THETA_TOL = 1e-9
+# measurement planes of correlator_scan: sigma_z with sigma_x or sigma_y
+PLANES = ("xz", "yz")
 
 
 def _embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -462,8 +464,8 @@ def correlator_scan(state: State, plane: str, thetas) -> np.ndarray:
     from one ``expectations`` call on all 2^N strings and any grid costs
     O(N) per angle.  Each sum adds its strings' values in string order.
     """
-    if plane not in ("xz", "yz"):
-        raise ValueError(f"plane must be 'xz' or 'yz', got {plane!r}")
+    if plane not in PLANES:
+        raise ValueError(f"plane must be {' or '.join(map(repr, PLANES))}, got {plane!r}")
     partner = "X" if plane == "xz" else "Y"
     n = state.num_qubits
     strings = ["".join(letters) for letters in itertools.product((partner, "Z"), repeat=n)]

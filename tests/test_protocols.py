@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,12 @@ def test_odt_other_kept_pairs():
     assert_allclose(result.mean_heralded_fidelity, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("keep", [(0, True), (0, 1.5)])
+def test_odt_refuses_non_integer_kept_qubits(keep):
+    with pytest.raises(ValueError, match=re.escape(f"kept pair {keep} must hold integer")):
+        odt_report(dicke(6, 3), keep)
+
+
 def test_odt_matches_per_pattern_oracle():
     lossy = simulate_experiment(
         SpdcConfig(lam=0.85, max_order=4), LossConfig(eta_h=0.3, eta_v=0.22)
@@ -347,6 +354,12 @@ def test_odt_matches_per_pattern_oracle():
 def test_qss_refuses_non_integer_rounds(rounds):
     with pytest.raises(ValueError, match="rounds must be a positive integer"):
         qss_run(dicke(4, 2), rounds)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1])
+def test_qss_refuses_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        qss_run(dicke(4, 2), 1000, seed=seed)
 
 
 def test_qss_noiseless_run_has_no_errors():

@@ -72,6 +72,12 @@ def test_plan_refuses_non_integer_counts(events, seed, message):
         ExperimentPlan((zbasis(4),), events_per_setting=events, seed=seed)
 
 
+def test_plan_refuses_a_negative_seed():
+    # refused where it enters, not at the first draw
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        ExperimentPlan((zbasis(4),), events_per_setting=10, seed=-1)
+
+
 def test_run_plan_streams_are_distinct_and_reproducible():
     plan = ExperimentPlan((zbasis(4), zbasis(4)), events_per_setting=2000, seed=11)
     first = run_plan(dicke(4, 2), plan)
