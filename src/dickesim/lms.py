@@ -47,6 +47,7 @@ from .states import (
     MeasurementSetting,
     QubitPureState,
     _letter_digits,
+    _pascal,
 )
 
 COEFF_TOL = 1e-12
@@ -544,17 +545,16 @@ def _symmetric_correlators(n: int) -> np.ndarray:
 
     e_m sums the product of the +-1 outcomes over all m-qubit subsets; for
     an outcome with p bits set (p outcomes -1) it is the Krawtchouk value
-    sum_j (-1)^j C(p, j) C(N - p, m - j).
+    sum_j (-1)^j C(p, j) C(N - p, m - j), the coefficient of z^m in
+    (1 - z)^p (1 + z)^(N - p).  Every term and partial sum is an exact
+    integer, so the table is exact in any summation order.
     """
-    table = np.array(
-        [
-            [sum((-1) ** j * math.comb(p, j) * math.comb(n - p, m - j) for j in range(m + 1))
-             for p in range(n + 1)]
-            for m in range(n + 1)
-        ],
-        dtype=float,
-    )
-    return table[:, _POPCOUNT[: 2**n]]
+    p = np.arange(n + 1)
+    j, m = p[:, None, None], p[:, None]
+    pascal = _pascal(n + 1)
+    # C(N - p, m - j) is 0 for m < j, a negative column
+    terms = (-1.0) ** j * pascal[p, j] * pascal[n - p, m - j]
+    return terms.sum(axis=0)[:, _POPCOUNT[: 2**n]]
 
 
 def _covered_weights(decomp: PauliDecomposition, plan: SettingPlan) -> np.ndarray:

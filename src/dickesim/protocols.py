@@ -34,7 +34,7 @@ from .states import (
     _is_integer,
     _pattern_blocks,
     fidelity,
-    outcome_distribution,
+    outcome_distributions,
     partial_trace,
 )
 
@@ -222,11 +222,12 @@ class QssResult:
     per_basis: dict
 
 
-def _odd_parity_mass(state, axis: str) -> float:
-    """Probability that all parties measuring along ``axis`` get an odd
-    number of -1 outcomes."""
-    probs = outcome_distribution(state, MeasurementSetting.uniform(axis, state.num_qubits))
-    return float(probs[_POPCOUNT[: len(probs)] % 2 == 1].sum())
+def _odd_parity_masses(state, axes: str) -> list[float]:
+    """Probability, for each axis, that all parties measuring along it get
+    an odd number of -1 outcomes: one ``outcome_distributions`` call."""
+    n = state.num_qubits
+    probs = outcome_distributions(state, [MeasurementSetting.uniform(a, n) for a in axes])
+    return [float(row[_POPCOUNT[: 2**n] % 2 == 1].sum()) for row in probs]
 
 
 def qss_run(state, rounds: int, seed: int = 0) -> QssResult:
@@ -247,12 +248,12 @@ def qss_run(state, rounds: int, seed: int = 0) -> QssResult:
     if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     n = state.num_qubits
+    odd_masses = _odd_parity_masses(state, "xy")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     sifted = int(rng.binomial(rounds, 2.0 ** (1 - n)))
     kept_x = int(rng.binomial(sifted, 0.5))
     per_basis = {}
-    for axis, kept in (("x", kept_x), ("y", sifted - kept_x)):
-        odd = _odd_parity_mass(state, axis)
+    for axis, kept, odd in zip("xy", (kept_x, sifted - kept_x), odd_masses):
         p_err = min(odd, 1.0 - odd)
         # a parity correlator of 0 or +-1 leaves the mass a few ulps off
         # 1/2 or 0, and a p of exactly 0 draws no random numbers; snap it

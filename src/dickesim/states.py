@@ -413,6 +413,25 @@ def _axis_entry(axis):
     return ("n", theta, phi)
 
 
+def _bloch_vector(axis) -> tuple[float, float, float]:
+    """Unit vector of a normalized axis."""
+    if isinstance(axis, str):
+        return tuple(AXIS_VECTORS[axis].tolist())
+    _, theta, phi = axis
+    return (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+
+
+def _rotation(axis) -> np.ndarray:
+    """2x2 unitary whose rows are the bras of the +1 / -1 eigenvectors of a
+    normalized axis."""
+    nx, ny, nz = _bloch_vector(axis)
+    big = math.acos(min(1.0, max(-1.0, nz)))
+    phi = math.atan2(ny, nx)
+    c, s = math.cos(big / 2.0), math.sin(big / 2.0)
+    phase = np.exp(1j * phi)
+    return np.array([[c, s * phase], [-s, c * phase]]).conj()
+
+
 @dataclass(frozen=True)
 class MeasurementSetting(_Frozen):
     """Per-qubit measurement axes.
@@ -452,23 +471,11 @@ class MeasurementSetting(_Frozen):
         return cls((("n", theta, phi),) * num_qubits)
 
     def bloch_vector(self, qubit: int) -> np.ndarray:
-        axis = self.axes[qubit]
-        if isinstance(axis, str):
-            return AXIS_VECTORS[axis].copy()
-        _, theta, phi = axis
-        return np.array(
-            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-        )
+        return np.array(_bloch_vector(self.axes[qubit]))
 
     def rotation(self, qubit: int) -> np.ndarray:
         """2x2 unitary whose rows are the bras of the +1 / -1 eigenvectors."""
-        nx, ny, nz = self.bloch_vector(qubit)
-        big = math.acos(min(1.0, max(-1.0, nz)))
-        phi = math.atan2(ny, nx)
-        c, s = math.cos(big / 2.0), math.sin(big / 2.0)
-        plus = np.array([c, s * np.exp(1j * phi)])
-        minus = np.array([-s, c * np.exp(1j * phi)])
-        return np.array([plus.conj(), minus.conj()])
+        return _rotation(self.axes[qubit])
 
     def label(self) -> str:
         # repr keeps every bit, so from_label rebuilds the same angles
@@ -497,47 +504,73 @@ def outcome_distributions(state: State, settings) -> np.ndarray:
     Row k is the distribution of ``settings[k]``; outcome bit 0 on a qubit
     means the +1 eigenvector of that qubit's axis.  Only the diagonals p(b)
     are computed; no rotated state is built.  One rotation is built per
-    distinct axis of the whole stack (three for a greedy plan) and
-    gathered into an (S, N, 2, 2) array.  Each qubit's eigenbras R_q[b, i]
-    are contracted into the state in turn, with the qubits already
-    measured folded into a leading outcome axis: a pure state costs about
-    2N * 2^N per row, one ``matmul`` per qubit for the whole block; a
-    density contracts qubit q's row and column axes with
-    R_q[b, i] * conj(R_q[b, j]), which halves the tensor each time, for
-    about 4 * 4^N per row in all.  Rows are taken in blocks whose first
-    intermediate fits in ``BLOCK_BYTES`` (at least one row), so a density
-    at ``MAX_QUBITS`` holds one row's half of the matrix at a time.  Every
-    row is computed by the same arithmetic whatever the stack's size.
+    distinct axis of the whole stack (three for a greedy plan).
+
+    A row whose setting puts every qubit along one axis is read in the
+    (N + 1)-dimensional Dicke basis when the state lies in the symmetric
+    subspace: every amplitude equal to the one of its popcount class, or
+    every density entry to the one of its pair of classes, bit for bit
+    (``dicke``, ``ghz``, ``w_state``, their densities, navigated states
+    and ``rho_sim`` are; a state equal only up to rounding is not).  The
+    symmetry test reads the state once per call, 2^N entries or, for a
+    density, 4^N entries a block of rows at a time, and each such row then
+    costs O(N^3) time and memory (see ``_dicke_rows``); it is within about
+    1e-15 of the contraction below, with exact zeros wherever the
+    rotation has them.
+
+    Every other row (mixed axes, or a state outside the symmetric
+    subspace) contracts each qubit's eigenbras R_q[b, i] into the state
+    in turn, with the qubits already measured folded into a leading
+    outcome axis: a pure state costs about 2N * 2^N per row, one
+    ``matmul`` per qubit for the whole block; a density contracts qubit
+    q's row and column axes with R_q[b, i] * conj(R_q[b, j]), which halves
+    the tensor each time, for about 4 * 4^N per row in all.  Rows are
+    taken in blocks whose first intermediate fits in ``BLOCK_BYTES`` (at
+    least one row), so a density at ``MAX_QUBITS`` holds one row's half of
+    the matrix at a time.
+
+    Both paths end in one sanity check, clip and renormalisation, and
+    every row is computed by the same arithmetic whatever the stack it
+    is in.
     """
     n = state.num_qubits
     settings = tuple(settings)
     if any(setting.num_qubits != n for setting in settings):
         raise ValueError("setting covers a different number of qubits")
     ids = {}
-    rotations = []
-    index = np.empty((len(settings), n), dtype=np.intp)
-    for k, setting in enumerate(settings):
-        for q, axis in enumerate(setting.axes):
-            if axis not in ids:
-                ids[axis] = len(rotations)
-                rotations.append(setting.rotation(q))
-            index[k, q] = ids[axis]
-    rotations = np.array(rotations, dtype=complex).reshape(-1, 2, 2)[index]
+    index = np.fromiter(
+        (ids.setdefault(axis, len(ids)) for setting in settings for axis in setting.axes),
+        dtype=np.intp, count=len(settings) * n,
+    ).reshape(len(settings), n)
+    rotations = np.array([_rotation(axis) for axis in ids], dtype=complex).reshape(-1, 2, 2)
     dim = 2**n
     pure = isinstance(state, QubitPureState)
+    probs = np.empty((len(settings), dim))
+    general = np.arange(len(settings))
+    uniform = (index == index[:, :1]).all(axis=1)
+    if uniform.any() and (entries := _class_entries(state)) is not None:
+        dicke_rows = _dicke_rows(entries, rotations[index[uniform, 0]])
+        probs[uniform] = dicke_rows[:, _POPCOUNT[:dim]]
+        general = general[~uniform]
     # bytes of one row's largest intermediate: the amplitudes, or half the matrix
     row_bytes = 16 * dim if pure else 8 * dim * dim
     rows = max(1, BLOCK_BYTES // row_bytes)
-    probs = np.empty((len(settings), dim))
-    for start in range(0, len(settings), rows):
-        block = rotations[start:start + rows]
-        probs[start:start + rows] = (
-            _pure_block(state.amplitudes, block) if pure else _density_block(state.matrix, block)
+    for start in range(0, len(general), rows):
+        block = general[start:start + rows]
+        probs[block] = (
+            _pure_block(state.amplitudes, rotations[index[block]]) if pure
+            else _density_block(state.matrix, rotations[index[block]])
         )
-    if probs.min(initial=0.0) < -NORM_TOL or (np.abs(probs.sum(axis=1) - 1.0) > NORM_TOL).any():
+    low, sums = probs.min(initial=0.0), probs.sum(axis=1)
+    if low < -NORM_TOL or (np.abs(sums - 1.0) > NORM_TOL).any():
         raise ValueError("outcome distribution failed sanity check")
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum(axis=1, keepdims=True)
+    # clip in place; only a negative entry changes a row's sum (-0.0 becomes
+    # 0.0, which adds the same)
+    np.maximum(probs, 0.0, out=probs)
+    if low < 0.0:
+        sums = probs.sum(axis=1)
+    probs /= sums[:, None]
+    return probs
 
 
 def _pure_block(amps: np.ndarray, rotations: np.ndarray) -> np.ndarray:
@@ -560,6 +593,95 @@ def _density_block(matrix: np.ndarray, rotations: np.ndarray) -> np.ndarray:
             "sbij,saixjy->sabxy", block, tensor.reshape(-1, 2**q, 2, rest, 2, rest)
         )
     return tensor.reshape(count, -1).real
+
+
+def _class_entries(state: State) -> np.ndarray | None:
+    """The state's entries on index 2^m - 1, the first of popcount m, for
+    m = 0..N: (N + 1,) amplitudes a_m, or an (N + 1, N + 1) matrix r[m, m']
+    for a density; None unless every amplitude equals a_popcount(b), or
+    every matrix entry r[popcount(b), popcount(b')], exactly.
+
+    Those are the states of the symmetric subspace.  A density is compared
+    in blocks of rows that keep the expanded copy within ``BLOCK_BYTES``,
+    stopping at the first block that differs.
+    """
+    n = state.num_qubits
+    classes = _POPCOUNT[: 2**n]
+    firsts = (1 << np.arange(n + 1)) - 1
+    if isinstance(state, QubitPureState):
+        amps = state.amplitudes
+        entries = amps[firsts]
+        return entries if (amps == entries[classes]).all() else None
+    matrix = state.matrix
+    entries = matrix[firsts[:, None], firsts]
+    # rows 0 and 1 first: row 1 is the first whose class has other members,
+    # and a Werner or dephased density already differs there
+    rows = max(1, BLOCK_BYTES // (16 * classes.size))
+    for start, stop in itertools.pairwise([0, *range(2, classes.size, rows), classes.size]):
+        if not (matrix[start:stop] == entries[classes[start:stop, None], classes]).all():
+            return None
+    return entries
+
+
+def _pascal(size: int) -> np.ndarray:
+    """(size, 2 size - 1) binomials C(a, j) = a! / (j! (a - j)!): exact
+    integers, 0 for j > a.
+
+    j! is inf past j = size - 1, and a negative a - j wraps to that end, so
+    the zeros need no mask; a row read at column -j, j < size, is 0 too.
+    """
+    degree = np.arange(2 * size - 1)
+    factorials = np.cumprod(np.maximum(degree, 1.0))
+    factorials[size:] = np.inf
+    return factorials[:size, None] / (factorials * factorials[degree[:size, None] - degree])
+
+
+def _dicke_rows(entries: np.ndarray, rotations: np.ndarray) -> np.ndarray:
+    """(S, N + 1) probability of one outcome of each popcount k, with every
+    qubit measured in the basis of rotation s of an (S, 2, 2) stack, on a
+    state of class entries ``entries`` (see ``_class_entries``): N + 1
+    amplitudes, or an (N + 1, N + 1) matrix for a density.
+
+    For an outcome b of popcount k, <b| R^(x)N takes the sum of the basis
+    states of popcount m to G[k, m] = [t^m] (R00 + R01 t)^(N-k) (R10 + R11 t)^k,
+    the Dicke-basis matrix element <D_k| R^(x)N |D_m> times
+    sqrt(C(N, m) / C(N, k)).  So p(b) = |sum_m G[k, m] a_m|^2 for a pure
+    state, and sum_{m, m'} G[k, m] r[m, m'] conj(G[k, m']) for a density.
+
+    G comes from exact polynomial products: Pascal-table coefficients,
+    exact integers, times powers of R's entries by repeated
+    multiplication, so an entry of R that is exactly 0 leaves exact zeros
+    (a z-axis G is the identity).  Every sum runs over the first axis of
+    its terms, one term at a time in order, so a row is the same bits
+    whatever S.  A row costs O(N^3) time and about (N + 1)^3 complex
+    values of memory, and rows are taken in blocks within ``BLOCK_BYTES``.
+    """
+    size = len(entries)
+    degree = np.arange(2 * size - 1)
+    excess = degree[:size] - degree[:, None]  # [j, a] -> a - j
+    pascal = _pascal(size).T[:, :, None, None]
+    shift = excess[:size]  # [i, m] -> m - i, or a zero row
+    rows = max(1, BLOCK_BYTES // (16 * size**3))
+    probs = np.empty((len(rotations), size))
+    for start in range(0, len(rotations), rows):
+        block = rotations[start:start + rows]
+        # powers[p, s, r, c] = R_rc^p of setting s, p < 2N + 1
+        powers = np.empty((len(degree), len(block), 2, 2), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = block
+        powers = np.cumprod(powers, axis=0)
+        # coeffs[j, a, s, r]: coefficient j of (R_r0 + R_r1 t)^a, 0 for j > a
+        coeffs = pascal * powers[excess, :, :, 0] * powers[:, None, :, :, 1]
+        # G[m, k, s] = sum_i coeffs[i, N - k, s, 0] coeffs[m - i, k, s, 1]
+        gains = (coeffs[:size, None, ::-1, :, 0] * coeffs[shift, :, :, 1]).sum(axis=0)
+        if entries.ndim == 1:
+            amps = (gains * entries[:, None, None]).sum(axis=0)
+            probs[start:start + rows] = (np.abs(amps) ** 2).T
+        else:
+            # (G r)[m', k, s] summed over m, then against conj(G) over m'
+            mixed = (entries[:, :, None, None] * gains[:, None]).sum(axis=0)
+            probs[start:start + rows] = (mixed * gains.conj()).sum(axis=0).real.T
+    return probs
 
 
 def apply_local(state: State, unitaries) -> State:

@@ -51,7 +51,7 @@ from .states import (
     apply_local,
     expectations,
     fidelity,
-    outcome_distribution,
+    outcome_distributions,
 )
 
 # a see-saw restart stops once an iteration raises its value by less than
@@ -110,17 +110,26 @@ def collective_spin_sq(state: State, axis: str) -> float:
     """<J_axis^2> from the one setting with every qubit along ``axis``.
 
     J_axis has eigenvalue N/2 - popcount(b) on outcome b of that setting,
-    so <J_axis^2> = sum_b p(b) (N/2 - popcount(b))^2.
+    so <J_axis^2> = sum_b p(b) (N/2 - popcount(b))^2.  On a state of the
+    symmetric subspace (Dicke states, GHZ, W, their densities, ``rho_sim``)
+    ``outcome_distributions`` reads the setting in the (N + 1)-dimensional
+    Dicke basis, in O(N^3) instead of a contraction of the whole state.
     """
+    return _spin_squares(state, axis)[0]
+
+
+def _spin_squares(state: State, axes: str) -> list[float]:
+    """``collective_spin_sq`` of each axis, from one ``outcome_distributions``
+    call; each row is the bits of its one-row call."""
     n = state.num_qubits
-    probs = outcome_distribution(state, MeasurementSetting.uniform(axis, n))
-    return float(probs @ (n / 2.0 - _POPCOUNT[: 2**n]) ** 2)
+    probs = outcome_distributions(state, [MeasurementSetting.uniform(a, n) for a in axes])
+    return [float(row @ (n / 2.0 - _POPCOUNT[: 2**n]) ** 2) for row in probs]
 
 
 @dataclass(frozen=True)
 class _SpinMoments:
-    """<J_x^2>, <J_y^2> and <J_z^2> of one state, from one read of each of
-    the three collective settings."""
+    """<J_x^2>, <J_y^2> and <J_z^2> of one state, from one read of the three
+    collective settings."""
 
     jx_sq: float
     jy_sq: float
@@ -128,7 +137,7 @@ class _SpinMoments:
 
     @classmethod
     def read(cls, state: State) -> "_SpinMoments":
-        return cls(*(collective_spin_sq(state, axis) for axis in "xyz"))
+        return cls(*_spin_squares(state, "xyz"))
 
     def witness(self, alpha):
         """<W(alpha)> = (<J_x^2> + <J_y^2>) + alpha <J_z^2>, in that order,

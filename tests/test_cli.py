@@ -168,21 +168,22 @@ def test_witness_defaults(tmp_path, capsys, monkeypatch):
     results = load_report(out, "witness")["results"]
     assert abs(results["witness_value"] - 12.0) < 1e-9
     assert abs(results["jz_sq"]) < 1e-9
-    # the three collective settings are read once, and the value keeps the
-    # bits that witness_value gives (dicke_5_2 reads <Jx^2> a few ulps off 4.25)
+    # the three collective settings are read once, in one call, and the value
+    # keeps the bits that witness_value gives (dicke_5_2 reads <Jx^2> a few
+    # ulps off 4.25)
     from dickesim import cli, witness
 
-    read = witness.outcome_distribution
+    read = witness.outcome_distributions
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return read(*args, **kwargs)
+    def counted(state, settings):
+        calls.append([setting.label() for setting in settings])
+        return read(state, settings)
 
-    monkeypatch.setattr(witness, "outcome_distribution", counted)
+    monkeypatch.setattr(witness, "outcome_distributions", counted)
     config = cli.validate({"state": "dicke_5_2", "alpha": -3.0}, cli.SCHEMAS["witness"])
     results = cli.cmd_witness(config, cli.Context(seed=0, out_dir=str(tmp_path)))
-    assert len(calls) == 3
+    assert calls == [[",".join(axis * 5) for axis in "xyz"]]
     assert results["witness_value"] == witness.witness_value(dicke(5, 2), -3.0)
 
 

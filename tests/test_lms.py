@@ -347,6 +347,21 @@ def per_string_greedy_plan(decomp):
     return SettingPlan(method="greedy", assignments=tuple(assignments))
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_symmetric_correlators_match_the_krawtchouk_sum(n):
+    # the table is built with array operations; its entries are exact
+    # integers, so it is the bits of the triple sum
+    table = np.array(
+        [
+            [sum((-1) ** j * math.comb(p, j) * math.comb(n - p, m - j) for j in range(m + 1))
+             for p in range(n + 1)]
+            for m in range(n + 1)
+        ],
+        dtype=float,
+    )
+    assert np.array_equal(_symmetric_correlators(n), table[:, _POPCOUNT[: 2**n]])
+
+
 def per_string_fidelity(decomp, plan, counts):
     """The estimator with each setting's outcome weights summed string by
     string, in covered order."""

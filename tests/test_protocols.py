@@ -20,12 +20,15 @@ from dickesim.protocols import (
 )
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.states import (
+    _POPCOUNT,
     PAULI,
+    MeasurementSetting,
     QubitDensity,
     QubitPureState,
     apply_local,
     expectations,
     fidelity,
+    outcome_distribution,
     partial_trace,
 )
 from dickesim.witness import dephased
@@ -381,6 +384,51 @@ def test_qss_odd_reference_parity_has_no_errors():
     run = qss_run(ghz(6), 20000, seed=3)
     assert run.per_basis["y"]["kept"] > 0
     assert run.errors == 0
+
+
+@pytest.mark.parametrize("state", [dicke(6, 3), ghz(6), werner(6, 0.5, base=dicke(6, 3))],
+                         ids=["dicke_6_3", "ghz_6", "werner"])
+def test_qss_reads_both_bases_in_one_call_with_each_axis_bits(state, monkeypatch):
+    from dickesim import protocols
+
+    single = []
+    for axis in "xy":
+        probs = outcome_distribution(state, MeasurementSetting.uniform(axis, 6))
+        single.append(float(probs[_POPCOUNT[:64] % 2 == 1].sum()))
+    assert protocols._odd_parity_masses(state, "xy") == single
+    read = protocols.outcome_distributions
+    calls = []
+
+    def counted(state, settings):
+        calls.append(len(settings))
+        return read(state, settings)
+
+    monkeypatch.setattr(protocols, "outcome_distributions", counted)
+    qss_run(state, 1000, seed=0)
+    assert calls == [2]
+
+
+def test_qss_draws_each_basis_errors_from_its_own_parity():
+    # on a phased GHZ state <X^5> = cos 0.3 and <Y^5> = -sin 0.3, so the two
+    # bases err at different rates: the kept rounds, the x share of them,
+    # then the x errors and the y errors, in that order
+    n = 5
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0], amps[-1] = math.sqrt(0.5), math.sqrt(0.5) * np.exp(0.3j)
+    state = QubitPureState(n, amps)
+    p_err = []
+    for axis in "xy":
+        probs = outcome_distribution(state, MeasurementSetting.uniform(axis, n))
+        odd = float(probs[_POPCOUNT[: 2**n] % 2 == 1].sum())
+        p_err.append(min(odd, 1.0 - odd))
+    assert_allclose(p_err, [(1 - math.cos(0.3)) / 2, (1 - math.sin(0.3)) / 2], rtol=1e-12)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
+    sifted = int(rng.binomial(100000, 2.0 ** (1 - n)))
+    kept_x = int(rng.binomial(sifted, 0.5))
+    kept = {"x": kept_x, "y": sifted - kept_x}
+    want = {axis: {"kept": kept[axis], "errors": int(rng.binomial(kept[axis], p))}
+            for axis, p in zip("xy", p_err)}
+    assert qss_run(state, 100000, seed=7).per_basis == want
 
 
 def test_qss_werner_noise_raises_qber():

@@ -679,7 +679,9 @@ def test_outcome_distribution_matches_rotated_state_oracle():
 
 
 def test_outcome_distribution_on_ten_qubits_stays_below_the_matrix_size():
-    # the contraction halves the tensor per qubit and never builds a rotated copy
+    # no rotated copy is built: |+>^10 is read in the Dicke basis, and a
+    # state outside the symmetric subspace by a contraction that halves the
+    # tensor per qubit (the memory test below)
     rho = QubitPureState(10, np.full(2**10, 2.0**-5)).density()
     setting = MeasurementSetting.direction(0.4, 0.3, 10)
     tracemalloc.start()
@@ -752,9 +754,18 @@ def stack_state(name):
     return random_density(6, np.random.default_rng(23))
 
 
+def takes_the_dicke_basis(state, setting):
+    """Whether ``outcome_distributions`` reads this row in the Dicke basis:
+    every qubit along one axis, on a state of the symmetric subspace."""
+    return len(set(setting.axes)) == 1 and states._class_entries(state) is not None
+
+
 @pytest.mark.parametrize("kind", ["pauli", "bloch", "mixed", "uniform"])
 @pytest.mark.parametrize("name", ["dicke_6_3", "ghz_8", "density_6"])
 def test_outcome_distributions_rows_match_the_per_setting_oracle(name, kind):
+    # a general row is the oracle's bits; a Dicke-basis row (a uniform
+    # setting, random Pauli ones included, on dicke_6_3 or ghz_8) is its
+    # one-row call's bits and within 1e-13 of the oracle
     state = stack_state(name)
     n = state.num_qubits
     rng = np.random.default_rng(len(name) + len(kind))
@@ -763,7 +774,11 @@ def test_outcome_distributions_rows_match_the_per_setting_oracle(name, kind):
         stack = outcome_distributions(state, settings)
         assert stack.shape == (count, 2**n)
         for row, setting in zip(stack, settings):
-            assert np.array_equal(row, per_setting_distribution(state, setting))
+            if takes_the_dicke_basis(state, setting):
+                assert np.array_equal(row, outcome_distribution(state, setting))
+                assert_allclose(row, per_setting_distribution(state, setting), rtol=0, atol=1e-13)
+            else:
+                assert np.array_equal(row, per_setting_distribution(state, setting))
 
 
 @pytest.mark.parametrize("name", ["dicke_6_3", "ghz_8", "density_6"])
@@ -786,24 +801,180 @@ def test_outcome_distributions_checks_every_setting():
         outcome_distributions(state, [MeasurementSetting("zzzz"), MeasurementSetting("zzz")])
 
 
+def traced_peak(fn):
+    """(fn(), peak bytes that tracemalloc saw during the call)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_outcome_distributions_memory_on_a_ten_qubit_density():
     # a block is the rows whose first intermediate, half the matrix, fits in
     # BLOCK_BYTES: at ten qubits that is 8 MB, so one row.  A row peaks at
     # 1.5 times that (its first two intermediates); four rows at once would
-    # take 48 MB
-    rho = QubitPureState(10, np.full(2**10, 2.0**-5)).density()
+    # take 48 MB.  |+>^9 |-> is outside the symmetric subspace, so its
+    # uniform rows take the contraction
+    amps = np.full(2**10, 2.0**-5)
+    amps[1::2] *= -1.0
+    rho = QubitPureState(10, amps).density()
     settings = [MeasurementSetting.direction(0.4, 0.3 + k, 10) for k in range(4)]
     row_bytes = rho.matrix.nbytes // 2
     assert row_bytes > BLOCK_BYTES
-    tracemalloc.start()
-    try:
-        probs = outcome_distributions(rho, settings)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    probs, peak = traced_peak(lambda: outcome_distributions(rho, settings))
     assert peak < 1.6 * row_bytes
     for row, setting in zip(probs, settings):
         assert np.array_equal(row, per_setting_distribution(rho, setting))
+    # |+>^10 is symmetric: the Dicke basis compares the matrix with its class
+    # entries a block of rows at a time, and builds nothing of size 4^N
+    plus = QubitPureState(10, np.full(2**10, 2.0**-5)).density()
+    probs, peak = traced_peak(lambda: outcome_distributions(plus, settings))
+    assert peak < 2 * BLOCK_BYTES
+    for row, setting in zip(probs, settings):
+        assert_allclose(row, per_setting_distribution(plus, setting), rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Uniform settings on symmetric states: the Dicke basis against the contraction
+
+
+def contraction(state, settings):
+    """The general rows of ``outcome_distributions``: ``_pure_block`` or
+    ``_density_block`` on every setting, then the sanity check, clip and
+    renormalisation.  The oracle of the Dicke-basis rows."""
+    rotations = np.array([[s.rotation(q) for q in range(state.num_qubits)] for s in settings])
+    if isinstance(state, QubitPureState):
+        probs = states._pure_block(state.amplitudes, rotations)
+    else:
+        probs = states._density_block(state.matrix, rotations)
+    assert probs.min() >= -1e-9 and np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def uniform_settings(n, rng, count=3):
+    """``count`` random uniform directions, the poles, the equator (x, y and
+    two random azimuths) and the GHZ design (z and N equatorial directions
+    k pi / N)."""
+    randoms = [
+        MeasurementSetting.direction(math.acos(u), phi, n)
+        for u, phi in zip(rng.uniform(-1.0, 1.0, count), rng.uniform(-math.pi, math.pi, count))
+    ]
+    poles = [MeasurementSetting.direction(theta, phi, n)
+             for theta, phi in ((0.0, 0.3), (math.pi, 1.1))]
+    equator = [MeasurementSetting.uniform(axis, n) for axis in "xy"] + [
+        MeasurementSetting.direction(math.pi / 2, phi, n)
+        for phi in rng.uniform(-math.pi, math.pi, 2)
+    ]
+    design = [MeasurementSetting.uniform("z", n)] + [
+        MeasurementSetting.direction(math.pi / 2, k * math.pi / n, n) for k in range(n)
+    ]
+    return randoms + poles + equator + design
+
+
+def assert_dicke_rows_match_the_contraction(state, settings):
+    assert states._class_entries(state) is not None, "state is not exactly symmetric"
+    assert_allclose(outcome_distributions(state, settings), contraction(state, settings),
+                    rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dicke_rows_match_the_contraction_on_every_label(n):
+    rng = np.random.default_rng(40 + n)
+    labels = [dicke(n, m) for m in range(n + 1)] + [ghz(n), w_state(n)]
+    settings = uniform_settings(n, rng)
+    for state in labels:
+        assert_dicke_rows_match_the_contraction(state, settings)
+    # the density contraction costs 4^N per row: every label on every
+    # setting up to six qubits, on four settings up to eight, then the
+    # half-filled Dicke, GHZ and W states on four settings
+    densities = labels if n <= 8 else [dicke(n, n // 2), ghz(n), w_state(n)]
+    for state in densities:
+        assert_dicke_rows_match_the_contraction(
+            state.density(), settings if n <= 6 else settings[:2] + settings[-2:]
+        )
+
+
+@pytest.mark.parametrize("max_order", [3, 4])
+def test_dicke_rows_match_the_contraction_on_the_source_and_navigated_states(max_order):
+    rng = np.random.default_rng(max_order)
+    for loss in (LossConfig(eta_h=1.0, eta_v=1.0), LossConfig(eta_h=0.3, eta_v=0.22)):
+        rho = simulate_experiment(SpdcConfig(lam=0.85, max_order=max_order), loss).rho_sim
+        # with loss, max_order 4 mixes three Dicke states; the others are D(6, 3)
+        rank = np.linalg.matrix_rank(rho.matrix, tol=1e-12)
+        assert rank == (3 if max_order == 4 and loss.eta_h < 1.0 else 1)
+        assert_dicke_rows_match_the_contraction(rho, uniform_settings(6, rng))
+        for steps in (["H"], ["H", "V"], ["V", "V"]):
+            navigated, _ = navigate(rho, [NavigationStep(q, o) for q, o in enumerate(steps)])
+            assert_dicke_rows_match_the_contraction(
+                navigated, uniform_settings(navigated.num_qubits, rng, count=1)
+            )
+    for steps in (["H", "V"], ["V"], ["H", "H", "V"]):
+        for state in (dicke(6, 3), dicke(6, 3).density()):
+            navigated, _ = navigate(state, [NavigationStep(q, o) for q, o in enumerate(steps)])
+            assert_dicke_rows_match_the_contraction(
+                navigated, uniform_settings(navigated.num_qubits, rng)
+            )
+            assert_dicke_rows_match_the_contraction(
+                navigated.density() if isinstance(navigated, QubitPureState) else navigated,
+                uniform_settings(navigated.num_qubits, rng, count=1),
+            )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dicke_rows_give_the_closed_forms(n):
+    classes = states._POPCOUNT[: 2**n]
+    for m in range(n + 1):
+        # D(N, m) along z: exactly 0 off popcount m, 1 / C(N, m) on it
+        for state in (dicke(n, m), dicke(n, m).density()):
+            probs = outcome_distribution(state, MeasurementSetting.uniform("z", n))
+            assert (probs[classes != m] == 0.0).all()
+            assert_allclose(probs[classes == m], 1.0 / math.comb(n, m), rtol=1e-13)
+    # a spin-coherent state read along its own direction: every qubit +1
+    rng = np.random.default_rng(n)
+    for theta, phi in zip(rng.uniform(0.0, math.pi, 4), rng.uniform(-math.pi, math.pi, 4)):
+        single = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
+        # one amplitude per class, so that the state is symmetric bit for bit
+        per_class = single[0] ** (n - np.arange(n + 1)) * single[1] ** np.arange(n + 1)
+        state = QubitPureState(n, per_class[classes])
+        for read in (state, state.density()):
+            assert states._class_entries(read) is not None
+            probs = outcome_distribution(read, MeasurementSetting.direction(theta, phi, n))
+            assert_allclose(probs[0], 1.0, rtol=0, atol=1e-13)
+
+
+def test_an_ulp_off_symmetric_state_takes_the_contraction():
+    settings = uniform_settings(6, np.random.default_rng(9))
+    amps = dicke(6, 3).amplitudes.copy()
+    amps[7] = np.nextafter(amps[7].real, 1.0)
+    matrix = dicke(6, 3).density().matrix.copy()
+    matrix[7, 11] = matrix[11, 7] = np.nextafter(matrix[7, 11].real, 1.0)
+    for state in (QubitPureState(6, amps), QubitDensity(6, matrix)):
+        assert states._class_entries(state) is None
+        stack = outcome_distributions(state, settings)
+        for row, setting in zip(stack, settings):
+            assert np.array_equal(row, per_setting_distribution(state, setting))
+
+
+@pytest.mark.parametrize("name", ["dicke_6_3", "ghz_10", "rho_sim"])
+def test_a_mixed_stack_row_equals_its_one_row_call(name):
+    # Dicke-basis blocks hold 47 rows at six qubits and 12 at ten; general
+    # blocks 256 pure rows at six qubits, 16 at ten and 8 density rows at
+    # six, so these stacks cross the block boundaries of both paths
+    state = {"dicke_6_3": lambda: dicke(6, 3), "ghz_10": lambda: ghz(10),
+             "rho_sim": _lossy_rho_sim}[name]()
+    n = state.num_qubits
+    rng = np.random.default_rng(11)
+    uniform = random_settings(110 if n == 6 else 40, n, "uniform", rng)
+    mixed = random_settings(30, n, "mixed", rng)
+    settings = [s for pair in itertools.zip_longest(uniform, mixed) for s in pair if s is not None]
+    single = [outcome_distribution(state, setting) for setting in settings]
+    for count in (1, 2, 25, 60, len(settings)):
+        stack = outcome_distributions(state, settings[:count])
+        for k in range(count):
+            assert np.array_equal(stack[k], single[k]), (count, k)
 
 
 def test_apply_local_requires_unitaries():

@@ -21,6 +21,7 @@ from dickesim.witness import (
     POLAR_STARTS,
     SEESAW_TOL,
     SeeSawOptions,
+    _SpinMoments,
     _polar_maxima,
     _polar_starts,
     _search_size_class,
@@ -198,6 +199,17 @@ def test_collective_spin_sq_matches_operator(label):
         op = collective_spin_operator(state.num_qubits, axis)
         direct = np.trace(rho @ op @ op).real
         assert_allclose(collective_spin_sq(state, axis), direct, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("label", list(MOMENT_STATES))
+def test_one_read_of_three_settings_keeps_each_axis_bits(label):
+    # _SpinMoments reads x, y and z in one outcome_distributions call; each
+    # row is the bits of its one-row call, so each moment is too
+    state = MOMENT_STATES[label]
+    moments = _SpinMoments.read(state)
+    assert (moments.jx_sq, moments.jy_sq, moments.jz_sq) == tuple(
+        collective_spin_sq(state, axis) for axis in "xyz"
+    )
 
 
 def test_witness_value_matches_operator_trace():
