@@ -2,19 +2,22 @@
 
 Usage: dickesim COMMAND [--config PATH] [--seed U64] [--out DIR]
 
-One verb per activity: state | simulate | witness | bound | scan | lms |
-sample | protocols | qss | compare; the flags may come before or after
-it, and ``-h`` lists every command.  Every command reads an optional
-JSON config (schema-validated, unknown keys rejected) and writes a JSON
-report of summary values embedding the config hash and package version.
+One command per activity, each one entry of ``COMMANDS``: its handler,
+its line in ``-h``, its config schema and, for a command that ``compare``
+reads, the map from its results to reference keys.  The flags may come
+before or after the command, and ``-h`` lists every command.  Every
+command reads an optional JSON config (schema-validated, unknown keys
+rejected) and writes a JSON report of summary values embedding the
+config hash and package version.
 A command with tabular output writes its rows once, to a plot-ready CSV
 that the report names in ``table_file`` (bound with ``alphas``, scan,
 sample, protocols, compare); ``state`` and ``simulate`` write their
 state the same way.  Outputs are deterministic for fixed seeds; floats
 are printed with 12 significant digits.
 
-Exit codes: 0 ok, 2 config error (including a setting strategy that does
-not fit the target, a navigation that revisits a qubit, names one out of
+Exit codes: 0 ok, 2 config error (including a witness weight ``alpha``
+beyond +-``witness.MAX_ALPHA`` = 1e12, a setting strategy that does not
+fit the target, a navigation that revisits a qubit, names one out of
 range or leaves none, a compared report whose values are not numbers,
 and a config file, compared report or ``--out`` directory that cannot be
 read or created), 3 numerical failure (no sixfold events, an impossible
@@ -31,6 +34,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -46,7 +50,7 @@ from .references import compare_values
 from .sampling import ExperimentPlan, count_matrix
 from .states import MAX_QUBITS, ImpossibleOutcomeError, fidelity, save_state
 from .witness import (
-    PLANES, _SpinMoments, biseparable_bound, bound_curve, correlator_scan, dephased,
+    MAX_ALPHA, PLANES, _SpinMoments, biseparable_bound, bound_curve, correlator_scan, dephased,
 )
 
 EXIT_OK = 0
@@ -169,58 +173,8 @@ SIMULATE_SCHEMA = {
     "rep_rate": (_number(0.0, 1e12), 8.0e7),
 }
 
-SCHEMAS = {
-    "state": {
-        "state": (_string(), "dicke_6_3"),
-        "navigate": (_list_of(_navigation_step), None),
-    },
-    "simulate": SIMULATE_SCHEMA,
-    "witness": {
-        "state": (_string(), "dicke_6_3"),
-        "alpha": (_number(), 0.0),
-    },
-    "bound": {
-        "num_qubits": (_integer(2, MAX_QUBITS), 6),
-        "alpha": (_number(), 0.0),
-        # each entry is a full bound
-        "alphas": (_list_of(_number(), max_len=64), None),
-        # inert: the see-saw starts from a fixed set of polar angles
-        "restarts": (_integer(3, 500), 50),
-        "state": (_string(), None),
-    },
-    "scan": {
-        "state": (_string(), "dicke_6_3"),
-        "plane": (_string(PLANES), "xz"),
-        "points": (_integer(2, 100000), 100),
-        "dephased": (_boolean(), False),
-    },
-    "lms": {
-        "state": (_string(), "dicke_6_3"),
-        # None: the library picks from the target (symmetric for every label)
-        "strategy": (_string(STRATEGIES), None),
-    },
-    "sample": {
-        "state": (_string(), "dicke_4_2"),
-        "simulate": (_nested(SIMULATE_SCHEMA), None),
-        "target": (_string(), None),
-        "strategy": (_string(STRATEGIES), None),
-        "events": (_integer(1, 10**9), 100000),
-    },
-    "protocols": {
-        "num_qubits": (_integer(4, 8), 6),
-        # inert: the singlet fraction has a closed form and needs no search
-        "restarts": (_integer(1, 500), 32),
-        "simulate": (_nested(SIMULATE_SCHEMA), None),
-    },
-    "qss": {
-        "state": (_string(), "dicke_6_3"),
-        "rounds": (_integer(1, 10**8), 10000),
-        "visibility": (_number(0.0, 1.0), None),
-    },
-    "compare": {
-        "reports": (_list_of(_string()), None),
-    },
-}
+# a witness weight: biseparable_bound refuses one beyond MAX_ALPHA
+_alpha = _number(-MAX_ALPHA, MAX_ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -598,30 +552,17 @@ def cmd_qss(config: dict, ctx: Context) -> dict:
 
 
 def _extract_computed(report: dict) -> dict:
-    command = report.get("command")
-    results = report.get("results", {})
-    out = {}
-    if command == "simulate":
-        out["three_pair_selection_probability"] = results["p_exact"]
-        out["simulated_state_fidelity"] = results["fidelity_vs_D63"]
-        out["sixfold_rate_per_s"] = results["sixfold_rate_per_s"]
-    elif command == "bound":
-        out[f"biseparable_bound_n{results['num_qubits']}"] = results["bound"]
-    elif command == "lms":
-        out[f"lms_settings_{results['target']}"] = results["num_settings"]
-    elif command == "sample":
-        out[f"fidelity_{results['target']}"] = (
-            results["estimate"],
-            results["std_error"],
-        )
-    elif command == "protocols":
-        out["odt_success_mean"] = results["odt"]["p_success"]
-        out["heralded_pair_fidelity_mean"] = results["odt"]["mean_heralded_fidelity"]
-    elif command == "qss":
-        key = {4: "qber_four_party", 6: "qber_six_party"}.get(results["num_qubits"])
-        if key is not None and results["qber_error"] is not None:
-            out[key] = (results["qber"], results["qber_error"])
-    return out
+    command = COMMANDS.get(report.get("command"))
+    if command is None or command.references is None:
+        return {}
+    return command.references(report.get("results", {}))
+
+
+def _qss_references(results: dict) -> dict:
+    key = {4: "qber_four_party", 6: "qber_six_party"}.get(results["num_qubits"])
+    if key is None or results["qber_error"] is None:
+        return {}
+    return {key: (results["qber"], results["qber_error"])}
 
 
 def _comparable(value) -> bool:
@@ -634,19 +575,15 @@ def _comparable(value) -> bool:
 
 
 def cmd_compare(config: dict, ctx: Context) -> dict:
-    default_names = [
-        "simulate.json",
-        "bound.json",
-        "lms.json",
-        "sample.json",
-        "protocols.json",
-        "qss.json",
-    ]
     if config["reports"] is not None:
         paths = list(config["reports"])
         optional = False
     else:
-        paths = [os.path.join(ctx.out_dir, name) for name in default_names]
+        # the reports of the commands that compare reads, in table order
+        paths = [
+            os.path.join(ctx.out_dir, f"{name}.json")
+            for name, command in COMMANDS.items() if command.references is not None
+        ]
         optional = True
     computed = {}
     used = []
@@ -685,37 +622,84 @@ def cmd_compare(config: dict, ctx: Context) -> dict:
     return {"sources": used, "table_file": "compare.csv"}
 
 
-HANDLERS = {
-    "state": cmd_state,
-    "simulate": cmd_simulate,
-    "witness": cmd_witness,
-    "bound": cmd_bound,
-    "scan": cmd_scan,
-    "lms": cmd_lms,
-    "sample": cmd_sample,
-    "protocols": cmd_protocols,
-    "qss": cmd_qss,
-    "compare": cmd_compare,
-}
+@dataclass(frozen=True)
+class Command:
+    """One command: ``handler(config, ctx)`` returns its results, ``help`` is
+    its line in ``-h`` and ``schema`` validates its config; ``references``,
+    for a command that ``compare`` reads, maps its results to reference keys."""
 
-_HELP = {
-    "state": "construct a named state, optionally navigating by measurements",
-    "simulate": "run the down-conversion source model end to end",
-    "witness": "evaluate the collective-spin witness on an ideal state",
-    "bound": "optimize the biseparable bound, optionally over a grid",
-    "scan": "sweep the full-product correlator over a measurement plane",
-    "lms": "decompose a projector and plan measurement settings",
-    "sample": "sample counts and estimate fidelity from them",
-    "protocols": "evaluate pair extraction, teleportation, and heralding",
-    "qss": "simulate parity-based secret-sharing rounds",
-    "compare": "tabulate computed values against the published references",
+    handler: Callable[[dict, Context], dict]
+    help: str
+    schema: dict
+    references: Callable[[dict], dict] | None = None
+
+
+# -h lists the commands in this order, and compare, last, reads the others'
+# reports in it
+COMMANDS = {
+    "state": Command(cmd_state, "construct a named state, optionally navigating by measurements", {
+        "state": (_string(), "dicke_6_3"),
+        "navigate": (_list_of(_navigation_step), None),
+    }),
+    "simulate": Command(
+        cmd_simulate, "run the down-conversion source model end to end", SIMULATE_SCHEMA,
+        lambda r: {"three_pair_selection_probability": r["p_exact"],
+                   "simulated_state_fidelity": r["fidelity_vs_D63"],
+                   "sixfold_rate_per_s": r["sixfold_rate_per_s"]},
+    ),
+    "witness": Command(cmd_witness, "evaluate the collective-spin witness on an ideal state", {
+        "state": (_string(), "dicke_6_3"),
+        "alpha": (_alpha, 0.0),
+    }),
+    "bound": Command(cmd_bound, "optimize the biseparable bound, optionally over a grid", {
+        "num_qubits": (_integer(2, MAX_QUBITS), 6),
+        "alpha": (_alpha, 0.0),
+        # each entry is a full bound
+        "alphas": (_list_of(_alpha, max_len=64), None),
+        # inert: the see-saw starts from a fixed set of polar angles
+        "restarts": (_integer(3, 500), 50),
+        "state": (_string(), None),
+    }, lambda r: {f"biseparable_bound_n{r['num_qubits']}": r["bound"]}),
+    "scan": Command(cmd_scan, "sweep the full-product correlator over a measurement plane", {
+        "state": (_string(), "dicke_6_3"),
+        "plane": (_string(PLANES), "xz"),
+        "points": (_integer(2, 100000), 100),
+        "dephased": (_boolean(), False),
+    }),
+    "lms": Command(cmd_lms, "decompose a projector and plan measurement settings", {
+        "state": (_string(), "dicke_6_3"),
+        # None: the library picks from the target (symmetric for every label)
+        "strategy": (_string(STRATEGIES), None),
+    }, lambda r: {f"lms_settings_{r['target']}": r["num_settings"]}),
+    "sample": Command(cmd_sample, "sample counts and estimate fidelity from them", {
+        "state": (_string(), "dicke_4_2"),
+        "simulate": (_nested(SIMULATE_SCHEMA), None),
+        "target": (_string(), None),
+        "strategy": (_string(STRATEGIES), None),
+        "events": (_integer(1, 10**9), 100000),
+    }, lambda r: {f"fidelity_{r['target']}": (r["estimate"], r["std_error"])}),
+    "protocols": Command(cmd_protocols, "evaluate pair extraction, teleportation, and heralding", {
+        "num_qubits": (_integer(4, 8), 6),
+        # inert: the singlet fraction has a closed form and needs no search
+        "restarts": (_integer(1, 500), 32),
+        "simulate": (_nested(SIMULATE_SCHEMA), None),
+    }, lambda r: {"odt_success_mean": r["odt"]["p_success"],
+                  "heralded_pair_fidelity_mean": r["odt"]["mean_heralded_fidelity"]}),
+    "qss": Command(cmd_qss, "simulate parity-based secret-sharing rounds", {
+        "state": (_string(), "dicke_6_3"),
+        "rounds": (_integer(1, 10**8), 10000),
+        "visibility": (_number(0.0, 1.0), None),
+    }, _qss_references),
+    "compare": Command(cmd_compare, "tabulate computed values against the published references", {
+        "reports": (_list_of(_string()), None),
+    }),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     """One flat parser: the command and the three flags, in any order."""
-    width = max(map(len, HANDLERS))
-    commands = "\n".join(f"  {name:<{width}}  {_HELP[name]}" for name in HANDLERS)
+    width = max(map(len, COMMANDS))
+    commands = "\n".join(f"  {name:<{width}}  {c.help}" for name, c in COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="dickesim",
         usage="%(prog)s COMMAND [--config PATH] [--seed U64] [--out DIR]",
@@ -724,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "command", choices=HANDLERS, metavar="COMMAND", help="one of the commands below"
+        "command", choices=COMMANDS, metavar="COMMAND", help="one of the commands below"
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--seed", type=int, default=0, metavar="U64")
@@ -771,13 +755,14 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         raw = _load_config(args.config)
-        config = validate(raw, SCHEMAS[args.command])
+        command = COMMANDS[args.command]
+        config = validate(raw, command.schema)
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out {args.out}: cannot be created: {exc.strerror}") from exc
         ctx = Context(seed=args.seed, out_dir=args.out)
-        results = HANDLERS[args.command](config, ctx)
+        results = command.handler(config, ctx)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

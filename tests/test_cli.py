@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import dickesim
-from dickesim.cli import _HELP, HANDLERS, _write_csv, config_digest, main
+from dickesim.cli import COMMANDS, _write_csv, config_digest, main
 from dickesim.dicke_states import dicke
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.lms import decompose, plan_settings
@@ -61,8 +62,13 @@ def test_help_lists_every_command(args, capsys):
     assert info.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("usage: dickesim COMMAND [--config PATH] [--seed U64]")
-    for name in HANDLERS:
-        assert f"  {name}" in out and _HELP[name] in out, name
+    for name, command in COMMANDS.items():
+        assert f"  {name}" in out and command.help in out, name
+    # the epilog lists each command once, in table order, compare last: the
+    # order compare reads the others' reports in, and CI runs them in
+    epilog = out.split("\ncommands:\n")[1].splitlines()
+    assert [line.split()[0] for line in epilog] == list(COMMANDS)
+    assert list(COMMANDS)[-1] == "compare"
 
 
 def test_missing_command_exits_two(capsys):
@@ -137,7 +143,7 @@ def test_state_navigation_projects_once_per_step(tmp_path, monkeypatch):
     monkeypatch.setattr(dicke_states, "project", counted)
     config = cli.validate(
         {"state": "dicke_7_3", "navigate": [{"qubit": q, "outcome": o} for q, o in steps]},
-        cli.SCHEMAS["state"],
+        cli.COMMANDS["state"].schema,
     )
     nav = cli.cmd_state(config, cli.Context(seed=0, out_dir=str(tmp_path)))["navigation"]
     assert len(calls) == len(steps)
@@ -181,7 +187,7 @@ def test_witness_defaults(tmp_path, capsys, monkeypatch):
         return read(state, settings)
 
     monkeypatch.setattr(witness, "outcome_distributions", counted)
-    config = cli.validate({"state": "dicke_5_2", "alpha": -3.0}, cli.SCHEMAS["witness"])
+    config = cli.validate({"state": "dicke_5_2", "alpha": -3.0}, cli.COMMANDS["witness"].schema)
     results = cli.cmd_witness(config, cli.Context(seed=0, out_dir=str(tmp_path)))
     assert calls == [[",".join(axis * 5) for axis in "xyz"]]
     assert results["witness_value"] == witness.witness_value(dicke(5, 2), -3.0)
@@ -225,7 +231,7 @@ def test_bound_curve_state_values_are_the_per_alpha_witness_values(tmp_path, mon
     config = cli.validate(
         {"num_qubits": 5, "state": "dicke_5_2", "alpha": -3.0, "restarts": 3,
          "alphas": alphas},
-        cli.SCHEMAS["bound"],
+        cli.COMMANDS["bound"].schema,
     )
     results = cli.cmd_bound(config, cli.Context(seed=0, out_dir=str(tmp_path)))
     state = cli._parse_state_label("dicke_5_2")
@@ -733,7 +739,9 @@ def test_compare_missing_explicit_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "report", [{"command": "simulate", "results": {}}, [1, 2], {"command": "qss"}]
+    "report",
+    [{"command": "simulate", "results": {}}, [1, 2], {"command": "qss"},
+     {"command": ["simulate"], "results": {}}],
 )
 def test_compare_malformed_report_is_config_error(tmp_path, capsys, report):
     path = write_config(tmp_path, report, "simulate.json")
@@ -845,13 +853,27 @@ def test_qss_without_kept_rounds_writes_strict_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, key", [("witness", "alpha"), ("simulate", "lambda")]
+    "command, key",
+    [("witness", "alpha"), ("bound", "alpha"), ("bound", "alphas[0]"), ("simulate", "lambda")],
 )
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e308, -1e308])
 def test_non_finite_config_number_exits_two(tmp_path, capsys, command, key, value):
-    config = write_config(tmp_path, {key: value})
+    # alpha beyond witness.MAX_ALPHA overflows W(alpha) as inf does
+    name, indexed, _ = key.partition("[")
+    config = write_config(tmp_path, {name: [value] if indexed else value})
     assert run_cli([command, "--config", config, "--out", str(tmp_path / "o")]) == 2
     assert f"config.{key}" in capsys.readouterr().err
+
+
+def test_alpha_at_the_limit_is_accepted(tmp_path, capsys):
+    # |alpha| = witness.MAX_ALPHA itself is inside the bound, with either sign
+    runs = [("witness", {"alpha": 1e12}),
+            ("bound", {"num_qubits": 4, "alpha": -1e12, "alphas": [1e12]})]
+    for command, payload in runs:
+        config = write_config(tmp_path, payload)
+        assert run_cli([command, "--config", config, "--out", str(tmp_path / "o")]) == 0
+        assert load_report(tmp_path / "o", command)["config"]["alpha"] == payload["alpha"]
+    capsys.readouterr()
 
 
 def test_unexpected_exception_propagates(tmp_path, monkeypatch):
@@ -862,7 +884,8 @@ def test_unexpected_exception_propagates(tmp_path, monkeypatch):
         def broken(config, ctx, error=error):
             raise error("handler bug")
 
-        monkeypatch.setitem(cli.HANDLERS, "witness", broken)
+        entry = dataclasses.replace(cli.COMMANDS["witness"], handler=broken)
+        monkeypatch.setitem(cli.COMMANDS, "witness", entry)
         with pytest.raises(error, match="handler bug"):
             run_cli(["witness", "--out", str(tmp_path / "o")])
 

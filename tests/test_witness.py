@@ -240,6 +240,16 @@ def test_biseparable_bound_refuses_a_non_integer_size(n):
         biseparable_bound(n)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 1e13, -1e13])
+def test_biseparable_bound_refuses_an_alpha_beyond_the_limit(alpha):
+    # MAX_ALPHA = 1e12 itself is accepted (ORACLE_ALPHAS, the closed form for
+    # alpha >= 1); bound_curve refuses through biseparable_bound
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        biseparable_bound(4, alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        bound_curve(4, [0.0, alpha])
+
+
 def test_bound_curve_refuses_a_non_integer_size():
     with pytest.raises(ValueError, match="num_qubits must be an integer"):
         bound_curve(4.2, [0.0])
