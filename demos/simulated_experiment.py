@@ -58,8 +58,9 @@ def main():
           f"(classical threshold {tele.classical_threshold:.4f}, "
           f"all above: {tele.all_above_classical})")
 
+    # the default plan: uniform-direction settings (22 for the six-qubit target)
     decomp = decompose(target)
-    plan = plan_settings(decomp, "greedy")
+    plan = plan_settings(decomp)
     experiment = ExperimentPlan(
         settings=[a.setting for a in plan.assignments],
         events_per_setting=args.events,
@@ -68,7 +69,8 @@ def main():
     table = histograms_to_table(run_plan(rho, experiment))
     est = fidelity_from_counts(decomp, plan, table)
     pull = abs(est.value - direct) / est.std_error if est.std_error else 0.0
-    print(f"counts round trip: estimate {est.value:.4f} +- {est.std_error:.4f}, "
+    print(f"counts round trip over {plan.num_settings} settings: "
+          f"estimate {est.value:.4f} +- {est.std_error:.4f}, "
           f"|estimate - direct| = {pull:.2f} standard errors")
 
 

@@ -668,7 +668,7 @@ COMMANDS = {
     }),
     "lms": Command(cmd_lms, "decompose a projector and plan measurement settings", {
         "state": (_string(), "dicke_6_3"),
-        # None: the library picks from the target (symmetric for every label)
+        # None: symmetric, which plans every label; greedy only by name
         "strategy": (_string(STRATEGIES), None),
     }, lambda r: {f"lms_settings_{r['target']}": r["num_settings"]}),
     "sample": Command(cmd_sample, "sample counts and estimate fidelity from them", {

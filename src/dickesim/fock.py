@@ -92,16 +92,6 @@ def order_weight(config: SpdcConfig, pairs: int) -> float:
     return config.lam ** (2 * pairs) / total
 
 
-def _pair_weights(spdc: SpdcConfig) -> list[float]:
-    """W_n = (lam^n n! / norm)^2, the squared prefactor of the n-pair term.
-
-    Each W_n is ``order_weight(spdc, n) * n!^2`` to the bit; the
-    normalizer is summed once for all orders.
-    """
-    total = sum(spdc.lam ** (2 * n) for n in range(spdc.max_order + 1))
-    return [spdc.lam ** (2 * n) / total * factorial(n) ** 2 for n in range(spdc.max_order + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Full pipeline and calibration
 
@@ -202,7 +192,8 @@ def _sixfold_stats(spdc: SpdcConfig, eta_h, eta_v) -> tuple[np.ndarray, list]:
         P_w = prod_j |u_j|^2 C(6, w) eta_H^(6 - w) eta_V^w
               sum_n W_n (1 - eta_H)^a (1 - eta_V)^b / (a! b!),
 
-    with a = n - 6 + w, b = n - w and W_n from ``_pair_weights``.
+    with a = n - 6 + w, b = n - w and W_n = ``order_weight(spdc, n)`` n!^2 =
+    (lam^n n! / norm)^2, the squared prefactor of the n-pair term.
 
     Threshold events.  An arm holding h H and v V photons clicks on
     exactly one detector with probability
@@ -240,7 +231,7 @@ def _sixfold_stats(spdc: SpdcConfig, eta_h, eta_v) -> tuple[np.ndarray, list]:
     """
     order = spdc.max_order
     photons = np.arange(order + 1)
-    weights = np.array(_pair_weights(spdc))
+    weights = np.array([order_weight(spdc, n) * factorial(n) ** 2 for n in range(order + 1)])
     c = np.abs(ARM_AMPLITUDES) ** 2
     one_per_arm = float(np.prod(c))
     eta = np.array([eta_h, eta_v], dtype=float)

@@ -24,8 +24,9 @@ the strings out:
   al., PRL 105, 250403 (2010)).  ``symmetric`` solves the first design
   of one ordered list that spans the target: the GHZ design (N + 1
   settings), then ring designs whose size grows quadratically in N;
-  ``ghz_special`` is the GHZ design alone.  With no strategy the target
-  picks the plan.
+  ``ghz_special`` is the GHZ design alone.  With no strategy the plan is
+  ``symmetric``, which refuses a target that is not permutation-invariant;
+  ``greedy`` is reached only by name.
 
 Letters are read as digits through the byte table of ``states``, as
 written: a lower-case letter is no letter there.
@@ -46,8 +47,8 @@ from .states import (
     BLOCK_BYTES,
     MeasurementSetting,
     QubitPureState,
+    _dicke_gains,
     _letter_digits,
-    _pascal,
 )
 
 COEFF_TOL = 1e-12
@@ -422,7 +423,7 @@ def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPl
         raise ValueError(
             f"{method} needs a permutation-invariant target: each coefficient "
             "must depend only on the counts of X, Y and Z, and every permutation "
-            "of a kept string must be kept"
+            'of a kept string must be kept; plan any other with strategy="greedy"'
         )
     for settings in designs:
         weights, residual = _symmetric_weights(classes, settings)
@@ -445,8 +446,8 @@ def _uniform_plan(decomp: PauliDecomposition, method: str, designs) -> SettingPl
 def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> SettingPlan:
     """Group a decomposition's strings into measurement settings.
 
-    With no strategy, permutation-invariant decompositions get
-    ``symmetric`` and all others ``greedy``.
+    With no strategy the plan is ``symmetric``; ``greedy`` is reached only
+    by name.
     ``symmetric``: every qubit along one direction per setting, with
     per-order weights on the symmetric correlators solved by least
     squares on the first of ``_designs`` whose weight residual is within
@@ -476,14 +477,11 @@ def plan_settings(decomp: PauliDecomposition, strategy: str | None = None) -> Se
     ValueError above ``MAX_GREEDY_QUBITS`` qubits, where plans grow too
     large to sample (the eight-qubit Dicke state takes 2,012 settings).
     """
-    if strategy is not None and strategy not in STRATEGIES:
+    strategy = "symmetric" if strategy is None else strategy
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "greedy":
         return _greedy_plan(decomp)
-    if strategy is None:
-        if decomp.classes is None:
-            return _greedy_plan(decomp)
-        strategy = "symmetric"
     designs = _designs(decomp.num_qubits)
     if strategy == "ghz_special":
         designs = [next(designs)]
@@ -544,17 +542,12 @@ def _symmetric_correlators(n: int) -> np.ndarray:
     """e_m of every outcome, as an (N + 1) x 2^N table.
 
     e_m sums the product of the +-1 outcomes over all m-qubit subsets; for
-    an outcome with p bits set (p outcomes -1) it is the Krawtchouk value
-    sum_j (-1)^j C(p, j) C(N - p, m - j), the coefficient of z^m in
-    (1 - z)^p (1 + z)^(N - p).  Every term and partial sum is an exact
-    integer, so the table is exact in any summation order.
+    an outcome with p bits set (p outcomes -1) it is the Krawtchouk value,
+    the coefficient of t^m in (1 + t)^(N - p) (1 - t)^p: the Dicke-basis
+    gain of the row pair [[1, 1], [1, -1]], every term an exact integer.
     """
-    p = np.arange(n + 1)
-    j, m = p[:, None, None], p[:, None]
-    pascal = _pascal(n + 1)
-    # C(N - p, m - j) is 0 for m < j, a negative column
-    terms = (-1.0) ** j * pascal[p, j] * pascal[n - p, m - j]
-    return terms.sum(axis=0)[:, _POPCOUNT[: 2**n]]
+    gains = _dicke_gains(np.array([[[1.0, 1.0], [1.0, -1.0]]]), n)[:, :, 0].real
+    return gains[:, _POPCOUNT[: 2**n]]
 
 
 def _covered_weights(decomp: PauliDecomposition, plan: SettingPlan) -> np.ndarray:

@@ -370,8 +370,8 @@ def project(state: State, qubit: int, outcome_ket) -> tuple[State, float]:
     raise :class:`ImpossibleOutcomeError`.
     """
     n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range")
+    if not _is_integer(qubit) or not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit!r} must be an integer index in [0, {n})")
     if n == 1:
         raise ValueError("cannot project the last remaining qubit")
     ket = np.asarray(outcome_ket, dtype=complex).reshape(2)
@@ -636,6 +636,27 @@ def _pascal(size: int) -> np.ndarray:
     return factorials[:size, None] / (factorials * factorials[degree[:size, None] - degree])
 
 
+def _dicke_gains(rows: np.ndarray, n: int) -> np.ndarray:
+    """(N + 1, N + 1, S) gains[m, k, s] = G[k, m] (see ``_dicke_rows``) of
+    row s of an (S, 2, 2) stack, from exact polynomial products: Pascal
+    coefficients, exact integers, times powers of the entries by repeated
+    multiplication, so an exact 0 entry leaves exact zeros (a z-axis G is
+    the identity) and integer entries give exact integers."""
+    size = n + 1
+    degree = np.arange(2 * size - 1)
+    excess = degree[:size] - degree[:, None]  # [j, a] -> a - j
+    shift = excess[:size]  # [i, m] -> m - i, or a zero row
+    # powers[p, s, r, c] = R_rc^p of row s, p < 2N + 1
+    powers = np.empty((len(degree), len(rows), 2, 2), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = rows
+    powers = np.cumprod(powers, axis=0)
+    # coeffs[j, a, s, r]: coefficient j of (R_r0 + R_r1 t)^a, 0 for j > a
+    coeffs = _pascal(size).T[:, :, None, None] * powers[excess, :, :, 0] * powers[:, None, :, :, 1]
+    # G[m, k, s] = sum_i coeffs[i, N - k, s, 0] coeffs[m - i, k, s, 1]
+    return (coeffs[:size, None, ::-1, :, 0] * coeffs[shift, :, :, 1]).sum(axis=0)
+
+
 def _dicke_rows(entries: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     """(S, N + 1) probability of one outcome of each popcount k, with every
     qubit measured in the basis of rotation s of an (S, 2, 2) stack, on a
@@ -648,32 +669,16 @@ def _dicke_rows(entries: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     sqrt(C(N, m) / C(N, k)).  So p(b) = |sum_m G[k, m] a_m|^2 for a pure
     state, and sum_{m, m'} G[k, m] r[m, m'] conj(G[k, m']) for a density.
 
-    G comes from exact polynomial products: Pascal-table coefficients,
-    exact integers, times powers of R's entries by repeated
-    multiplication, so an entry of R that is exactly 0 leaves exact zeros
-    (a z-axis G is the identity).  Every sum runs over the first axis of
+    G comes from ``_dicke_gains``.  Every sum runs over the first axis of
     its terms, one term at a time in order, so a row is the same bits
     whatever S.  A row costs O(N^3) time and about (N + 1)^3 complex
     values of memory, and rows are taken in blocks within ``BLOCK_BYTES``.
     """
     size = len(entries)
-    degree = np.arange(2 * size - 1)
-    excess = degree[:size] - degree[:, None]  # [j, a] -> a - j
-    pascal = _pascal(size).T[:, :, None, None]
-    shift = excess[:size]  # [i, m] -> m - i, or a zero row
     rows = max(1, BLOCK_BYTES // (16 * size**3))
     probs = np.empty((len(rotations), size))
     for start in range(0, len(rotations), rows):
-        block = rotations[start:start + rows]
-        # powers[p, s, r, c] = R_rc^p of setting s, p < 2N + 1
-        powers = np.empty((len(degree), len(block), 2, 2), dtype=complex)
-        powers[0] = 1.0
-        powers[1:] = block
-        powers = np.cumprod(powers, axis=0)
-        # coeffs[j, a, s, r]: coefficient j of (R_r0 + R_r1 t)^a, 0 for j > a
-        coeffs = pascal * powers[excess, :, :, 0] * powers[:, None, :, :, 1]
-        # G[m, k, s] = sum_i coeffs[i, N - k, s, 0] coeffs[m - i, k, s, 1]
-        gains = (coeffs[:size, None, ::-1, :, 0] * coeffs[shift, :, :, 1]).sum(axis=0)
+        gains = _dicke_gains(rotations[start:start + rows], size - 1)
         if entries.ndim == 1:
             amps = (gains * entries[:, None, None]).sum(axis=0)
             probs[start:start + rows] = (np.abs(amps) ** 2).T

@@ -71,9 +71,17 @@ GRID_POINTS = 33
 THETA_TOL = 1e-9
 # measurement planes of correlator_scan: sigma_z with sigma_x or sigma_y
 PLANES = ("xz", "yz")
-# the largest |alpha| biseparable_bound accepts, the largest magnitude its
-# tests cover; far beyond it W(alpha) overflows and eigh fails to converge
+# the largest |alpha| the witness functions accept, the largest magnitude
+# their tests cover; far beyond it W(alpha) overflows and eigh fails to converge
 MAX_ALPHA = 1e12
+
+
+def _check_alpha(alpha) -> float:
+    """``alpha`` as a float; ValueError unless finite with |alpha| <= ``MAX_ALPHA``."""
+    alpha = float(alpha)
+    if not abs(alpha) <= MAX_ALPHA:
+        raise ValueError(f"alpha must be finite with |alpha| <= {MAX_ALPHA:g}, got {alpha!r}")
+    return alpha
 
 
 def _embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -98,6 +106,7 @@ def collective_spin_operator(num_qubits: int, axis: str) -> np.ndarray:
 @lru_cache(maxsize=32)
 def witness_operator(num_qubits: int, alpha: float) -> np.ndarray:
     """Dense W(alpha); real symmetric since Jy^2 has real entries."""
+    alpha = _check_alpha(alpha)
     jx = collective_spin_operator(num_qubits, "x")
     jy = collective_spin_operator(num_qubits, "y")
     jz = collective_spin_operator(num_qubits, "z")
@@ -155,7 +164,7 @@ class _SpinMoments:
 def witness_value(state: State, alpha: float) -> float:
     """<W(alpha)> on a state from the three collective settings x, y and z,
     without building the 2^N operator."""
-    return float(_SpinMoments.read(state).witness(alpha))
+    return float(_SpinMoments.read(state).witness(_check_alpha(alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +462,7 @@ def biseparable_bound(
     """
     if not _is_integer(num_qubits):
         raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
-    alpha = float(alpha)
-    if not abs(alpha) <= MAX_ALPHA:
-        raise ValueError(f"alpha must be finite with |alpha| <= {MAX_ALPHA:g}, got {alpha!r}")
+    alpha = _check_alpha(alpha)
     n = int(num_qubits)
     if n < 2:
         raise ValueError("need at least 2 qubits for a bipartition")

@@ -428,7 +428,7 @@ def test_lms_symmetric_plan(tmp_path, capsys):
 def test_strategy_defaults_to_the_library_choice(
     command, state, strategy, method, settings, tmp_path, capsys
 ):
-    # without a strategy the target picks the plan; the report names it
+    # without a strategy the plan is symmetric; the report names it
     payload = {"state": state} if strategy is None else {"state": state, "strategy": strategy}
     if command == "sample":
         payload["events"] = 1000

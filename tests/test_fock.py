@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from math import comb, factorial
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import dickesim
 from dickesim.dicke_states import dicke
 from dickesim.fock import (
     ARM_AMPLITUDES,
@@ -17,7 +20,6 @@ from dickesim.fock import (
     LossConfig,
     NoSixfoldEventsError,
     SpdcConfig,
-    _pair_weights,
     _sixfold_stats,
     calibrate,
     order_weight,
@@ -220,7 +222,7 @@ def _one_point_stats(spdc, loss):
     weights and the statistics, or None for them where post-selection
     keeps less than 1e-30."""
     order = spdc.max_order
-    weights = _pair_weights(spdc)
+    weights = [order_weight(spdc, n) * factorial(n) ** 2 for n in range(order + 1)]
     c = np.abs(ARM_AMPLITUDES) ** 2
     one_per_arm = float(np.prod(c))
     miss_h, miss_v = 1.0 - loss.eta_h, 1.0 - loss.eta_v
@@ -550,6 +552,40 @@ def test_calibrate_reproduces_calibration_file():
     assert (picked["lambda"], picked["eta_H"]) == (
         stored["picked"]["lambda"], stored["picked"]["eta_H"]
     )
+
+
+def _assert_same_json(got, expected, where="$"):
+    """Types, keys and lengths exactly, floats to a relative 1e-12."""
+    assert type(got) is type(expected), where
+    if isinstance(expected, dict):
+        assert got.keys() == expected.keys(), where
+        for key in expected:
+            _assert_same_json(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), where
+        for k, (a, b) in enumerate(zip(got, expected)):
+            _assert_same_json(a, b, f"{where}[{k}]")
+    elif isinstance(expected, float):
+        assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=0.0), (where, got, expected)
+    else:
+        assert got == expected, where
+
+
+def test_calibration_demo_reproduces_calibration_file(tmp_path):
+    # the demo that writes data/calibration.json, run as a script into a
+    # scratch file; not exact, as BLAS products may round differently by CPU
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(dickesim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "calibration.json"
+    result = subprocess.run(
+        [sys.executable, os.path.join(root, "demos", "calibrate_source.py"), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    with open(out) as fh, open(CALIBRATION_PATH) as ref:
+        _assert_same_json(json.load(fh), json.load(ref))
 
 
 def _permute_qubits(matrix, order):

@@ -258,6 +258,25 @@ def test_classes_match_the_string_walk(state):
     assert len(decomp) == len(decomp.terms)
 
 
+def _plan_or_message(decomp, strategy=None):
+    try:
+        return plan_settings(decomp, strategy)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("state", CLASS_TARGETS, ids=lambda s: s.label)
+def test_default_plan_is_the_symmetric_plan(state):
+    # a target that is not permutation-invariant gets symmetric's refusal,
+    # which names the strategy that plans it
+    decomp = decompose(state)
+    default = _plan_or_message(decomp)
+    assert default == _plan_or_message(decomp, "symmetric")
+    assert isinstance(default, str) == (decomp.classes is None)
+    if decomp.classes is None:
+        assert 'strategy="greedy"' in default
+
+
 # ---------------------------------------------------------------------------
 # Per-string oracles: the replaced greedy planner, the coverage check's
 # letter test and the estimator's outcome weights, one string at a time
@@ -818,12 +837,14 @@ def test_every_planned_setting_rebuilds_from_its_label(n):
 
 def test_symmetric_plan_refuses_other_targets():
     # |H>|H>|+> keeps ZII but not its permutation IIZ
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    state = QubitPureState(3, np.kron(np.kron([1.0, 0.0], [1.0, 0.0]), plus))
+    state = hh_plus()
     decomp = decompose(state)
     with pytest.raises(ValueError, match="permutation-invariant"):
         plan_settings(decomp, strategy="symmetric")
-    plan = plan_settings(decomp)
+    # no strategy means symmetric: greedy is reached only by name
+    with pytest.raises(ValueError, match='strategy="greedy"'):
+        plan_settings(decomp)
+    plan = plan_settings(decomp, strategy="greedy")
     assert plan.method == "greedy"
     est = fidelity_from_counts(decomp, plan, exact_counts(state, plan))
     assert_allclose(est.value, 1.0, atol=1e-9)

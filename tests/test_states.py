@@ -499,6 +499,20 @@ def test_project_impossible_outcome_raises():
         project(QubitPureState(1, KET_H), 0, KET_H)
 
 
+@pytest.mark.parametrize("qubit", [1.0, True, "1", None, 4, -1])
+def test_project_refuses_a_qubit_that_is_not_an_index(qubit):
+    with pytest.raises(ValueError, match=f"qubit {qubit!r} must be an integer index"):
+        project(dicke(4, 2), qubit, KET_H)
+
+
+def test_project_accepts_a_numpy_integer_qubit():
+    state = dicke(4, 2)
+    post, prob = project(state, np.int64(1), KET_H)
+    expected, expected_prob = project(state, 1, KET_H)
+    assert prob == expected_prob
+    assert np.array_equal(post.amplitudes, expected.amplitudes)
+
+
 PROJECTION_KETS = {
     "H": KET_H,
     "V": KET_V,

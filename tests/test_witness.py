@@ -250,6 +250,23 @@ def test_biseparable_bound_refuses_an_alpha_beyond_the_limit(alpha):
         bound_curve(4, [0.0, alpha])
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 1e13, -1e13])
+def test_witness_value_and_operator_refuse_an_alpha_beyond_the_limit(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        witness_value(dicke(4, 2), alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        witness_operator(4, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e12, -1e12])
+def test_witness_value_and_operator_accept_the_limit(alpha):
+    state = dicke(4, 2)
+    value = witness_value(state, alpha)
+    dense = np.vdot(state.amplitudes, witness_operator(4, alpha) @ state.amplitudes).real
+    assert math.isfinite(value)
+    assert_allclose(value, dense, rtol=1e-12)
+
+
 def test_bound_curve_refuses_a_non_integer_size():
     with pytest.raises(ValueError, match="num_qubits must be an integer"):
         bound_curve(4.2, [0.0])
