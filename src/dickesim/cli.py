@@ -212,7 +212,9 @@ def write_report(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: list, columns: list) -> None:
-    """Write a table given column by column through ``csv.writer``.
+    """Write a table given column by column through ``csv.writer``: the
+    bound curve, correlator scan, pair-teleport and compare tables (the
+    count table has its own row writer, ``_write_histograms``).
 
     A numpy float array is written at 12 significant digits, as ``_fmt``
     writes each value; any other column's cells as ``csv.writer`` writes
@@ -228,6 +230,24 @@ def _write_csv(path: str, header: list, columns: list) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*cells))
+
+
+def _write_histograms(path: str, n: int, labels: list, counts: np.ndarray) -> None:
+    """Write an (S, 2^N) count matrix with one label per row: a header of
+    ``setting`` and the N-bit outcome strings, then one line per row.
+
+    The bytes are those ``csv.writer`` writes for [label, *counts]: it
+    still writes each label, quoted where needed, with an empty field
+    after it for the delimiter, and a row's 2^N counts go through one
+    ``%d`` template, straight from the matrix.
+    """
+    counts_line = ",".join(["%d"] * 2**n) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(["setting"] + [format(i, f"0{n}b") for i in range(2**n)])
+        label_writer = csv.writer(fh, lineterminator="")
+        for label, row in zip(labels, counts.tolist()):
+            label_writer.writerow([label, ""])
+            fh.write(counts_line % tuple(row))
 
 
 @dataclass(frozen=True)
@@ -422,6 +442,11 @@ def cmd_lms(config: dict, ctx: Context) -> dict:
 
 
 def cmd_sample(config: dict, ctx: Context) -> dict:
+    """Estimate a target's fidelity from sampled counts: plan the target's
+    settings, draw the plan's (S, 2^N) count matrix from the source
+    (``count_matrix``), read the estimate from it, and write the matrix as
+    it is, one line per setting, to fig_histograms.csv
+    (``_write_histograms``)."""
     if config["simulate"] is not None:
         source = _simulate(config["simulate"]).rho_sim
         source_desc = {"simulate": config["simulate"]}
@@ -451,12 +476,12 @@ def cmd_sample(config: dict, ctx: Context) -> dict:
         if estimate.std_error > 0
         else None
     )
-    n = target.num_qubits
     # each setting's label is computed once, by the estimate
-    _write_csv(
+    _write_histograms(
         ctx.path("fig_histograms.csv"),
-        ["setting"] + [format(i, f"0{n}b") for i in range(2**n)],
-        [[setting.label for setting in estimate.per_setting], *counts.T.tolist()],
+        target.num_qubits,
+        [setting.label for setting in estimate.per_setting],
+        counts,
     )
     return {
         "target": target_label,

@@ -402,12 +402,15 @@ def _symmetric_weights(classes: dict, settings: list) -> tuple[np.ndarray, float
     """
     n = settings[0].num_qubits
     vectors = np.array([s.bloch_vector(0) for s in settings])
+    # powers[k, s, j] = component j of setting s to the power k <= N, once
+    powers = vectors ** np.arange(n + 1)[:, None, None]
     weights = np.zeros((len(settings), n + 1))
     residual = 0.0
     for m in range(1, n + 1):
         monomials = [(a, b, m - a - b) for a in range(m + 1) for b in range(m + 1 - a)]
-        # (monomials, settings): one product over the three axes per entry
-        design = np.prod(vectors ** np.array(monomials)[:, None, :], axis=2)
+        a, b, c = np.array(monomials).T
+        # (monomials, settings): n_x^a n_y^b n_z^c, multiplied in that order
+        design = powers[a, :, 0] * powers[b, :, 1] * powers[c, :, 2]
         rhs = np.array([classes.get(mono, 0.0) for mono in monomials])
         solution = np.linalg.lstsq(design, rhs, rcond=None)[0]
         residual = max(residual, float(np.abs(design @ solution - rhs).max()))

@@ -522,7 +522,8 @@ def outcome_distributions(state: State, settings) -> np.ndarray:
     subspace) contracts each qubit's eigenbras R_q[b, i] into the state
     in turn, with the qubits already measured folded into a leading
     outcome axis: a pure state costs about 2N * 2^N per row, one
-    ``matmul`` per qubit for the whole block; a density contracts qubit
+    broadcast two-term multiply-add per qubit for the whole block (see
+    ``_pure_block``); a density contracts qubit
     q's row and column axes with R_q[b, i] * conj(R_q[b, j]), which halves
     the tensor each time, for about 4 * 4^N per row in all.  Rows are
     taken in blocks whose first intermediate fits in ``BLOCK_BYTES`` (at
@@ -574,11 +575,29 @@ def outcome_distributions(state: State, settings) -> np.ndarray:
 
 
 def _pure_block(amps: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """|amplitudes|^2 in the bases of an (S, N, 2, 2) block of rotations."""
+    """|amplitudes|^2 in the bases of an (S, N, 2, 2) block of rotations.
+
+    Qubit q takes the (S, 2^q, 2, 2^(N-q-1)) stack to
+    out[..., b, :] = R_q[b, 0] * in[..., 0, :] + R_q[b, 1] * in[..., 1, :],
+    two broadcast products and one add over the whole block, into one of
+    two preallocated (S, 2^N) buffers used in turn; a third holds the
+    second product, so no temporary is larger than the block.  Each
+    element is the same arithmetic whatever S.
+    """
     count, n = rotations.shape[:2]
+    buffers = np.empty((2, count, 2**n), dtype=complex)
+    term = np.empty((count, 2**n), dtype=complex)
+    source = amps[None]
     for q in range(n):
-        amps = np.matmul(rotations[:, None, q], amps.reshape(-1, 2**q, 2, 2 ** (n - q - 1)))
-    return np.abs(amps.reshape(count, -1)) ** 2
+        shape = (count, 2**q, 2, 2 ** (n - q - 1))
+        # rot[s, 0, b, i, 0] = R_q[b, i] of row s; pairs[s, a, 0, i, r] = in[s, a, i, r]
+        rot = rotations[:, None, q, :, :, None]
+        pairs = source.reshape(-1, 2**q, 1, 2, 2 ** (n - q - 1))
+        out = buffers[q % 2].reshape(shape)
+        np.multiply(rot[:, :, :, 0], pairs[:, :, :, 0], out=out)
+        out += np.multiply(rot[:, :, :, 1], pairs[:, :, :, 1], out=term.reshape(shape))
+        source = buffers[q % 2]
+    return np.abs(source) ** 2
 
 
 def _density_block(matrix: np.ndarray, rotations: np.ndarray) -> np.ndarray:

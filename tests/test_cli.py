@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dickesim
-from dickesim.cli import COMMANDS, _write_csv, config_digest, main
+from dickesim.cli import COMMANDS, _write_csv, _write_histograms, config_digest, main
 from dickesim.dicke_states import dicke
 from dickesim.fock import LossConfig, SpdcConfig, simulate_experiment
 from dickesim.lms import decompose, plan_settings
@@ -654,6 +654,30 @@ def test_column_writer_writes_the_cell_by_cell_bytes(table, tmp_path):
     if name == "histograms":
         # Pauli and Bloch-direction labels hold commas, so they are quoted
         assert b'"x,y,z",' in written and b'"n:0.3:' in written
+
+
+@pytest.mark.parametrize("n", [1, 10])
+def test_histogram_writer_writes_the_csv_writer_bytes(n, tmp_path):
+    # the count table is written row by row from the matrix; its bytes
+    # must be those of csv.writer on [label, *counts] for every row
+    rng = np.random.default_rng(n)
+    labels = [MeasurementSetting(axes * n).label() for axes in "xyz"] + [
+        MeasurementSetting.direction(0.3 * k, 1.1 + k / 7, n).label() for k in range(3)
+    ]
+    counts = rng.integers(0, 10**9, size=(len(labels), 2**n), endpoint=True)
+    counts[0, 0], counts[1, -1], counts[-1] = 0, 10**9, 0
+    header = ["setting"] + [format(i, f"0{n}b") for i in range(2**n)]
+    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([label, *row] for label, row in zip(labels, counts.tolist()))
+    _write_histograms(tmp_path / "rows.csv", n, labels, counts)
+    written = (tmp_path / "rows.csv").read_bytes()
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+    # Pauli and Bloch-direction labels hold commas past one qubit
+    quoted = n > 1
+    assert (b'"x,x,' in written) == quoted and (b'"n:0.3:' in written) == quoted
+    assert b",1000000000\r\n" in written and written.endswith(b",0\r\n")
 
 
 @pytest.mark.parametrize("command", list(TABULAR_RUNS))

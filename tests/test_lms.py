@@ -21,6 +21,7 @@ from dickesim.lms import (
     _counts_vector,
     _designs,
     _hadamard,
+    _symmetric_weights,
     _symmetric_correlators,
     check_plan_covers,
     decompose,
@@ -755,6 +756,36 @@ def test_symmetric_plan_matches_dense_oracle(state):
     mixed = QubitDensity(n, np.eye(2**n) / 2**n)
     est = fidelity_from_counts(decomp, plan, exact_counts(mixed, plan))
     assert_allclose(est.value, 2.0**-n, atol=1e-9)
+
+
+def per_order_weights(classes, settings):
+    """``_symmetric_weights`` with each order's design matrix from its own
+    pass of powers and products: the oracle of its shared power table."""
+    n = settings[0].num_qubits
+    vectors = np.array([s.bloch_vector(0) for s in settings])
+    weights = np.zeros((len(settings), n + 1))
+    residual = 0.0
+    for m in range(1, n + 1):
+        monomials = [(a, b, m - a - b) for a in range(m + 1) for b in range(m + 1 - a)]
+        design = np.prod(vectors ** np.array(monomials)[:, None, :], axis=2)
+        rhs = np.array([classes.get(mono, 0.0) for mono in monomials])
+        solution = np.linalg.lstsq(design, rhs, rcond=None)[0]
+        residual = max(residual, float(np.abs(design @ solution - rhs).max()))
+        weights[:, m] = solution
+    return weights, residual
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_symmetric_weights_match_the_per_order_oracle_bit_for_bit(n):
+    # the same np.power calls and the same product order, read from one
+    # table of powers k <= N: every design of every target, to the bit
+    for state in [dicke(n, k) for k in range(n + 1)] + [ghz(n), w_state(n)]:
+        classes = decompose(state).classes
+        for settings in _designs(n):
+            weights, residual = _symmetric_weights(classes, settings)
+            expected_weights, expected_residual = per_order_weights(classes, settings)
+            assert np.array_equal(weights, expected_weights), (state.label, len(settings))
+            assert residual == expected_residual, (state.label, len(settings))
 
 
 def test_symmetric_plan_adds_a_ring_when_the_first_design_falls_short():
